@@ -1,0 +1,240 @@
+"""Command-line front end.
+
+Subcommands: ``constants`` (coefficient tables), ``expand`` (operator and
+Q-curvature expansions as JSON), ``verify`` (identity suites), ``einstein``
+(exact table for the one-parameter Einstein family, with the explicit
+formula cross-checked against the direct operator iteration).
+
+All rationals are serialized as exact strings "p/q", never floats.  Stdout
+is byte-deterministic for identical invocations; wall-clock timing goes to
+stderr.  Exit codes: 0 success, 1 identity failure, 2 usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from fractions import Fraction
+
+from . import backends, exact_core, juhl_core, suites
+
+SCHEMA = "juhl-kit/1"
+ENV_MAX_ORDER = "JUHL_MAX_ORDER"
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected an exact rational like 1/2, got {text!r}")
+
+
+def _env_max_order(parser: argparse.ArgumentParser) -> int | None:
+    raw = os.environ.get(ENV_MAX_ORDER)
+    if raw is None:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        parser.error(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}")
+    if value < 1:
+        parser.error(f"{ENV_MAX_ORDER} must be >= 1, got {value}")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="juhlkit",
+        description="Exact engine for Juhl's explicit and recursive GJMS/Q-curvature formulae.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_const = sub.add_parser("constants", help="coefficient table n_I, m_I, nbar_I at order N")
+    p_const.add_argument("--N", dest="order", type=_positive_int, required=True)
+    p_const.add_argument("--format", choices=("tsv", "json"), default="tsv")
+
+    p_exp = sub.add_parser("expand", help="operator or Q-curvature expansion")
+    p_exp.add_argument("--target", choices=("P", "Q"), required=True)
+    p_exp.add_argument("--N", dest="order", type=_positive_int, required=True)
+    p_exp.add_argument("--form", choices=("explicit", "recursive"), default="explicit")
+    p_exp.add_argument("--format", choices=("json", "tsv"), default="json")
+
+    p_ver = sub.add_parser("verify", help="run identity suites")
+    p_ver.add_argument(
+        "suites",
+        nargs="*",
+        default=["all"],
+        choices=[*suites.SUITE_NAMES, "all"],
+        help="suites to run (default: all)",
+    )
+    p_ver.add_argument("--max-order", type=_positive_int, default=None)
+    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--jobs", type=_positive_int, default=1)
+
+    p_ein = sub.add_parser("einstein", help="exact W/Q table for the Einstein family")
+    p_ein.add_argument("--dim", type=_rational, required=True, help="dimension n (rational allowed)")
+    p_ein.add_argument("--c", type=_rational, required=True, help="family parameter in g_rho=(1+c*rho)^2 g")
+    p_ein.add_argument("--max-order", type=_positive_int, default=None)
+    p_ein.add_argument("--format", choices=("tsv", "json"), default="tsv")
+
+    return parser
+
+
+def cmd_constants(order: int, fmt: str) -> int:
+    rows = []
+    for comp in exact_core.compositions_of(order):
+        rows.append(
+            (
+                comp,
+                exact_core.n_coeff(comp),
+                exact_core.m_coeff(comp),
+                exact_core.nbar_coeff(comp),
+            )
+        )
+    if fmt == "json":
+        doc = {
+            "schema": SCHEMA,
+            "N": order,
+            "rows": [
+                {"composition": list(comp), "n": str(n), "m": str(m), "nbar": str(nb)}
+                for comp, n, m, nb in rows
+            ],
+        }
+        print(json.dumps(doc, indent=2))
+    else:
+        print("composition\tn\tm\tnbar")
+        for comp, n, m, nb in rows:
+            print(f"{','.join(map(str, comp))}\t{n}\t{m}\t{nb}")
+    return 0
+
+
+def cmd_expand(target: str, order: int, form: str, fmt: str) -> int:
+    if target == "P":
+        expansion = (
+            juhl_core.expand_P_explicit(order)
+            if form == "explicit"
+            else juhl_core.expand_P_recursive(order)
+        )
+        terms = [
+            {"word": list(word), "coeff": str(coeff)} for word, coeff in expansion.sorted_terms()
+        ]
+        doc = {"schema": SCHEMA, "target": "P", "N": order, "form": form, "basis": "M", "terms": terms}
+        if fmt == "tsv":
+            print("word\tcoeff")
+            for t in terms:
+                print(f"{','.join(map(str, t['word']))}\t{t['coeff']}")
+            return 0
+    else:
+        expansion = (
+            juhl_core.expand_Q_explicit(order)
+            if form == "explicit"
+            else juhl_core.expand_Q_recursive(order)
+        )
+        terms = [
+            {"word": list(word), "a": a, "coeff": str(coeff)}
+            for (word, a), coeff in expansion.sorted_terms()
+        ]
+        doc = {
+            "schema": SCHEMA,
+            "target": "Q",
+            "N": order,
+            "form": form,
+            "basis": "MW",
+            "sign_convention": "(-1)^N Q",
+            "terms": terms,
+        }
+        if fmt == "tsv":
+            print("word\ta\tcoeff")
+            for t in terms:
+                print(f"{','.join(map(str, t['word']))}\t{t['a']}\t{t['coeff']}")
+            return 0
+    print(json.dumps(doc, indent=2))
+    return 0
+
+
+def cmd_verify(names: list[str], max_order: int | None, seed: int, jobs: int) -> int:
+    reports = suites.run_suites(names, max_order=max_order, seed=seed, jobs=jobs)
+    total_failures = 0
+    for rep in reports:
+        status = "PASS" if rep.passed else "FAIL"
+        print(f"[{status}] {rep.suite} ({rep.order_note}): {rep.instances} instances, {len(rep.failures)} failures")
+        for failure in rep.failures:
+            print(f"  FAIL {failure.instance}: {failure.detail}")
+        print(f"{rep.suite}: {rep.wall_time:.2f}s", file=sys.stderr)
+        total_failures += len(rep.failures)
+    if total_failures:
+        print(f"verify: {total_failures} failure(s)")
+        return 1
+    print("verify: all suites passed")
+    return 0
+
+
+def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
+    backend = backends.EinsteinBackend(backends.EinsteinModel(dim, c), max_order)
+    extension_start = None
+    if dim.denominator == 1 and dim.numerator % 2 == 0:
+        extension_start = dim.numerator // 2
+    rows = []
+    for order in range(1, max_order + 1):
+        formula = backends.evaluate_Q(juhl_core.expand_Q_explicit(order), backend)
+        direct = backends.oracle_Q(backend, order)
+        if formula != direct:
+            print(
+                f"einstein: formula/oracle mismatch at N={order}: {formula} != {direct}",
+                file=sys.stderr,
+            )
+            return 1
+        q_value = formula if order % 2 == 0 else -formula
+        regime = "extension" if extension_start is not None and order > extension_start else "standard"
+        rows.append((order, backend.w_scalars[order], q_value, regime))
+    if fmt == "json":
+        doc = {
+            "schema": SCHEMA,
+            "n": str(dim),
+            "c": str(c),
+            "max_order": max_order,
+            "rows": [
+                {"N": order, "W": str(w), "Q": str(q), "regime": regime}
+                for order, w, q, regime in rows
+            ],
+        }
+        print(json.dumps(doc, indent=2))
+    else:
+        print("N\tW\tQ\tregime")
+        for order, w, q, regime in rows:
+            print(f"{order}\t{w}\t{q}\t{regime}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "constants":
+        return cmd_constants(args.order, args.format)
+    if args.command == "expand":
+        return cmd_expand(args.target, args.order, args.form, args.format)
+    if args.command == "verify":
+        max_order = args.max_order if args.max_order is not None else _env_max_order(parser)
+        return cmd_verify(args.suites, max_order, args.seed, args.jobs)
+    if args.command == "einstein":
+        max_order = args.max_order
+        if max_order is None:
+            max_order = _env_max_order(parser) or 6
+        return cmd_einstein(args.dim, args.c, max_order, args.format)
+    raise AssertionError(f"unhandled command {args.command!r}")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,120 @@
+"""Integer compositions and the coefficient families of Juhl's formulae.
+
+All scalars are exact rationals (``fractions.Fraction``); nothing here ever
+rounds.  Compositions are plain tuples of positive integers, enumerated in a
+fixed order (length ascending, then lexicographic) so that every emitted
+table and serialization is deterministic.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import cache
+from itertools import combinations
+
+Rational = Fraction
+Composition = tuple[int, ...]
+
+__all__ = [
+    "Rational",
+    "Composition",
+    "factorial",
+    "check_composition",
+    "compositions_of",
+    "partial_sums",
+    "n_coeff",
+    "m_coeff",
+    "nbar_coeff",
+]
+
+
+@cache
+def factorial(n: int) -> int:
+    """Cached arbitrary-precision factorial."""
+    return math.factorial(n)
+
+
+def check_composition(entries) -> Composition:
+    """Validate ``entries`` as a composition and return it as a tuple."""
+    comp = tuple(entries)
+    if not comp:
+        raise ValueError("a composition must have at least one entry")
+    for e in comp:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+            raise ValueError(f"composition entries must be positive integers, got {e!r}")
+    return comp
+
+
+def compositions_of(n: int) -> list[Composition]:
+    """All 2**(n-1) compositions of ``n``, length ascending then lexicographic."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    out: list[Composition] = []
+    for r in range(1, n + 1):
+        for cuts in combinations(range(1, n), r - 1):
+            bounds = (0, *cuts, n)
+            out.append(tuple(bounds[i + 1] - bounds[i] for i in range(r)))
+    return out
+
+
+def partial_sums(entries) -> tuple[int, ...]:
+    """Running sums I_1, I_1+I_2, ..., |I| of a composition."""
+    comp = check_composition(entries)
+    sums = []
+    acc = 0
+    for e in comp:
+        acc += e
+        sums.append(acc)
+    return tuple(sums)
+
+
+def n_coeff(entries) -> Fraction:
+    """The coefficient n_I of the explicit operator formula.
+
+    n_I = (|I|-1)!^2 * prod_j 1/(I_j-1)!^2
+                     * prod_{j<r} 1/[(I_1+...+I_j)(I_{j+1}+...+I_r)]
+    """
+    comp = check_composition(entries)
+    total = sum(comp)
+    den = 1
+    for e in comp:
+        den *= factorial(e - 1) ** 2
+    head = 0
+    for e in comp[:-1]:
+        head += e
+        den *= head * (total - head)
+    return Fraction(factorial(total - 1) ** 2, den)
+
+
+def m_coeff(entries) -> Fraction:
+    """The coefficient m_I of the recursive operator formula.
+
+    m_I = (-1)^(r+1) |I|! (|I|-1)! * prod_j 1/[I_j!(I_j-1)!]
+                                   * prod_{j<r} 1/(I_j+I_{j+1})
+    """
+    comp = check_composition(entries)
+    total = sum(comp)
+    sign = 1 if len(comp) % 2 == 1 else -1
+    den = 1
+    for e in comp:
+        den *= factorial(e) * factorial(e - 1)
+    for a, b in zip(comp, comp[1:]):
+        den *= a + b
+    return Fraction(sign * factorial(total) * factorial(total - 1), den)
+
+
+def nbar_coeff(entries) -> Fraction:
+    """The rescaled coefficient with the (I_j-1)!^2 factors stripped.
+
+    nbar_I = (N-1)!^2 / prod_{k<r} [(I_1+...+I_k)(I_{k+1}+...+I_r)], N = |I|,
+    so that n_I = nbar_I * prod_j 1/(I_j-1)!^2.
+    """
+    comp = check_composition(entries)
+    total = sum(comp)
+    den = 1
+    head = 0
+    for e in comp[:-1]:
+        head += e
+        den *= head * (total - head)
+    return Fraction(factorial(total - 1) ** 2, den)

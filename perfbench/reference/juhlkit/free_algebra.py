@@ -1,0 +1,255 @@
+"""Noncommutative polynomials over exact rationals.
+
+Words are tuples of positive generator indices; the empty word is the
+multiplicative identity, and multiplication of words is concatenation
+(modelling composition of operators).  Coefficients are ``Fraction``;
+zero coefficients are never stored.
+
+The module also carries a small kit of exact rational matrix helpers so a
+polynomial can be evaluated in a matrix assignment (words become matrix
+products, the empty word becomes the identity matrix).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .exact_core import Composition
+
+Word = Composition
+Matrix = tuple[tuple[Fraction, ...], ...]
+Vector = tuple[Fraction, ...]
+
+__all__ = [
+    "Word",
+    "Matrix",
+    "Vector",
+    "UnboundGeneratorError",
+    "NCPoly",
+    "nc_add",
+    "nc_mul",
+    "nc_eval_matrices",
+    "mat_identity",
+    "mat_add",
+    "mat_scale",
+    "mat_mul",
+    "mat_vec",
+    "mat_transpose",
+    "mat_is_symmetric",
+]
+
+
+class UnboundGeneratorError(KeyError):
+    """A generator appearing in a polynomial has no assigned matrix."""
+
+
+def _check_word(word) -> Word:
+    w = tuple(word)
+    for g in w:
+        if not isinstance(g, int) or isinstance(g, bool) or g < 1:
+            raise ValueError(f"generator indices must be positive integers, got {g!r}")
+    return w
+
+
+def _as_scalar(value) -> Fraction | None:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    return None
+
+
+class NCPoly:
+    """Sparse noncommutative polynomial: a finite map word -> Fraction."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict | None = None):
+        clean: dict[Word, Fraction] = {}
+        if terms:
+            for word, coeff in terms.items():
+                c = _as_scalar(coeff)
+                if c is None:
+                    raise ValueError(f"coefficients must be rational, got {coeff!r}")
+                if c:
+                    clean[_check_word(word)] = c
+        self._terms = clean
+
+    @classmethod
+    def _raw(cls, terms: dict[Word, Fraction]) -> NCPoly:
+        obj = cls.__new__(cls)
+        obj._terms = terms
+        return obj
+
+    @classmethod
+    def zero(cls) -> NCPoly:
+        return cls._raw({})
+
+    @classmethod
+    def one(cls) -> NCPoly:
+        return cls._raw({(): Fraction(1)})
+
+    @classmethod
+    def from_word(cls, word, coeff=1) -> NCPoly:
+        c = _as_scalar(coeff)
+        if c is None:
+            raise ValueError(f"coefficients must be rational, got {coeff!r}")
+        return cls._raw({_check_word(word): c}) if c else cls.zero()
+
+    def items(self):
+        return self._terms.items()
+
+    def coeff(self, word) -> Fraction:
+        return self._terms.get(tuple(word), Fraction(0))
+
+    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
+        """Terms ordered by word length, then lexicographically."""
+        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+    def weights(self) -> set[int]:
+        """Entry-sums of the support words (the empty word has weight 0)."""
+        return {sum(w) for w in self._terms}
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, NCPoly):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __neg__(self) -> NCPoly:
+        return NCPoly._raw({w: -c for w, c in self._terms.items()})
+
+    def __add__(self, other) -> NCPoly:
+        if not isinstance(other, NCPoly):
+            return NotImplemented
+        out = dict(self._terms)
+        for w, c in other._terms.items():
+            s = out.get(w, Fraction(0)) + c
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+        return NCPoly._raw(out)
+
+    def __sub__(self, other) -> NCPoly:
+        if not isinstance(other, NCPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other) -> NCPoly:
+        scalar = _as_scalar(other)
+        if scalar is not None:
+            if not scalar:
+                return NCPoly.zero()
+            return NCPoly._raw({w: c * scalar for w, c in self._terms.items()})
+        if not isinstance(other, NCPoly):
+            return NotImplemented
+        out: dict[Word, Fraction] = {}
+        for w1, c1 in self._terms.items():
+            for w2, c2 in other._terms.items():
+                w = w1 + w2
+                s = out.get(w, Fraction(0)) + c1 * c2
+                if s:
+                    out[w] = s
+                else:
+                    out.pop(w, None)
+        return NCPoly._raw(out)
+
+    def __rmul__(self, other) -> NCPoly:
+        scalar = _as_scalar(other)
+        if scalar is None:
+            return NotImplemented
+        return self * scalar
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "NCPoly(0)"
+        parts = []
+        for w, c in self.sorted_terms():
+            mono = "*".join(f"x{g}" for g in w) if w else "1"
+            parts.append(f"{c}*{mono}")
+        return "NCPoly(" + " + ".join(parts) + ")"
+
+
+def nc_add(p: NCPoly, q: NCPoly) -> NCPoly:
+    """Coefficient-wise sum with zero terms pruned."""
+    return p + q
+
+
+def nc_mul(p: NCPoly, q: NCPoly) -> NCPoly:
+    """Bilinear extension of word concatenation (noncommutative)."""
+    return p * q
+
+
+def mat_identity(d: int) -> Matrix:
+    return tuple(
+        tuple(Fraction(1) if i == j else Fraction(0) for j in range(d)) for i in range(d)
+    )
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c: Fraction, a: Matrix) -> Matrix:
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if len(b) != len(a[0]):
+        raise ValueError("matrix dimension mismatch")
+    cols = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    if len(v) != len(a[0]):
+        raise ValueError("matrix dimension mismatch")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def mat_transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
+
+
+def mat_is_symmetric(a: Matrix) -> bool:
+    return a == mat_transpose(a)
+
+
+def _check_square(m, dim: int | None) -> int:
+    rows = len(m)
+    if rows == 0 or any(len(row) != rows for row in m):
+        raise ValueError("matrices must be square")
+    if dim is not None and rows != dim:
+        raise ValueError(f"matrix dimension mismatch: {rows} != {dim}")
+    return rows
+
+
+def nc_eval_matrices(p: NCPoly, assign: dict[int, Matrix], dim: int | None = None) -> Matrix:
+    """Evaluate ``p`` by substituting the assigned matrix for each generator.
+
+    Word concatenation becomes matrix product and the empty word becomes the
+    identity matrix.  Raises ``UnboundGeneratorError`` for a generator of
+    ``p`` without an assignment and ``ValueError`` on dimension mismatch.
+    """
+    d = dim
+    for m in assign.values():
+        d = _check_square(m, d)
+    if d is None:
+        raise ValueError("dimension cannot be inferred from an empty assignment")
+    acc = mat_scale(Fraction(0), mat_identity(d))
+    for word, coeff in p.items():
+        prod = mat_identity(d)
+        for g in word:
+            if g not in assign:
+                raise UnboundGeneratorError(g)
+            prod = mat_mul(prod, assign[g])
+        acc = mat_add(acc, mat_scale(coeff, prod))
+    return acc

@@ -1,0 +1,400 @@
+"""The four headline expansions and the summation identities behind them.
+
+Operators: the order-2N operator P_{2N} expands over compositions I of N as
+sum of n_I * M_{2I} (explicit form), and recursively as minus the sum of
+m_I * P_{2I} over I != (N) plus M_{2N}.  Both are represented here as
+noncommutative polynomials in opaque generators indexed by M-order, so the
+two forms can be compared exactly.
+
+Q-curvatures: expansions always represent the sign-carrying combination
+(-1)^N Q_{2N}; presentation layers apply the sign.  A term is keyed by a
+pair (I, a) standing for M_{2I} applied to the scalar W_{2a}, with I
+possibly empty and |I| + a = N.
+
+The Krattenthaler two-variable summation lemma, its single-variable X = Y
+form, the coefficient-vanishing double sum, and the final telescoping
+identity are provided as exact evaluations of both sides so the inversion
+argument can be verified instance by instance.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from itertools import combinations
+
+from .exact_core import (
+    Composition,
+    check_composition,
+    compositions_of,
+    factorial,
+    m_coeff,
+    n_coeff,
+    partial_sums,
+)
+from .free_algebra import NCPoly, Word, _as_scalar, _check_word
+
+MExpansion = NCPoly
+QKey = tuple[Word, int]
+
+__all__ = [
+    "MExpansion",
+    "QExpansion",
+    "expand_P_explicit",
+    "expand_P_recursive",
+    "expand_Q_explicit",
+    "expand_Q_recursive",
+    "apply_operator_expansion",
+    "IdentityCheck",
+    "krattenthaler_identity",
+    "verify_kidenb",
+    "kcoeff",
+    "kcoeff_closed_form",
+    "telescope_check",
+]
+
+
+def _check_qkey(key) -> QKey:
+    word, a = key
+    w = _check_word(word)
+    if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+        raise ValueError(f"the W-order of a Q-term must be a positive integer, got {a!r}")
+    return (w, a)
+
+
+class QExpansion:
+    """Finite map (word I, a) -> Fraction representing sum c * M_{2I}(W_{2a})."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict | None = None):
+        clean: dict[QKey, Fraction] = {}
+        if terms:
+            for key, coeff in terms.items():
+                c = _as_scalar(coeff)
+                if c is None:
+                    raise ValueError(f"coefficients must be rational, got {coeff!r}")
+                if c:
+                    clean[_check_qkey(key)] = c
+        self._terms = clean
+
+    @classmethod
+    def _raw(cls, terms: dict[QKey, Fraction]) -> QExpansion:
+        obj = cls.__new__(cls)
+        obj._terms = terms
+        return obj
+
+    @classmethod
+    def zero(cls) -> QExpansion:
+        return cls._raw({})
+
+    def items(self):
+        return self._terms.items()
+
+    def coeff(self, key) -> Fraction:
+        word, a = key
+        return self._terms.get((tuple(word), a), Fraction(0))
+
+    def sorted_terms(self) -> list[tuple[QKey, Fraction]]:
+        """Terms ordered by the composition (I, a): length then lexicographic."""
+        return sorted(
+            self._terms.items(),
+            key=lambda kv: (len(kv[0][0]) + 1, kv[0][0] + (kv[0][1],)),
+        )
+
+    def weights(self) -> set[int]:
+        return {sum(word) + a for word, a in self._terms}
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, QExpansion):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __add__(self, other) -> QExpansion:
+        if not isinstance(other, QExpansion):
+            return NotImplemented
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            s = out.get(key, Fraction(0)) + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return QExpansion._raw(out)
+
+    def __mul__(self, other) -> QExpansion:
+        scalar = _as_scalar(other)
+        if scalar is None:
+            return NotImplemented
+        if not scalar:
+            return QExpansion.zero()
+        return QExpansion._raw({k: c * scalar for k, c in self._terms.items()})
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "QExpansion(0)"
+        parts = []
+        for (word, a), c in self.sorted_terms():
+            ops = "*".join(f"M{2 * g}" for g in word)
+            parts.append(f"{c}*{ops + '(' if ops else ''}W{2 * a}{')' if ops else ''}")
+        return "QExpansion(" + " + ".join(parts) + ")"
+
+
+def apply_operator_expansion(p: NCPoly, q: QExpansion) -> QExpansion:
+    """Compose an operator expansion with a Q-expansion.
+
+    Each word of ``p`` is prepended onto the I-slot of each (I, a) key.
+    """
+    out: dict[QKey, Fraction] = {}
+    for word, c in p.items():
+        for (tail, a), d in q.items():
+            key = (word + tail, a)
+            s = out.get(key, Fraction(0)) + c * d
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return QExpansion._raw(out)
+
+
+def _check_order(n) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"N must be a positive integer, got {n!r}")
+    return n
+
+
+@cache
+def expand_P_explicit(n: int) -> NCPoly:
+    """P_{2N} as the sum of n_I * M_{2I} over all compositions I of N."""
+    _check_order(n)
+    return NCPoly._raw({comp: n_coeff(comp) for comp in compositions_of(n)})
+
+
+@cache
+def expand_P_recursive(n: int) -> NCPoly:
+    """P_{2N} built from the recursion
+    P_{2N} = - sum over |I| = N, I != (N) of m_I * P_{2I}  +  M_{2N},
+    with every lower-order P substituted by its own recursive expansion.
+    """
+    _check_order(n)
+    acc = NCPoly.from_word((n,))
+    for comp in compositions_of(n):
+        if comp == (n,):
+            continue
+        prod = NCPoly.one()
+        for part in comp:
+            prod = prod * expand_P_recursive(part)
+        acc = acc + prod * (-m_coeff(comp))
+    return acc
+
+
+@cache
+def expand_Q_explicit(n: int) -> QExpansion:
+    """(-1)^N Q_{2N} as the sum of n_{(I,a)} a!(a-1)! 2^{2a} M_{2I}(W_{2a})."""
+    _check_order(n)
+    terms: dict[QKey, Fraction] = {}
+    for comp in compositions_of(n):
+        a = comp[-1]
+        coeff = n_coeff(comp) * factorial(a) * factorial(a - 1) * 4**a
+        terms[(comp[:-1], a)] = coeff
+    return QExpansion._raw(terms)
+
+
+@cache
+def expand_Q_recursive(n: int) -> QExpansion:
+    """(-1)^N Q_{2N} built from the recursion
+    - sum over |(I,a)| = N, a < N of m_{(I,a)} (-1)^a P_{2I}(Q_{2a})
+    + N!(N-1)! 2^{2N} W_{2N},
+    with P's in explicit form and each (-1)^a Q_{2a} in explicit form.
+    """
+    _check_order(n)
+    acc = QExpansion({((), n): factorial(n) * factorial(n - 1) * 4**n})
+    for comp in compositions_of(n):
+        a = comp[-1]
+        if a == n:
+            continue
+        p_part = NCPoly.one()
+        for part in comp[:-1]:
+            p_part = p_part * expand_P_explicit(part)
+        acc = acc + apply_operator_expansion(p_part, expand_Q_explicit(a)) * (-m_coeff(comp))
+    return acc
+
+
+def _split_blocks(tail: Composition, cuts: tuple[int, ...]) -> list[Composition]:
+    """Split ``tail`` into consecutive blocks at the 1-based cut positions."""
+    bounds = (0, *cuts, len(tail))
+    return [tail[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)]
+
+
+def krattenthaler_identity(entries, x, y) -> tuple[Fraction, Fraction]:
+    """Both sides of the two-variable subset-sum lemma for a composition K.
+
+    Left side: sum over subsets A of {1..s-1}, with blocks J_1..J_r of K cut
+    at A and I = (|J_1|,...,|J_r|), of
+
+        (-1)^r I_1...I_{r-1} (I_r + X)
+        * prod_{a in A} (K_a + K_{a+1} + Y*[a = s-1])
+        / prod_{i<r} (I_1+...+I_i)(I_{i+1}+...+I_r).
+
+    Right side: (X(|K|-K_s) + Y(K_s+X)) / (|K|-K_1).  The identity is affine
+    in X and Y, so grid evaluation is conclusive.
+    """
+    comp = check_composition(entries)
+    s = len(comp)
+    if s < 2:
+        raise ValueError("the two-variable identity requires a composition of length > 1")
+    x = Fraction(x)
+    y = Fraction(y)
+    total = sum(comp)
+    lhs = Fraction(0)
+    for size in range(s):
+        for cuts in combinations(range(1, s), size):
+            blocks = _split_blocks(comp, cuts)
+            weights = [sum(b) for b in blocks]
+            r = len(weights)
+            term = Fraction((-1) ** r)
+            for w in weights[:-1]:
+                term *= w
+            term *= weights[-1] + x
+            for a in cuts:
+                term *= comp[a - 1] + comp[a] + (y if a == s - 1 else 0)
+            sums = partial_sums(weights)
+            for i in range(r - 1):
+                term /= sums[i] * (total - sums[i])
+            lhs += term
+    rhs = (x * (total - comp[-1]) + y * (comp[-1] + x)) / (total - comp[0])
+    return lhs, rhs
+
+
+@dataclass
+class IdentityCheck:
+    """Exact left/right evaluation of a summation identity."""
+
+    lhs: Fraction
+    rhs: Fraction
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
+
+
+def verify_kidenb(entries, b: int) -> IdentityCheck:
+    """The X = Y form of the subset-sum lemma, valid for any length s >= 1:
+
+        sum over A of (-1)^r I_1...I_r * prod_{a in A}(K_a + K_{a+1})
+          / prod_{i<r} (I_1+...+I_i)(I_{i+1}+...+I_r+b)
+        = -b|K| / (|K| - K_1 + b).
+    """
+    comp = check_composition(entries)
+    if not isinstance(b, int) or isinstance(b, bool) or b < 1:
+        raise ValueError(f"b must be a positive integer, got {b!r}")
+    s = len(comp)
+    total = sum(comp)
+    lhs = Fraction(0)
+    for size in range(s):
+        for cuts in combinations(range(1, s), size):
+            blocks = _split_blocks(comp, cuts)
+            weights = [sum(bk) for bk in blocks]
+            r = len(weights)
+            term = Fraction((-1) ** r)
+            for w in weights:
+                term *= w
+            for a in cuts:
+                term *= comp[a - 1] + comp[a]
+            sums = partial_sums(weights)
+            for i in range(r - 1):
+                term /= sums[i] * (total - sums[i] + b)
+            lhs += term
+    rhs = Fraction(-b * total, total - comp[0] + b)
+    return IdentityCheck(lhs, rhs)
+
+
+def kcoeff(entries, b: int) -> Fraction:
+    """Literal evaluation of the coefficient of P_{2K_1}...P_{2K_s} in the
+    substituted Q-recursion:
+
+        m_{(K,b)} + sum_{p=0}^{s-1} m_{(K_1..K_p, |K|-|L|+b)}
+                    * sum over A of n_{(I,b)} m_{J_1}...m_{J_r},
+
+    where the J's cut the tail (K_{p+1},...,K_s).  Vanishes identically.
+    """
+    comp = check_composition(entries)
+    if not isinstance(b, int) or isinstance(b, bool) or b < 1:
+        raise ValueError(f"b must be a positive integer, got {b!r}")
+    s = len(comp)
+    total = m_coeff(comp + (b,))
+    for p in range(s):
+        head = comp[:p]
+        tail = comp[p:]
+        outer = m_coeff(head + (sum(tail) + b,))
+        inner = Fraction(0)
+        for size in range(len(tail)):
+            for cuts in combinations(range(1, len(tail)), size):
+                blocks = _split_blocks(tail, cuts)
+                weights = tuple(sum(bk) for bk in blocks)
+                term = n_coeff(weights + (b,))
+                for block in blocks:
+                    term *= m_coeff(block)
+                inner += term
+        total += outer * inner
+    return total
+
+
+def kcoeff_closed_form(entries, b: int) -> Fraction:
+    """Second path to the same coefficient: the inner subset sums are
+    replaced by their closed forms, leaving
+
+        m_{(K,b)} + (-1)^{s+1} C * sum_{p=0}^{s-1} R_p
+
+    with C = (|K|+b)!(|K|+b-1)!/(b-1)!^2 * prod 1/(K_j!(K_j-1)!)
+    * prod 1/(K_j+K_{j+1}) and R_p the telescoping kernel built from the
+    tail sums K_p + ... + K_s + b.  Vanishes identically.
+    """
+    comp = check_composition(entries)
+    if not isinstance(b, int) or isinstance(b, bool) or b < 1:
+        raise ValueError(f"b must be a positive integer, got {b!r}")
+    s = len(comp)
+    total = sum(comp)
+    prefactor = Fraction(factorial(total + b) * factorial(total + b - 1), factorial(b - 1) ** 2)
+    for e in comp:
+        prefactor /= factorial(e) * factorial(e - 1)
+    for u, v in zip(comp, comp[1:]):
+        prefactor /= u + v
+
+    def tail_sum(p: int) -> int:
+        # sum_{i=p}^{s} K_i + b with 1-based p; empty sum is 0
+        return sum(comp[p - 1 :]) + b if p <= s else b
+
+    rsum = Fraction(1, tail_sum(1) * tail_sum(2))
+    for p in range(1, s):
+        rsum += Fraction(comp[p - 1] + comp[p], tail_sum(p) * tail_sum(p + 1) * tail_sum(p + 2))
+    return m_coeff(comp + (b,)) + Fraction((-1) ** (s + 1)) * prefactor * rsum
+
+
+def telescope_check(entries) -> IdentityCheck:
+    """The telescoping identity for positive integers K_1..K_{s+1}:
+
+        sum_{p=1}^{s-1} (K_p+K_{p+1}) / (T_p T_{p+1} T_{p+2})
+        = 1/(K_{s+1}(K_s+K_{s+1})) - 1/(T_1 T_2),
+
+    where T_p = K_p + ... + K_{s+1}.  Empty sum on the left for s = 1.
+    """
+    comp = check_composition(entries)
+    if len(comp) < 2:
+        raise ValueError("need at least two entries (s >= 1)")
+    s = len(comp) - 1
+    suffix = [sum(comp[p - 1 :]) for p in range(1, s + 2)]  # T_1..T_{s+1}
+    lhs = Fraction(0)
+    for p in range(1, s):
+        lhs += Fraction(comp[p - 1] + comp[p], suffix[p - 1] * suffix[p] * suffix[p + 1])
+    rhs = Fraction(1, comp[s] * (comp[s - 1] + comp[s])) - Fraction(1, suffix[0] * suffix[1])
+    return IdentityCheck(lhs, rhs)
