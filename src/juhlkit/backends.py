@@ -299,37 +299,34 @@ class MatrixAssignment:
 class RhoPoly:
     """Truncated polynomial in rho whose coefficients are backend values.
 
-    ``valid`` bounds the exactly-known lanes; ``exact_tail`` marks inputs
-    whose coefficients beyond the cap are genuinely zero (polynomial data),
-    for which the first operator application loses no lane.
+    ``apply_R`` returns the lanes 0..cap-1, the ones its input determines
+    exactly, so every stored lane is exact.
     """
 
-    __slots__ = ("coeffs", "cap", "valid", "exact_tail")
+    __slots__ = ("coeffs", "cap")
 
-    def __init__(self, coeffs: list, cap: int, valid: int | None = None, exact_tail: bool = False):
+    def __init__(self, coeffs: list, cap: int):
+        if cap < 0:
+            raise ValueError(f"cap must be >= 0, got {cap}")
         if len(coeffs) != cap + 1:
             raise ValueError("coefficient list must have length cap + 1")
         self.coeffs = list(coeffs)
         self.cap = cap
-        self.valid = cap if valid is None else valid
-        self.exact_tail = exact_tail
 
 
 def apply_R(k: int, u: RhoPoly, backend) -> RhoPoly:
     """Apply R_k = -2*rho*d2 + 2k*d + Mtilde(rho) to a rho-polynomial.
 
-    Coefficient i of the result is 2(i+1)(k-i)*u_{i+1} plus the Mtilde part
-    sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}.  Raises UnboundOrderError if
-    a needed building block is missing from the backend.
+    Coefficient i of the result, for i in 0..u.cap-1, is 2(i+1)(k-i)*u_{i+1}
+    plus the Mtilde part sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}.  Raises
+    UnboundOrderError if a needed building block is missing from the backend.
     """
-    cap = u.cap
     out = []
-    for i in range(cap + 1):
+    for i in range(u.cap):
         acc = backend.zero_value()
-        if i + 1 <= cap:
-            factor = 2 * (i + 1) * (k - i)
-            if factor:
-                acc = _val_add(acc, _val_scale(Fraction(factor), u.coeffs[i + 1]))
+        factor = 2 * (i + 1) * (k - i)
+        if factor:
+            acc = _val_add(acc, _val_scale(Fraction(factor), u.coeffs[i + 1]))
         for e in range(i + 1):
             low = u.coeffs[i - e]
             if _val_is_zero(low):
@@ -337,15 +334,17 @@ def apply_R(k: int, u: RhoPoly, backend) -> RhoPoly:
             weight = Fraction((-1) ** e, factorial(e) ** 2 * 2**e)
             acc = _val_add(acc, _val_scale(weight, backend.m_apply(e + 1, low)))
         out.append(acc)
-    valid = u.cap if u.exact_tail else min(u.valid - 1, cap)
-    return RhoPoly(out, cap, valid=valid, exact_tail=False)
+    return RhoPoly(out, u.cap - 1)
 
 
-def _iterate_R(backend, ks: list[int], u: RhoPoly):
+def _iterate_R(backend, ks: range, coeffs: list):
+    """rho=0 value of R_{ks[-1]} ... R_{ks[0]} applied to the lanes
+    ``coeffs``, whose window is one lane wider than the number of factors."""
+    u = RhoPoly(coeffs, len(ks))
     for k in ks:
         u = apply_R(k, u, backend)
-    if u.valid < 0:
-        raise RuntimeError("truncated coefficient consumed; cap too small")
+    if u.cap != 0:
+        raise RuntimeError(f"expected a one-lane window after the iteration, got cap {u.cap}")
     return u.coeffs[0]
 
 
@@ -361,10 +360,7 @@ def oracle_P(backend, n: int, f):
     backend and applied to f.
     """
     _check_order_arg(n)
-    cap = n - 1
-    coeffs = [f] + [backend.zero_value()] * cap
-    u = RhoPoly(coeffs, cap, exact_tail=True)
-    return _iterate_R(backend, list(range(n - 1, -n, -2)), u)
+    return _iterate_R(backend, range(n - 1, -n, -2), [f] + [backend.zero_value()] * n)
 
 
 def oracle_P_partial(backend, n: int, a: int, f):
@@ -376,11 +372,9 @@ def oracle_P_partial(backend, n: int, a: int, f):
     _check_order_arg(n)
     if not 1 <= a <= n:
         raise ValueError(f"a must lie in 1..N, got {a!r}")
-    cap = n - 1
-    coeffs = [backend.zero_value()] * (cap + 1)
+    coeffs = [backend.zero_value()] * n
     coeffs[a - 1] = f
-    u = RhoPoly(coeffs, cap, exact_tail=True)
-    return _iterate_R(backend, list(range(n - 3, -n, -2)), u)
+    return _iterate_R(backend, range(n - 3, -n, -2), coeffs)
 
 
 def oracle_Q(backend, n: int):
@@ -391,13 +385,11 @@ def oracle_Q(backend, n: int):
     the explicit Q-expansion evaluated in the backend.
     """
     _check_order_arg(n)
-    cap = n - 1
     coeffs = [
         _val_scale(Fraction(a * (-2) ** a) * backend.w_scalar(a), backend.base_value())
         for a in range(1, n + 1)
     ]
-    u = RhoPoly(coeffs, cap)
-    return _val_scale(Fraction(-2), _iterate_R(backend, list(range(n - 3, -n, -2)), u))
+    return _val_scale(Fraction(-2), _iterate_R(backend, range(n - 3, -n, -2), coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,15 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected an exact rational like 1/2, got {text!r}")
 
 
+def _suite_name(text: str) -> str:
+    # a type check, not ``choices``: argparse would test the list default
+    # ["all"] against ``choices`` as one value and reject it
+    names = (*suites.SUITE_NAMES, "all")
+    if text not in names:
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(names)})")
+    return text
+
+
 def _env_max_order(parser: argparse.ArgumentParser) -> int | None:
     raw = os.environ.get(ENV_MAX_ORDER)
     if raw is None:
@@ -75,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "suites",
         nargs="*",
+        type=_suite_name,
         default=["all"],
-        choices=[*suites.SUITE_NAMES, "all"],
-        help="suites to run (default: all)",
+        help=f"suites to run: {', '.join(suites.SUITE_NAMES)} or all (default: all)",
     )
     p_ver.add_argument("--max-order", type=_positive_int, default=None)
     p_ver.add_argument("--seed", type=int, default=0)

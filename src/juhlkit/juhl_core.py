@@ -288,7 +288,7 @@ class IdentityCheck:
 
 
 def verify_kidenb(entries, b: int) -> IdentityCheck:
-    """The X = Y form of the subset-sum lemma, valid for any length s >= 1:
+    """The X = Y form of the subset-sum lemma, holding for any length s >= 1:
 
         sum over A of (-1)^r I_1...I_r * prod_{a in A}(K_a + K_{a+1})
           / prod_{i<r} (I_1+...+I_i)(I_{i+1}+...+I_r+b)

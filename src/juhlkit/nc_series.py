@@ -12,15 +12,18 @@ in composition order (the family satisfies nbar_I = nbar_{reversed I}, so no
 reversal is ever applied).  Serialized expansions downstream use this word
 order.
 
-Truncation.  Every series carries a fixed coefficient window 0..cap plus a
-``valid`` index: coefficients above ``valid`` may be wrong because the
-operator's derivative terms consume one degree of lookahead per application.
-The iteration entry points choose cap = N, apply N (or N-1) operators and
-assert that the s^0 coefficient they return is still inside the valid
-window, so a truncated coefficient can never be consumed silently.
+Truncation.  A series carries the coefficients 0..cap.  Coefficient i of
+L_k u needs those of u up to i+1, so ``apply_L`` returns the window
+0..cap-1: every coefficient it stores is exact, and the window shrinks by
+one lane per operator.  The iterations start at cap = number of factors,
+so exactly the s^0 lane is left at the end.  The coefficients of L_k and
+X(s) are integers, so the lanes hold integer-coefficient words, converted
+to ``Fraction`` once at the s^0 read-out.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .free_algebra import NCPoly
 
@@ -30,14 +33,15 @@ __all__ = ["NCSeries", "x_series", "apply_L", "iterate_L_full", "iterate_L_parti
 class NCSeries:
     """Coefficient list c_0..c_cap of a truncated series in s."""
 
-    __slots__ = ("coeffs", "cap", "valid")
+    __slots__ = ("coeffs", "cap")
 
-    def __init__(self, coeffs: list[NCPoly], cap: int, valid: int | None = None):
+    def __init__(self, coeffs: list[NCPoly], cap: int):
+        if cap < 0:
+            raise ValueError(f"cap must be >= 0, got {cap}")
         if len(coeffs) != cap + 1:
             raise ValueError("coefficient list must have length cap + 1")
         self.coeffs = list(coeffs)
         self.cap = cap
-        self.valid = cap if valid is None else valid
 
     @classmethod
     def zero(cls, cap: int) -> NCSeries:
@@ -45,9 +49,7 @@ class NCSeries:
 
     @classmethod
     def one(cls, cap: int) -> NCSeries:
-        out = cls.zero(cap)
-        out.coeffs[0] = NCPoly.one()
-        return out
+        return cls.monomial(0, cap)
 
     @classmethod
     def monomial(cls, power: int, cap: int, coeff: NCPoly | None = None) -> NCSeries:
@@ -55,7 +57,7 @@ class NCSeries:
         if not 0 <= power <= cap:
             raise ValueError(f"power must lie in 0..cap, got {power}")
         out = cls.zero(cap)
-        out.coeffs[power] = NCPoly.one() if coeff is None else coeff
+        out.coeffs[power] = NCPoly._raw({(): 1}) if coeff is None else coeff
         return out
 
     def __eq__(self, other) -> bool:
@@ -64,33 +66,29 @@ class NCSeries:
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"NCSeries({self.coeffs!r}, cap={self.cap}, valid={self.valid})"
+        return f"NCSeries({self.coeffs!r}, cap={self.cap})"
 
 
 def x_series(cap: int) -> NCSeries:
     """X(s) = x_1 + x_2*s + ... + x_{cap+1}*s^cap."""
-    return NCSeries([NCPoly.from_word((e + 1,)) for e in range(cap + 1)], cap)
+    return NCSeries([NCPoly._raw({(e + 1,): 1}) for e in range(cap + 1)], cap)
 
 
 def apply_L(k: int, u: NCSeries) -> NCSeries:
     """Apply L_k = s*d2/ds2 - k*d/ds + X(s)*(left multiplication).
 
-    Coefficient i of the result is (i+1)(i-k)*u_{i+1} + sum_e x_{e+1}*u_{i-e};
-    terms pushed past the cap are dropped and ``valid`` decreases by one.
+    Coefficient i of the result is (i+1)(i-k)*u_{i+1} + sum_e x_{e+1}*u_{i-e},
+    for i in 0..u.cap-1 (the lanes that u determines exactly).
     """
-    cap = u.cap
+    lanes = u.coeffs
     out: list[NCPoly] = []
-    for i in range(cap + 1):
-        acc: dict = {}
-        if i + 1 <= cap:
-            factor = (i + 1) * (i - k)
-            if factor:
-                for word, coeff in u.coeffs[i + 1].items():
-                    acc[word] = factor * coeff
+    for i in range(u.cap):
+        factor = (i + 1) * (i - k)
+        acc = {word: factor * coeff for word, coeff in lanes[i + 1].items()} if factor else {}
         for e in range(i + 1):
             gen = e + 1
             # left multiplication by x_{e+1} prepends the generator
-            for word, coeff in u.coeffs[i - e].items():
+            for word, coeff in lanes[i - e].items():
                 key = (gen, *word)
                 total = acc.get(key)
                 if total is None:
@@ -100,16 +98,16 @@ def apply_L(k: int, u: NCSeries) -> NCSeries:
                 else:
                     del acc[key]
         out.append(NCPoly._raw(acc))
-    return NCSeries(out, cap, valid=min(u.valid - 1, cap))
+    return NCSeries(out, u.cap - 1)
 
 
 def _constant_term(u: NCSeries, weight: int) -> NCPoly:
-    if u.valid < 0:
-        raise RuntimeError("truncated coefficient consumed; cap too small")
+    if u.cap != 0:
+        raise RuntimeError(f"expected a one-lane window after the iteration, got cap {u.cap}")
     head = u.coeffs[0]
     if head.weights() - {weight}:
         raise RuntimeError(f"expected words of weight {weight}, got {sorted(head.weights())}")
-    return head
+    return NCPoly._raw({word: Fraction(coeff) for word, coeff in head.items()})
 
 
 def iterate_L_full(n: int) -> NCPoly:
@@ -138,7 +136,7 @@ def iterate_L_partial(n: int, a: int) -> NCPoly:
         raise ValueError(f"N must be a positive integer, got {n!r}")
     if not isinstance(a, int) or isinstance(a, bool) or not 1 <= a <= n:
         raise ValueError(f"a must lie in 1..N, got {a!r}")
-    u = NCSeries.monomial(a - 1, n)
+    u = NCSeries.monomial(a - 1, n - 1)
     for k in range(n - 3, -n, -2):
         u = apply_L(k, u)
     return _constant_term(u, n - a)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .free_algebra import NCPoly, mat_is_symmetric, nc_eval_matrices
 SUITE_NAMES = ("combinatorial", "inversion", "krattenthaler", "frobenius", "backends")
 
 DEFAULT_ORDERS = {
-    "combinatorial": 10,
+    "combinatorial": 14,
     "inversion_p": 10,
     "inversion_q": 8,
     "krattenthaler": 8,
@@ -110,7 +111,7 @@ def suite_combinatorial(max_order: int) -> list[Instance]:
     for n in range(1, max_order + 1):
         out.append((f"full iteration N={n}", "_ck_full_iteration", (n,)))
         out.append((f"partial-iteration N={n}", "_ck_partial_iteration", (n,)))
-    for n in range(1, min(max_order, 8) + 1):
+    for n in range(1, max_order + 1):
         out.append((f"L-bridge N={n}", "_ck_l_bridge", (n,)))
     return out
 
@@ -447,22 +448,22 @@ def run_suites(
             if item not in ordered:
                 ordered.append(item)
     reports = []
-    for name in ordered:
-        note, instances = build_suite(name, max_order, seed)
-        start = time.perf_counter()
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for name in ordered:
+            note, instances = build_suite(name, max_order, seed)
+            start = time.perf_counter()
+            if pool is not None:
                 results = list(pool.map(_run_instance, instances, chunksize=8))
-        else:
-            results = [_run_instance(item) for item in instances]
-        failures = [SuiteFailure(desc, detail) for desc, detail in results if detail is not None]
-        reports.append(
-            SuiteReport(
-                suite=name,
-                order_note=note,
-                instances=len(instances),
-                failures=failures,
-                wall_time=time.perf_counter() - start,
+            else:
+                results = [_run_instance(item) for item in instances]
+            failures = [SuiteFailure(desc, detail) for desc, detail in results if detail is not None]
+            reports.append(
+                SuiteReport(
+                    suite=name,
+                    order_note=note,
+                    instances=len(instances),
+                    failures=failures,
+                    wall_time=time.perf_counter() - start,
+                )
             )
-        )
     return reports

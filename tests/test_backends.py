@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from juhlkit.backends import (
     EinsteinBackend,
@@ -77,17 +78,40 @@ def test_einstein_m_constants_match_rho_route():
 
 def test_apply_R_on_constant_flat_model_is_zero():
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 3)
-    u = RhoPoly([Fraction(1), Fraction(0), Fraction(0)], 2, exact_tail=True)
+    u = RhoPoly([Fraction(1), Fraction(0), Fraction(0)], 2)
     out = apply_R(5, u, backend)
+    assert out.cap == 1
     assert all(v == 0 for v in out.coeffs)
 
 
 def test_apply_R_linear_input_constant_term():
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 3)
-    u = RhoPoly([Fraction(0), Fraction(1), Fraction(0)], 2, exact_tail=True)
+    u = RhoPoly([Fraction(0), Fraction(1), Fraction(0)], 2)
     for k in (-2, 0, 3):
         out = apply_R(k, u, backend)
+        assert out.cap == 1
         assert out.coeffs[0] == 2 * k
+
+
+entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+vectors = st.tuples(entries, entries)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    k=st.integers(min_value=-6, max_value=6),
+    lanes=st.lists(vectors, min_size=2, max_size=5),
+    padding=st.lists(vectors, min_size=1, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_apply_R_lanes_do_not_depend_on_padding(seed, k, lanes, padding):
+    # every lane apply_R returns is exact: extra input lanes never reach it
+    backend = MatrixAssignment.random(2, 8, seed=seed)
+    cap = len(lanes) - 1
+    short = apply_R(k, RhoPoly(lanes, cap), backend)
+    long = apply_R(k, RhoPoly(lanes + padding, cap + len(padding)), backend)
+    assert short.cap == cap - 1
+    assert short.coeffs == long.coeffs[:cap]
 
 
 def test_oracle_P_single_step_is_M2():

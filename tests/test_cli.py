@@ -1,6 +1,8 @@
 """CLI contract: output schemas, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,33 @@ def test_verify_env_variable_sets_default_order(capsys, monkeypatch):
     assert "(N<=2)" in out
 
 
+def test_bare_verify_runs_every_suite(capsys, monkeypatch):
+    monkeypatch.setenv("JUHL_MAX_ORDER", "2")
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == 0
+    for name in ("combinatorial", "inversion", "krattenthaler", "frobenius", "backends"):
+        assert f"[PASS] {name} " in out
+    assert out.endswith("verify: all suites passed\n")
+
+
+def _readme_cli_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("juhlkit ")]
+
+
+def test_readme_cli_block_is_read():
+    assert len(_readme_cli_examples()) >= 6
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_examples_exit_zero(capsys, monkeypatch, argv):
+    monkeypatch.setenv("JUHL_MAX_ORDER", "2")
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+
+
 def test_einstein_flat_table(capsys):
     code, out, _ = run_cli(
         capsys, ["einstein", "--dim", "4", "--c", "0", "--max-order", "3"]
@@ -196,3 +225,22 @@ def test_verify_jobs_flag_matches_serial_output(capsys):
         capsys, ["verify", "krattenthaler", "--max-order", "3", "--jobs", "2"]
     )
     assert serial == parallel
+
+
+def test_verify_jobs_uses_one_pool_for_all_suites(capsys, monkeypatch):
+    from juhlkit import suites
+
+    created = []
+
+    class CountingPool(suites.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", CountingPool)
+    code, out, _ = run_cli(
+        capsys, ["verify", "inversion", "krattenthaler", "--max-order", "2", "--jobs", "2"]
+    )
+    assert code == 0
+    assert "[PASS] inversion" in out and "[PASS] krattenthaler" in out
+    assert len(created) == 1

@@ -1,6 +1,9 @@
 """The operators L_k and the brute-force iteration behind the closed forms."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from juhlkit.exact_core import compositions_of, factorial, nbar_coeff
 from juhlkit.free_algebra import NCPoly
@@ -24,9 +27,10 @@ def _closed_form_partial(n, a):
 
 
 def test_apply_L_to_one_gives_x_series():
-    # the derivative terms kill constants regardless of k
-    assert apply_L(0, NCSeries.one(5)) == x_series(5)
-    assert apply_L(1, NCSeries.one(5)) == x_series(5)
+    # the derivative terms kill constants regardless of k; the top lane of
+    # the input only feeds lanes that are dropped
+    assert apply_L(0, NCSeries.one(5)) == x_series(4)
+    assert apply_L(1, NCSeries.one(5)) == x_series(4)
 
 
 def test_apply_L_minus_one_to_x_constant_term():
@@ -36,8 +40,31 @@ def test_apply_L_minus_one_to_x_constant_term():
 
 def test_apply_L_lowers_valid_window():
     u = x_series(4)
-    assert u.valid == 4
-    assert apply_L(2, u).valid == 3
+    assert u.cap == 4
+    assert apply_L(2, u).cap == 3
+    with pytest.raises(ValueError):
+        apply_L(2, NCSeries.one(0))  # no lane is left to return
+
+
+words = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=3).map(tuple)
+int_polys = st.dictionaries(words, st.integers(min_value=-5, max_value=5).filter(bool), max_size=3).map(
+    NCPoly._raw
+)
+
+
+@given(
+    k=st.integers(min_value=-6, max_value=6),
+    lanes=st.lists(int_polys, min_size=2, max_size=5),
+    padding=st.lists(int_polys, min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_apply_L_lanes_do_not_depend_on_padding(k, lanes, padding):
+    # every lane apply_L returns is exact: extra input lanes never reach it
+    cap = len(lanes) - 1
+    short = apply_L(k, NCSeries(lanes, cap))
+    long = apply_L(k, NCSeries(lanes + padding, cap + len(padding)))
+    assert short.cap == cap - 1
+    assert short.coeffs == long.coeffs[:cap]
 
 
 def test_iterate_full_hand_values():
@@ -46,7 +73,7 @@ def test_iterate_full_hand_values():
     assert iterate_L_full(3) == NCPoly({(3,): 4, (1, 2): 2, (2, 1): 2, (1, 1, 1): 1})
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_iterate_full_matches_closed_form(n):
     assert iterate_L_full(n) == _closed_form_full(n)
 
@@ -65,10 +92,19 @@ def test_iterate_partial_hand_values():
     )
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_iterate_partial_matches_closed_form(n):
     for a in range(1, n + 1):
         assert iterate_L_partial(n, a) == _closed_form_partial(n, a)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_iterations_return_fraction_coefficients(n):
+    # the lanes carry integers; the read-out converts them once
+    full = iterate_L_full(n)
+    partials = [iterate_L_partial(n, a) for a in range(1, n + 1)]
+    for poly in (full, *partials):
+        assert all(type(coeff) is Fraction for _, coeff in poly.items())
 
 
 @pytest.mark.parametrize("n", range(1, 7))
