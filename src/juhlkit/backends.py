@@ -26,6 +26,7 @@ sphere value Q_2 = n/2 = R/(2(n-1)) with R = n(n-1).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .free_algebra import (
     Matrix,
     NCPoly,
     Vector,
+    int_matrix,
     mat_is_symmetric,
     mat_vec,
 )
@@ -226,7 +228,12 @@ class EinsteinBackend:
 class MatrixAssignment:
     """Vector backend: symmetric rational matrices stand in for the building
     blocks, scalars for the W-coefficients, and a test vector for the
-    function being acted on."""
+    function being acted on.
+
+    Next to the public ``matrices``, each one is kept as an integer
+    numerator matrix over the lcm of its entry denominators, which
+    ``m_apply`` works on.
+    """
 
     def __init__(
         self,
@@ -247,6 +254,7 @@ class MatrixAssignment:
         if len(f) != d:
             raise ValueError("test vector length must match the matrix dimension")
         self.matrices = dict(matrices)
+        self._int_matrices = {order: int_matrix(m) for order, m in self.matrices.items()}
         self.f = tuple(Fraction(x) for x in f)
         self.w_scalars = dict(w_scalars) if w_scalars else {}
         self.seed = seed
@@ -276,9 +284,14 @@ class MatrixAssignment:
         return len(self.f)
 
     def m_apply(self, order: int, value: Vector) -> Vector:
-        if order not in self.matrices:
+        """The matrix of ``order`` times ``value``: integer dot products over
+        one common denominator, then one Fraction per output entry."""
+        if order not in self._int_matrices:
             raise UnboundOrderError(order)
-        return mat_vec(self.matrices[order], value)
+        rows, den = self._int_matrices[order]
+        vden = math.lcm(*[x.denominator for x in value])
+        vnum = [x.numerator * (vden // x.denominator) for x in value]
+        return tuple(Fraction(x, den * vden) for x in mat_vec(rows, vnum))
 
     def w_scalar(self, a: int) -> Fraction:
         if a not in self.w_scalars:
@@ -465,6 +478,10 @@ def verify_dv_identity(model: EinsteinModel, gamma, kmax: int = 4, cap: int = 8)
                  _ser_scale(Fraction(n - 2), _ser_deriv(w))),
         w,
     )
+    first_order = _ser_add(
+        [const] + [Fraction(0)] * (length - 1),
+        _ser_scale(Fraction(-2), _ser_shift(vlog)),
+    )
     failures: list[str] = []
     for k in range(kmax + 1):
         psi = [Fraction(0)] * length
@@ -472,10 +489,6 @@ def verify_dv_identity(model: EinsteinModel, gamma, kmax: int = 4, cap: int = 8)
         phi = _ser_mul(w_inv, psi)
         phi1 = _ser_deriv(phi)
         phi2 = _ser_deriv(phi1)
-        first_order = _ser_add(
-            [const] + [Fraction(0)] * (length - 1),
-            _ser_scale(Fraction(-2), _ser_shift(vlog)),
-        )
         bracket = _ser_add(
             _ser_scale(Fraction(-2), _ser_shift(phi2)),
             _ser_mul(first_order, phi1),

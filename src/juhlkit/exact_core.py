@@ -24,7 +24,9 @@ __all__ = [
     "compositions_of",
     "partial_sums",
     "n_coeff",
+    "n_ratio",
     "m_coeff",
+    "m_ratio",
     "nbar_coeff",
 ]
 
@@ -75,7 +77,12 @@ def n_coeff(entries) -> Fraction:
     n_I = (|I|-1)!^2 * prod_j 1/(I_j-1)!^2
                      * prod_{j<r} 1/[(I_1+...+I_j)(I_{j+1}+...+I_r)]
     """
-    comp = check_composition(entries)
+    return Fraction(*n_ratio(check_composition(entries)))
+
+
+def n_ratio(comp: Composition) -> tuple[int, int]:
+    """n_I as an unreduced (numerator, denominator) pair of integers, for a
+    composition that is already validated."""
     total = sum(comp)
     den = 1
     for e in comp:
@@ -84,7 +91,7 @@ def n_coeff(entries) -> Fraction:
     for e in comp[:-1]:
         head += e
         den *= head * (total - head)
-    return Fraction(factorial(total - 1) ** 2, den)
+    return factorial(total - 1) ** 2, den
 
 
 def m_coeff(entries) -> Fraction:
@@ -93,7 +100,12 @@ def m_coeff(entries) -> Fraction:
     m_I = (-1)^(r+1) |I|! (|I|-1)! * prod_j 1/[I_j!(I_j-1)!]
                                    * prod_{j<r} 1/(I_j+I_{j+1})
     """
-    comp = check_composition(entries)
+    return Fraction(*m_ratio(check_composition(entries)))
+
+
+def m_ratio(comp: Composition) -> tuple[int, int]:
+    """m_I as an unreduced (numerator, denominator) pair of integers, the
+    sign in the numerator, for a composition that is already validated."""
     total = sum(comp)
     sign = 1 if len(comp) % 2 == 1 else -1
     den = 1
@@ -101,7 +113,7 @@ def m_coeff(entries) -> Fraction:
         den *= factorial(e) * factorial(e - 1)
     for a, b in zip(comp, comp[1:]):
         den *= a + b
-    return Fraction(sign * factorial(total) * factorial(total - 1), den)
+    return sign * factorial(total) * factorial(total - 1), den
 
 
 def nbar_coeff(entries) -> Fraction:

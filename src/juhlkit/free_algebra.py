@@ -12,6 +12,7 @@ products, the empty word becomes the identity matrix).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact_core import Composition
@@ -29,6 +30,7 @@ __all__ = [
     "nc_add",
     "nc_mul",
     "nc_eval_matrices",
+    "int_matrix",
     "mat_identity",
     "mat_add",
     "mat_scale",
@@ -232,24 +234,45 @@ def _check_square(m, dim: int | None) -> int:
     return rows
 
 
+def int_matrix(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``a`` as ``(numerators, den)``: an integer matrix over the lcm of the
+    entry denominators, so that ``a[i][j] == numerators[i][j] / den``."""
+    den = math.lcm(*[x.denominator for row in a for x in row])
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a), den
+
+
 def nc_eval_matrices(p: NCPoly, assign: dict[int, Matrix], dim: int | None = None) -> Matrix:
     """Evaluate ``p`` by substituting the assigned matrix for each generator.
 
     Word concatenation becomes matrix product and the empty word becomes the
-    identity matrix.  Raises ``UnboundGeneratorError`` for a generator of
-    ``p`` without an assignment and ``ValueError`` on dimension mismatch.
+    identity matrix.  Each word is a product of integer numerator matrices
+    (see ``int_matrix``), scaled once into an integer accumulator over the
+    lcm of the word denominators; the result has one Fraction per entry.
+    Raises ``UnboundGeneratorError`` for a generator of ``p`` without an
+    assignment and ``ValueError`` on dimension mismatch.
     """
     d = dim
     for m in assign.values():
         d = _check_square(m, d)
     if d is None:
         raise ValueError("dimension cannot be inferred from an empty assignment")
-    acc = mat_scale(Fraction(0), mat_identity(d))
+    ints = {g: int_matrix(m) for g, m in assign.items()}
+    eye = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    acc = [[0] * d for _ in range(d)]
+    acc_den = 1
     for word, coeff in p.items():
-        prod = mat_identity(d)
+        prod, den = eye, coeff.denominator
         for g in word:
-            if g not in assign:
+            if g not in ints:
                 raise UnboundGeneratorError(g)
-            prod = mat_mul(prod, assign[g])
-        acc = mat_add(acc, mat_scale(coeff, prod))
-    return acc
+            num, gden = ints[g]
+            prod = mat_mul(prod, num)
+            den *= gden
+        lcm = math.lcm(acc_den, den)
+        old_scale, new_scale = lcm // acc_den, lcm // den * coeff.numerator
+        acc = [
+            [x * old_scale + y * new_scale for x, y in zip(acc_row, row)]
+            for acc_row, row in zip(acc, prod)
+        ]
+        acc_den = lcm
+    return tuple(tuple(Fraction(x, acc_den) for x in row) for row in acc)

@@ -11,8 +11,12 @@ the y^j coefficient, which keeps the defining recursion
 
     u_{j+1} = -(m-j)(N-m-j) u_j + f_j
 
-integer-preserving for integer data.  The actual y^j coefficients are
-recovered at presentation time.
+integer-preserving for integer data.  ``int`` entries are stored as
+``int`` (anything else becomes a ``Fraction``), so the chain built from
+integer data (``compute_F``, ``jacobi_P``, ``jacobi_Q``) runs on integers.
+The actual y^j coefficients, Fractions, are recovered at presentation time.
+``apply_Dm`` works on the actual y-coefficients, scaled by (cap!)^2 so that
+they stay integral.
 """
 
 from __future__ import annotations
@@ -38,18 +42,23 @@ __all__ = [
 ]
 
 
+def _exact(v):
+    """``v`` itself if it is an ``int`` or a ``Fraction``, else ``Fraction(v)``."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
 class ScalarSeries:
-    """Truncated power series in y over Fraction, in normalized storage."""
+    """Truncated power series in y over the rationals, in normalized storage."""
 
     __slots__ = ("normalized", "cap")
 
     def __init__(self, normalized, cap: int | None = None):
-        vals = [Fraction(v) for v in normalized]
+        vals = [_exact(v) for v in normalized]
         if cap is None:
             cap = len(vals) - 1
         if cap < 0:
             raise ValueError("cap must be >= 0")
-        vals += [Fraction(0)] * (cap + 1 - len(vals))
+        vals += [0] * (cap + 1 - len(vals))
         if len(vals) != cap + 1:
             raise ValueError("more coefficients than cap + 1")
         self.normalized = vals
@@ -61,11 +70,11 @@ class ScalarSeries:
 
     @classmethod
     def constant(cls, value, cap: int) -> ScalarSeries:
-        return cls([Fraction(value)], cap)
+        return cls([value], cap)
 
     def y_coeff(self, j: int) -> Fraction:
         """The actual y^j coefficient, u_j / (j!)^2."""
-        return self.normalized[j] / factorial(j) ** 2
+        return Fraction(self.normalized[j], factorial(j) ** 2)
 
     def as_y_coeffs(self) -> list[Fraction]:
         return [self.y_coeff(j) for j in range(self.cap + 1)]
@@ -81,8 +90,8 @@ class ScalarSeries:
         if not isinstance(other, ScalarSeries):
             return NotImplemented
         n = max(self.cap, other.cap) + 1
-        pad_a = self.normalized + [Fraction(0)] * (n - len(self.normalized))
-        pad_b = other.normalized + [Fraction(0)] * (n - len(other.normalized))
+        pad_a = self.normalized + [0] * (n - len(self.normalized))
+        pad_b = other.normalized + [0] * (n - len(other.normalized))
         return pad_a == pad_b
 
     def __repr__(self) -> str:
@@ -109,7 +118,7 @@ def solve_Dm(m: int, big_n: int, f: ScalarSeries, u0) -> ScalarSeries:
     u_{j+1} = -(m-j)(N-m-j) u_j + f_j.
     """
     cap = f.cap
-    u = [Fraction(u0)]
+    u = [_exact(u0)]
     for j in range(cap):
         u.append(-(m - j) * (big_n - m - j) * u[j] + f.normalized[j])
     return ScalarSeries(u, cap)
@@ -118,24 +127,30 @@ def solve_Dm(m: int, big_n: int, f: ScalarSeries, u0) -> ScalarSeries:
 def apply_Dm(m: int, big_n: int, u: ScalarSeries) -> ScalarSeries:
     """Apply D_m directly, term by term, on actual y-coefficients.
 
-    Independent of the recursion in ``solve_Dm``; exact whenever ``u`` is a
-    polynomial of degree < cap (true up-cap coefficients are zero).
+    The y-coefficients a_i = u_i / (i!)^2 enter scaled by (cap!)^2, as
+    u_i * (cap!/i!)^2, which is an integer for integer storage; each output
+    coefficient is divided back once.  Independent of the recursion in
+    ``solve_Dm``; exact whenever ``u`` is a polynomial of degree < cap (true
+    up-cap coefficients are zero).
     """
     cap = u.cap
-    a = u.as_y_coeffs()
-    a_pad = a + [Fraction(0), Fraction(0)]
+    top = factorial(cap)
+    a = [v * (top // factorial(i)) ** 2 for i, v in enumerate(u.normalized)]
+    a_pad = a + [0, 0]
     upp = [(i + 2) * (i + 1) * a_pad[i + 2] for i in range(cap + 1)]
     up = [(i + 1) * a_pad[i + 1] for i in range(cap + 1)]
     out = []
     for i in range(cap + 1):
-        term = upp[i - 1] if i >= 1 else Fraction(0)   # y * u''
+        term = upp[i - 1] if i >= 1 else 0             # y * u''
         if i >= 2:
             term += upp[i - 2]                         # y^2 * u''
         term += up[i]                                  # u'
         if i >= 1:
             term -= (big_n - 1) * up[i - 1]            # -(N-1) y * u'
         term += m * (big_n - m) * a[i]
-        out.append(term * factorial(i) ** 2)
+        num, den = term * factorial(i) ** 2, top * top
+        q, rem = divmod(num, den)
+        out.append(Fraction(num, den) if rem else q)  # an exact quotient stays an int
     return ScalarSeries(out, cap)
 
 

@@ -19,18 +19,20 @@ argument can be verified instance by instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
 from .exact_core import (
-    Composition,
     check_composition,
     compositions_of,
     factorial,
     m_coeff,
+    m_ratio,
     n_coeff,
+    n_ratio,
     partial_sums,
 )
 from .free_algebra import NCPoly, Word, _as_scalar, _check_word
@@ -229,10 +231,21 @@ def expand_Q_recursive(n: int) -> QExpansion:
     return acc
 
 
-def _split_blocks(tail: Composition, cuts: tuple[int, ...]) -> list[Composition]:
-    """Split ``tail`` into consecutive blocks at the 1-based cut positions."""
-    bounds = (0, *cuts, len(tail))
-    return [tail[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)]
+def _cut_bounds(lo: int, hi: int):
+    """Every subset A of {lo+1..hi-1}, in a fixed order, as the block bounds
+    (lo, *A, hi) of the entries lo..hi-1 of a composition cut at A."""
+    for size in range(hi - lo):
+        for cuts in combinations(range(lo + 1, hi), size):
+            yield (lo, *cuts, hi)
+
+
+def _ratio_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """The sum of the (numerator, denominator) pairs ``terms``, over the lcm
+    of their denominators."""
+    # lists, not tuple(<generator>): CPython over-allocates such tuples and
+    # their shrunk copies fill the tuple free lists, raising peak memory
+    den = math.lcm(*[d for _, d in terms])
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def krattenthaler_identity(entries, x, y) -> tuple[Fraction, Fraction]:
@@ -246,7 +259,9 @@ def krattenthaler_identity(entries, x, y) -> tuple[Fraction, Fraction]:
         / prod_{i<r} (I_1+...+I_i)(I_{i+1}+...+I_r).
 
     Right side: (X(|K|-K_s) + Y(K_s+X)) / (|K|-K_1).  The identity is affine
-    in X and Y, so grid evaluation is conclusive.
+    in X and Y, so grid evaluation is conclusive.  Each left-side term is
+    built as an integer pair, with X and Y entering through their numerators
+    and denominators.
     """
     comp = check_composition(entries)
     s = len(comp)
@@ -254,23 +269,27 @@ def krattenthaler_identity(entries, x, y) -> tuple[Fraction, Fraction]:
         raise ValueError("the two-variable identity requires a composition of length > 1")
     x = Fraction(x)
     y = Fraction(y)
-    total = sum(comp)
-    lhs = Fraction(0)
-    for size in range(s):
-        for cuts in combinations(range(1, s), size):
-            blocks = _split_blocks(comp, cuts)
-            weights = [sum(b) for b in blocks]
-            r = len(weights)
-            term = Fraction((-1) ** r)
-            for w in weights[:-1]:
-                term *= w
-            term *= weights[-1] + x
-            for a in cuts:
-                term *= comp[a - 1] + comp[a] + (y if a == s - 1 else 0)
-            sums = partial_sums(weights)
-            for i in range(r - 1):
-                term /= sums[i] * (total - sums[i])
-            lhs += term
+    xn, xd = x.numerator, x.denominator
+    yn, yd = y.numerator, y.denominator
+    heads = (0, *partial_sums(comp))
+    total = heads[-1]
+    terms = []
+    for bounds in _cut_bounds(0, s):
+        r = len(bounds) - 1
+        num = -1 if r % 2 else 1
+        den = xd
+        for i in range(1, r):
+            num *= heads[bounds[i]] - heads[bounds[i - 1]]
+        num *= (total - heads[bounds[-2]]) * xd + xn
+        for a in bounds[1:-1]:
+            if a == s - 1:
+                num *= (comp[a - 1] + comp[a]) * yd + yn
+                den *= yd
+            else:
+                num *= comp[a - 1] + comp[a]
+            den *= heads[a] * (total - heads[a])
+        terms.append((num, den))
+    lhs = _ratio_sum(terms)
     rhs = (x * (total - comp[-1]) + y * (comp[-1] + x)) / (total - comp[0])
     return lhs, rhs
 
@@ -293,27 +312,27 @@ def verify_kidenb(entries, b: int) -> IdentityCheck:
         sum over A of (-1)^r I_1...I_r * prod_{a in A}(K_a + K_{a+1})
           / prod_{i<r} (I_1+...+I_i)(I_{i+1}+...+I_r+b)
         = -b|K| / (|K| - K_1 + b).
+
+    Each left-side term is built as an integer pair.
     """
     comp = check_composition(entries)
     if not isinstance(b, int) or isinstance(b, bool) or b < 1:
         raise ValueError(f"b must be a positive integer, got {b!r}")
     s = len(comp)
-    total = sum(comp)
-    lhs = Fraction(0)
-    for size in range(s):
-        for cuts in combinations(range(1, s), size):
-            blocks = _split_blocks(comp, cuts)
-            weights = [sum(bk) for bk in blocks]
-            r = len(weights)
-            term = Fraction((-1) ** r)
-            for w in weights:
-                term *= w
-            for a in cuts:
-                term *= comp[a - 1] + comp[a]
-            sums = partial_sums(weights)
-            for i in range(r - 1):
-                term /= sums[i] * (total - sums[i] + b)
-            lhs += term
+    heads = (0, *partial_sums(comp))
+    total = heads[-1]
+    terms = []
+    for bounds in _cut_bounds(0, s):
+        r = len(bounds) - 1
+        num = -1 if r % 2 else 1
+        den = 1
+        for i in range(1, r + 1):
+            num *= heads[bounds[i]] - heads[bounds[i - 1]]
+        for a in bounds[1:-1]:
+            num *= comp[a - 1] + comp[a]
+            den *= heads[a] * (total - heads[a] + b)
+        terms.append((num, den))
+    lhs = _ratio_sum(terms)
     rhs = Fraction(-b * total, total - comp[0] + b)
     return IdentityCheck(lhs, rhs)
 
@@ -326,27 +345,29 @@ def kcoeff(entries, b: int) -> Fraction:
                     * sum over A of n_{(I,b)} m_{J_1}...m_{J_r},
 
     where the J's cut the tail (K_{p+1},...,K_s).  Vanishes identically.
+    Every term is an integer pair; the m-coefficient of each contiguous
+    block of K is computed once.
     """
     comp = check_composition(entries)
     if not isinstance(b, int) or isinstance(b, bool) or b < 1:
         raise ValueError(f"b must be a positive integer, got {b!r}")
     s = len(comp)
-    total = m_coeff(comp + (b,))
+    heads = (0, *partial_sums(comp))
+    block_m = {(i, j): m_ratio(comp[i:j]) for i in range(s) for j in range(i + 1, s + 1)}
+    terms = [m_ratio(comp + (b,))]
     for p in range(s):
-        head = comp[:p]
-        tail = comp[p:]
-        outer = m_coeff(head + (sum(tail) + b,))
-        inner = Fraction(0)
-        for size in range(len(tail)):
-            for cuts in combinations(range(1, len(tail)), size):
-                blocks = _split_blocks(tail, cuts)
-                weights = tuple(sum(bk) for bk in blocks)
-                term = n_coeff(weights + (b,))
-                for block in blocks:
-                    term *= m_coeff(block)
-                inner += term
-        total += outer * inner
-    return total
+        outer_num, outer_den = m_ratio(comp[:p] + (heads[-1] - heads[p] + b,))
+        for bounds in _cut_bounds(p, s):
+            weights = [heads[hi] - heads[lo] for lo, hi in zip(bounds, bounds[1:])]
+            num, den = n_ratio((*weights, b))
+            num *= outer_num
+            den *= outer_den
+            for block in zip(bounds, bounds[1:]):
+                block_num, block_den = block_m[block]
+                num *= block_num
+                den *= block_den
+            terms.append((num, den))
+    return _ratio_sum(terms)
 
 
 def kcoeff_closed_form(entries, b: int) -> Fraction:

@@ -26,9 +26,9 @@ DEFAULT_ORDERS = {
     "combinatorial": 14,
     "inversion_p": 10,
     "inversion_q": 8,
-    "krattenthaler": 8,
-    "frobenius": 9,
-    "backends": 6,
+    "krattenthaler": 9,
+    "frobenius": 11,
+    "backends": 8,
 }
 
 Instance = tuple[str, str, tuple]

@@ -257,3 +257,40 @@ def test_dv_identity_flat_linear_input_by_hand():
     n = Fraction(6)
     report = verify_dv_identity(EinsteinModel(n, Fraction(0)), Fraction(2), kmax=1, cap=4)
     assert report.passed
+
+
+def _symmetric(raw):
+    d = len(raw)
+    return tuple(tuple((raw[i][j] + raw[j][i]) / 2 for j in range(d)) for i in range(d))
+
+
+wide_entries = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def matrix_and_vector(draw):
+    # a symmetric matrix with mixed denominators and a rational, zero or int vector
+    d = draw(st.integers(min_value=1, max_value=4))
+    raw = [[draw(wide_entries) for _ in range(d)] for _ in range(d)]
+    kind = draw(st.sampled_from(["rational", "zero", "int"]))
+    if kind == "rational":
+        v = tuple(draw(wide_entries) for _ in range(d))
+    elif kind == "zero":
+        v = (Fraction(0),) * d
+    else:
+        v = tuple(draw(st.integers(min_value=-9, max_value=9)) for _ in range(d))
+    return _symmetric(raw), v
+
+
+@given(case=matrix_and_vector(), seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=80, deadline=None)
+def test_m_apply_matches_naive_mat_vec(case, seed):
+    # oracle_P and evaluate_P share m_apply, so its kernel is pinned to mat_vec
+    matrix, v = case
+    backend = MatrixAssignment({1: matrix}, (0,) * len(v))
+    got = backend.m_apply(1, v)
+    assert got == mat_vec(backend.matrices[1], v)
+    assert all(isinstance(x, Fraction) for x in got)
+    random_backend = MatrixAssignment.random(len(v), 3, seed=seed)
+    for order in (1, 2, 3):
+        assert random_backend.m_apply(order, v) == mat_vec(random_backend.matrices[order], v)

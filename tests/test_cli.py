@@ -1,7 +1,10 @@
 """CLI contract: output schemas, determinism, exit codes."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,3 +247,15 @@ def test_verify_jobs_uses_one_pool_for_all_suites(capsys, monkeypatch):
     assert code == 0
     assert "[PASS] inversion" in out and "[PASS] krattenthaler" in out
     assert len(created) == 1
+
+
+def test_python_m_juhlkit_runs_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("JUHL_MAX_ORDER", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "juhlkit", "verify", "--max-order", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("verify: all suites passed\n")

@@ -156,3 +156,44 @@ def test_eval_needs_dimension_for_empty_assignment():
 def test_symmetric_helper():
     assert mat_is_symmetric(mat_identity(3))
     assert not mat_is_symmetric(((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))))
+
+
+def _naive_eval(p, assign, d):
+    acc = tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
+    for word, coeff in p.items():
+        prod = mat_identity(d)
+        for g in word:
+            prod = _naive_mat_mul(prod, assign[g])
+        acc = tuple(
+            tuple(x + coeff * y for x, y in zip(ra, rb)) for ra, rb in zip(acc, prod)
+        )
+    return acc
+
+
+@pytest.mark.parametrize("entry_kind", ["mixed", "int"])
+def test_eval_matches_naive_fraction_path(entry_kind):
+    rng = random.Random(31)
+    d = 3
+    for _ in range(20):
+        if entry_kind == "mixed":
+            assign = {
+                g: tuple(
+                    tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 12)) for _ in range(d))
+                    for _ in range(d)
+                )
+                for g in (1, 2, 3)
+            }
+        else:
+            assign = {
+                g: tuple(tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d))
+                for g in (1, 2, 3)
+            }
+        p = NCPoly(
+            {
+                tuple(rng.choices((1, 2, 3), k=rng.randint(0, 4))): Fraction(
+                    rng.randint(-5, 5), rng.randint(1, 9)
+                )
+                for _ in range(rng.randint(0, 5))
+            }
+        )
+        assert nc_eval_matrices(p, assign) == _naive_eval(p, assign, d)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from juhlkit.exact_core import compositions_of, factorial, nbar_coeff, partial_sums
 from juhlkit.frobenius import (
@@ -172,3 +173,38 @@ def test_msequence_validation():
         check_msequence((0, 1))
     with pytest.raises(ValueError):
         c_table((1, 2), 1)  # jmax below N
+
+
+def test_integer_chain_stays_int_and_y_coeff_is_fraction():
+    for series in [*compute_F((2, 3, 5)), jacobi_P(2, 5), jacobi_Q(1, 5)]:
+        assert all(type(v) is int for v in series.normalized)
+        for j in range(series.cap + 1):
+            got = series.y_coeff(j)
+            assert type(got) is Fraction
+            assert got == Fraction(series.normalized[j], factorial(j) ** 2)
+
+
+def _apply_Dm_reference(m, big_n, u):
+    # term by term on the Fraction y-coefficients, with no integer scaling
+    cap = u.cap
+    a = [Fraction(v) / factorial(j) ** 2 for j, v in enumerate(u.normalized)] + [Fraction(0)] * 2
+    out = []
+    for i in range(cap + 1):
+        # y^i coefficient of y(1+y)u'' + [1-(N-1)y]u' + m(N-m)u
+        term = (i + 1) * i * a[i + 1] + i * (i - 1) * a[i]
+        term += (i + 1) * a[i + 1] - (big_n - 1) * i * a[i]
+        term += m * (big_n - m) * a[i]
+        out.append(term * factorial(i) ** 2)
+    return out
+
+
+@given(
+    vals=st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=30), min_size=1, max_size=9),
+    m=st.integers(min_value=0, max_value=8),
+    extra=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_apply_Dm_matches_fraction_reference(vals, m, extra):
+    big_n = m + extra
+    u = ScalarSeries(vals)
+    assert apply_Dm(m, big_n, u).normalized == _apply_Dm_reference(m, big_n, u)
