@@ -19,14 +19,7 @@ from .exact_core import (
     nbar_coeff,
     partial_sums,
 )
-from .free_algebra import (
-    NCPoly,
-    UnboundGeneratorError,
-    Word,
-    nc_add,
-    nc_eval_matrices,
-    nc_mul,
-)
+from .free_algebra import NCPoly, UnboundGeneratorError, Word, nc_eval_matrices
 from .nc_series import NCSeries, apply_L, iterate_L_full, iterate_L_partial, x_series
 from .frobenius import (
     RecusolveReport,
@@ -41,7 +34,6 @@ from .frobenius import (
 )
 from .juhl_core import (
     IdentityCheck,
-    MExpansion,
     QExpansion,
     apply_operator_expansion,
     expand_P_explicit,

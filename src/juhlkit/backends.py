@@ -1,11 +1,14 @@
 """Concrete oracle backends for the expansion formulae.
 
-Two instantiations are provided.  A matrix backend assigns a random
-symmetric rational matrix to each second-order building block, so operator
-compositions become matrix products acting on a test vector.  An Einstein
-backend models the one-parameter metric family g_rho = (1+c*rho)^2 g, in
-which every invariant collapses to exact rational series arithmetic.  Both
-drive a direct iteration of the operators
+There is one backend type and one value type.  A matrix backend
+(``MatrixAssignment``, usually drawn at random) assigns a symmetric rational
+matrix to each second-order building block, so operator compositions become
+matrix products acting on a test vector; every backend value is a tuple of
+Fractions.  The Einstein backend models the one-parameter metric family
+g_rho = (1+c*rho)^2 g, in which every invariant collapses to exact rational
+series arithmetic; it is the 1x1 case, with M_{2N} the matrix
+((M_{2N}(1),),) and the test vector (1,).  Both drive a direct iteration of
+the operators
 
     R_k = -2*rho*d2/drho2 + 2k*d/drho + Mtilde(rho),
 
@@ -31,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import factorial
+from .exact_core import check_positive_int, factorial
 from .free_algebra import (
     Matrix,
     NCPoly,
@@ -63,28 +66,6 @@ __all__ = [
 
 class UnboundOrderError(KeyError):
     """The backend has no building block (or W-scalar) of the needed order."""
-
-
-# ---------------------------------------------------------------------------
-# backend values: either a Fraction (scalar model) or a tuple (vector model)
-
-
-def _val_add(a, b):
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b, strict=True))
-    return a + b
-
-
-def _val_scale(c: Fraction, a):
-    if isinstance(a, tuple):
-        return tuple(c * x for x in a)
-    return c * a
-
-
-def _val_is_zero(a) -> bool:
-    if isinstance(a, tuple):
-        return not any(a)
-    return not a
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +131,7 @@ def general_binomial(x: Fraction, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Einstein backend
+# the Einstein family
 
 
 @dataclass(frozen=True)
@@ -192,47 +173,19 @@ def einstein_invariants(model: EinsteinModel, max_order: int) -> tuple[dict[int,
     return w_scalars, m_consts
 
 
-class EinsteinBackend:
-    """Scalar backend: every function value is a single exact rational."""
-
-    def __init__(self, model: EinsteinModel, max_order: int):
-        self.model = model
-        self.max_order = max_order
-        self.w_scalars, self.m_consts = einstein_invariants(model, max_order)
-
-    @property
-    def dim(self) -> Fraction:
-        return self.model.n
-
-    def m_apply(self, order: int, value: Fraction) -> Fraction:
-        if order not in self.m_consts:
-            raise UnboundOrderError(order)
-        return self.m_consts[order] * value
-
-    def w_scalar(self, a: int) -> Fraction:
-        if a not in self.w_scalars:
-            raise UnboundOrderError(a)
-        return self.w_scalars[a]
-
-    def zero_value(self) -> Fraction:
-        return Fraction(0)
-
-    def base_value(self) -> Fraction:
-        return Fraction(1)
-
-
 # ---------------------------------------------------------------------------
-# matrix backend
+# the matrix backend and its 1x1 Einstein case
 
 
 class MatrixAssignment:
-    """Vector backend: symmetric rational matrices stand in for the building
+    """Matrix backend: symmetric rational matrices stand in for the building
     blocks, scalars for the W-coefficients, and a test vector for the
-    function being acted on.
+    function being acted on.  Every backend value is a tuple of Fractions,
+    one entry per matrix row.
 
     Next to the public ``matrices``, each one is kept as an integer
     numerator matrix over the lcm of its entry denominators, which
-    ``m_apply`` works on.
+    ``m_apply`` and the evaluation kernel work on.
     """
 
     def __init__(
@@ -291,7 +244,7 @@ class MatrixAssignment:
         rows, den = self._int_matrices[order]
         vden = math.lcm(*[x.denominator for x in value])
         vnum = [x.numerator * (vden // x.denominator) for x in value]
-        return tuple(Fraction(x, den * vden) for x in mat_vec(rows, vnum))
+        return tuple([Fraction(x, den * vden) for x in mat_vec(rows, vnum)])
 
     def w_scalar(self, a: int) -> Fraction:
         if a not in self.w_scalars:
@@ -299,10 +252,21 @@ class MatrixAssignment:
         return self.w_scalars[a]
 
     def zero_value(self) -> Vector:
-        return tuple(Fraction(0) for _ in range(self.dim))
+        return (Fraction(0),) * self.dim
 
     def base_value(self) -> Vector:
         return self.f
+
+
+class EinsteinBackend(MatrixAssignment):
+    """The Einstein family as a 1x1 matrix backend: M_{2N} is the matrix
+    ((m_N,),) of its constant M_{2N}(1), the test vector is f = (1,), and
+    the W-scalars are the model's, so every value is a 1-tuple."""
+
+    def __init__(self, model: EinsteinModel, max_order: int):
+        self.model = model
+        w_scalars, self.m_consts = einstein_invariants(model, max_order)
+        super().__init__({order: ((m,),) for order, m in self.m_consts.items()}, (1,), w_scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +298,17 @@ def apply_R(k: int, u: RhoPoly, backend) -> RhoPoly:
     plus the Mtilde part sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}.  Raises
     UnboundOrderError if a needed building block is missing from the backend.
     """
+    weights = [Fraction((-1) ** e, factorial(e) ** 2 * 2**e) for e in range(u.cap)]
     out = []
     for i in range(u.cap):
-        acc = backend.zero_value()
         factor = 2 * (i + 1) * (k - i)
-        if factor:
-            acc = _val_add(acc, _val_scale(Fraction(factor), u.coeffs[i + 1]))
+        acc = [factor * x for x in u.coeffs[i + 1]]
         for e in range(i + 1):
             low = u.coeffs[i - e]
-            if _val_is_zero(low):
-                continue
-            weight = Fraction((-1) ** e, factorial(e) ** 2 * 2**e)
-            acc = _val_add(acc, _val_scale(weight, backend.m_apply(e + 1, low)))
-        out.append(acc)
+            if any(low):
+                weight = weights[e]
+                acc = [x + weight * y for x, y in zip(acc, backend.m_apply(e + 1, low))]
+        out.append(tuple(acc))
     return RhoPoly(out, u.cap - 1)
 
 
@@ -361,18 +323,13 @@ def _iterate_R(backend, ks: range, coeffs: list):
     return u.coeffs[0]
 
 
-def _check_order_arg(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"N must be a positive integer, got {n!r}")
-
-
 def oracle_P(backend, n: int, f):
     """rho=0 value of R_{1-N} R_{3-N} ... R_{N-1} applied to the constant f.
 
     Agrees exactly with the explicit expansion of P_{2N} evaluated in the
     backend and applied to f.
     """
-    _check_order_arg(n)
+    check_positive_int(n, "N must be a positive integer")
     return _iterate_R(backend, range(n - 1, -n, -2), [f] + [backend.zero_value()] * n)
 
 
@@ -382,7 +339,7 @@ def oracle_P_partial(backend, n: int, a: int, f):
     Equals sum over |I| = N-a of n_{(I,a)} (a-1)!^2 (-2)^(a-1) M_{2I}(f),
     the rho-side counterpart of the s-variable partial iteration.
     """
-    _check_order_arg(n)
+    check_positive_int(n, "N must be a positive integer")
     if not 1 <= a <= n:
         raise ValueError(f"a must lie in 1..N, got {a!r}")
     coeffs = [backend.zero_value()] * n
@@ -397,39 +354,60 @@ def oracle_Q(backend, n: int):
     W-scalars (applied to the backend's base value).  Agrees exactly with
     the explicit Q-expansion evaluated in the backend.
     """
-    _check_order_arg(n)
-    coeffs = [
-        _val_scale(Fraction(a * (-2) ** a) * backend.w_scalar(a), backend.base_value())
-        for a in range(1, n + 1)
-    ]
-    return _val_scale(Fraction(-2), _iterate_R(backend, range(n - 3, -n, -2), coeffs))
+    check_positive_int(n, "N must be a positive integer")
+    f = backend.base_value()
+    coeffs = []
+    for a in range(1, n + 1):
+        scale = a * (-2) ** a * backend.w_scalar(a)
+        coeffs.append(tuple([scale * x for x in f]))
+    return tuple([-2 * x for x in _iterate_R(backend, range(n - 3, -n, -2), coeffs)])
 
 
 # ---------------------------------------------------------------------------
 # evaluating closed-form expansions in a backend
 
 
-def evaluate_P(expansion: NCPoly, backend, f):
+def _apply_words(backend: MatrixAssignment, terms, f) -> Vector:
+    """The sum of coeff * M_{w_1} ... M_{w_k} f over the (word, coeff) pairs
+    ``terms``, rightmost factor first.
+
+    Each word is applied with integer ``mat_vec`` steps on the integer
+    numerator matrices, under one running denominator per word; the words
+    are summed over the lcm of their denominators, and the result has one
+    Fraction per entry.  Shares only ``mat_vec`` with ``m_apply``, which the
+    R-iteration uses.
+    """
+    ints = backend._int_matrices
+    fden = math.lcm(*[x.denominator for x in f])
+    fnum = [x.numerator * (fden // x.denominator) for x in f]
+    acc = [0] * len(fnum)
+    acc_den = 1
+    for word, coeff in terms:
+        vec, den = fnum, fden * coeff.denominator
+        for order in reversed(word):
+            if order not in ints:
+                raise UnboundOrderError(order)
+            rows, mden = ints[order]
+            vec = mat_vec(rows, vec)
+            den *= mden
+        lcm = math.lcm(acc_den, den)
+        old_scale, new_scale = lcm // acc_den, lcm // den * coeff.numerator
+        acc = [x * old_scale + y * new_scale for x, y in zip(acc, vec)]
+        acc_den = lcm
+    return tuple([Fraction(x, acc_den) for x in acc])
+
+
+def evaluate_P(expansion: NCPoly, backend: MatrixAssignment, f) -> Vector:
     """Apply an operator expansion to a backend value (rightmost factor first)."""
-    acc = backend.zero_value()
-    for word, coeff in expansion.items():
-        val = f
-        for order in reversed(word):
-            val = backend.m_apply(order, val)
-        acc = _val_add(acc, _val_scale(coeff, val))
-    return acc
+    return _apply_words(backend, expansion.items(), f)
 
 
-def evaluate_Q(expansion: QExpansion, backend):
+def evaluate_Q(expansion: QExpansion, backend: MatrixAssignment) -> Vector:
     """Evaluate a Q-expansion: each (I, a) term is M_{2I} applied to
-    W_{2a} times the backend's base value."""
-    acc = backend.zero_value()
-    for (word, a), coeff in expansion.items():
-        val = _val_scale(backend.w_scalar(a), backend.base_value())
-        for order in reversed(word):
-            val = backend.m_apply(order, val)
-        acc = _val_add(acc, _val_scale(coeff, val))
-    return acc
+    W_{2a} times the backend's base value, W_{2a} folded into the term's
+    coefficient."""
+    terms = [(word, coeff * backend.w_scalar(a)) for (word, a), coeff in expansion.items()]
+    return _apply_words(backend, terms, backend.base_value())
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,8 @@ def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
         extension_start = dim.numerator // 2
     rows = []
     for order in range(1, max_order + 1):
-        formula = backends.evaluate_Q(juhl_core.expand_Q_explicit(order), backend)
-        direct = backends.oracle_Q(backend, order)
+        formula = backends.evaluate_Q(juhl_core.expand_Q_explicit(order), backend)[0]
+        direct = backends.oracle_Q(backend, order)[0]
         if formula != direct:
             print(
                 f"einstein: formula/oracle mismatch at N={order}: {formula} != {direct}",

@@ -20,6 +20,7 @@ __all__ = [
     "Rational",
     "Composition",
     "factorial",
+    "check_positive_int",
     "check_composition",
     "compositions_of",
     "partial_sums",
@@ -37,21 +38,27 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
+def check_positive_int(value, message: str) -> int:
+    """``value`` if it is a positive ``int`` (a ``bool`` is not), else a
+    ValueError reading ``message``, then ", got" and the value's repr."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{message}, got {value!r}")
+    return value
+
+
 def check_composition(entries) -> Composition:
     """Validate ``entries`` as a composition and return it as a tuple."""
     comp = tuple(entries)
     if not comp:
         raise ValueError("a composition must have at least one entry")
     for e in comp:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-            raise ValueError(f"composition entries must be positive integers, got {e!r}")
+        check_positive_int(e, "composition entries must be positive integers")
     return comp
 
 
 def compositions_of(n: int) -> list[Composition]:
     """All 2**(n-1) compositions of ``n``, length ascending then lexicographic."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    check_positive_int(n, "n must be a positive integer")
     out: list[Composition] = []
     for r in range(1, n + 1):
         for cuts in combinations(range(1, n), r - 1):

@@ -3,7 +3,9 @@
 Words are tuples of positive generator indices; the empty word is the
 multiplicative identity, and multiplication of words is concatenation
 (modelling composition of operators).  Coefficients are ``Fraction``;
-zero coefficients are never stored.
+zero coefficients are never stored.  ``TermMap`` is that sparse map with its
+sums and scalar multiples; ``NCPoly`` adds the word product, and
+``juhl_core.QExpansion`` keys the same map by Q-terms.
 
 The module also carries a small kit of exact rational matrix helpers so a
 polynomial can be evaluated in a matrix assignment (words become matrix
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact_core import Composition
+from .exact_core import Composition, check_positive_int
 
 Word = Composition
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -26,9 +28,8 @@ __all__ = [
     "Matrix",
     "Vector",
     "UnboundGeneratorError",
+    "TermMap",
     "NCPoly",
-    "nc_add",
-    "nc_mul",
     "nc_eval_matrices",
     "int_matrix",
     "mat_identity",
@@ -48,8 +49,7 @@ class UnboundGeneratorError(KeyError):
 def _check_word(word) -> Word:
     w = tuple(word)
     for g in w:
-        if not isinstance(g, int) or isinstance(g, bool) or g < 1:
-            raise ValueError(f"generator indices must be positive integers, got {g!r}")
+        check_positive_int(g, "generator indices must be positive integers")
     return w
 
 
@@ -61,31 +61,88 @@ def _as_scalar(value) -> Fraction | None:
     return None
 
 
-class NCPoly:
-    """Sparse noncommutative polynomial: a finite map word -> Fraction."""
+class TermMap:
+    """Sparse finite map key -> Fraction with zero values never stored.
+
+    A subclass validates its keys with ``_check_key``.  Sums, differences
+    and equality are defined between maps of the same type only; scalars
+    multiply every value.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[Word, Fraction] = {}
+        clean = {}
         if terms:
-            for word, coeff in terms.items():
+            for key, coeff in terms.items():
                 c = _as_scalar(coeff)
                 if c is None:
                     raise ValueError(f"coefficients must be rational, got {coeff!r}")
                 if c:
-                    clean[_check_word(word)] = c
+                    clean[self._check_key(key)] = c
         self._terms = clean
 
     @classmethod
-    def _raw(cls, terms: dict[Word, Fraction]) -> NCPoly:
+    def _raw(cls, terms: dict):
         obj = cls.__new__(cls)
         obj._terms = terms
         return obj
 
     @classmethod
-    def zero(cls) -> NCPoly:
+    def zero(cls):
         return cls._raw({})
+
+    def items(self):
+        return self._terms.items()
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self._terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            s = out.get(k, Fraction(0)) + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return self._raw(out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        scalar = _as_scalar(other)
+        if scalar is None:
+            return NotImplemented
+        if not scalar:
+            return self.zero()
+        return self._raw({k: c * scalar for k, c in self._terms.items()})
+
+    __rmul__ = __mul__
+
+
+class NCPoly(TermMap):
+    """Sparse noncommutative polynomial: a finite map word -> Fraction."""
+
+    __slots__ = ()
+
+    _check_key = staticmethod(_check_word)
 
     @classmethod
     def one(cls) -> NCPoly:
@@ -98,9 +155,6 @@ class NCPoly:
             raise ValueError(f"coefficients must be rational, got {coeff!r}")
         return cls._raw({_check_word(word): c}) if c else cls.zero()
 
-    def items(self):
-        return self._terms.items()
-
     def coeff(self, word) -> Fraction:
         return self._terms.get(tuple(word), Fraction(0))
 
@@ -112,45 +166,10 @@ class NCPoly:
         """Entry-sums of the support words (the empty word has weight 0)."""
         return {sum(w) for w in self._terms}
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, NCPoly):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __neg__(self) -> NCPoly:
-        return NCPoly._raw({w: -c for w, c in self._terms.items()})
-
-    def __add__(self, other) -> NCPoly:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return NCPoly._raw(out)
-
-    def __sub__(self, other) -> NCPoly:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> NCPoly:
-        scalar = _as_scalar(other)
-        if scalar is not None:
-            if not scalar:
-                return NCPoly.zero()
-            return NCPoly._raw({w: c * scalar for w, c in self._terms.items()})
+        """Scalar multiple, or the bilinear extension of word concatenation."""
         if not isinstance(other, NCPoly):
-            return NotImplemented
+            return super().__mul__(other)
         out: dict[Word, Fraction] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
@@ -162,12 +181,6 @@ class NCPoly:
                     out.pop(w, None)
         return NCPoly._raw(out)
 
-    def __rmul__(self, other) -> NCPoly:
-        scalar = _as_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return self * scalar
-
     def __repr__(self) -> str:
         if not self._terms:
             return "NCPoly(0)"
@@ -176,16 +189,6 @@ class NCPoly:
             mono = "*".join(f"x{g}" for g in w) if w else "1"
             parts.append(f"{c}*{mono}")
         return "NCPoly(" + " + ".join(parts) + ")"
-
-
-def nc_add(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Coefficient-wise sum with zero terms pruned."""
-    return p + q
-
-
-def nc_mul(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Bilinear extension of word concatenation (noncommutative)."""
-    return p * q
 
 
 def mat_identity(d: int) -> Matrix:
@@ -214,7 +217,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     if len(v) != len(a[0]):
         raise ValueError("matrix dimension mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    # a list first: tuple(<generator>) over-allocates, and the shrunk
+    # copies fill the tuple free lists, raising peak memory
+    return tuple([sum(x * y for x, y in zip(row, v)) for row in a])
 
 
 def mat_transpose(a: Matrix) -> Matrix:

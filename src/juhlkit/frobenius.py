@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import factorial
+from .exact_core import check_positive_int, factorial
 
 CAP_PAD = 2  # every series in this module is truncated at N + CAP_PAD
 
@@ -104,8 +104,7 @@ def check_msequence(entries) -> tuple[int, ...]:
     if not seq:
         raise ValueError("an m-sequence must have at least one entry")
     for e in seq:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-            raise ValueError(f"m-sequence entries must be positive integers, got {e!r}")
+        check_positive_int(e, "m-sequence entries must be positive integers")
     if any(a >= b for a, b in zip(seq, seq[1:])):
         raise ValueError(f"m-sequence must be strictly increasing, got {seq}")
     return seq
@@ -218,7 +217,8 @@ def c_table(seq, jmax: int) -> list[list[int]]:
 
 @dataclass
 class RecusolveReport:
-    """Outcome of checking the degree and top coefficient of F_r."""
+    """Outcome of checking the degree and top coefficient of F_r, with the
+    chain F_0..F_r that was checked."""
 
     seq: tuple[int, ...]
     big_n: int
@@ -227,6 +227,7 @@ class RecusolveReport:
     expected_top: Fraction
     observed_degrees: tuple[int, ...]
     passed: bool
+    chain: list[ScalarSeries]
 
 
 def verify_recusolve(seq) -> RecusolveReport:
@@ -254,4 +255,5 @@ def verify_recusolve(seq) -> RecusolveReport:
         expected_top=expected,
         observed_degrees=degrees,
         passed=passed,
+        chain=chain,
     )

@@ -27,6 +27,7 @@ from itertools import combinations
 
 from .exact_core import (
     check_composition,
+    check_positive_int,
     compositions_of,
     factorial,
     m_coeff,
@@ -35,13 +36,11 @@ from .exact_core import (
     n_ratio,
     partial_sums,
 )
-from .free_algebra import NCPoly, Word, _as_scalar, _check_word
+from .free_algebra import NCPoly, TermMap, Word, _check_word
 
-MExpansion = NCPoly
 QKey = tuple[Word, int]
 
 __all__ = [
-    "MExpansion",
     "QExpansion",
     "expand_P_explicit",
     "expand_P_recursive",
@@ -60,39 +59,16 @@ __all__ = [
 def _check_qkey(key) -> QKey:
     word, a = key
     w = _check_word(word)
-    if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-        raise ValueError(f"the W-order of a Q-term must be a positive integer, got {a!r}")
+    check_positive_int(a, "the W-order of a Q-term must be a positive integer")
     return (w, a)
 
 
-class QExpansion:
+class QExpansion(TermMap):
     """Finite map (word I, a) -> Fraction representing sum c * M_{2I}(W_{2a})."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict | None = None):
-        clean: dict[QKey, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = _as_scalar(coeff)
-                if c is None:
-                    raise ValueError(f"coefficients must be rational, got {coeff!r}")
-                if c:
-                    clean[_check_qkey(key)] = c
-        self._terms = clean
-
-    @classmethod
-    def _raw(cls, terms: dict[QKey, Fraction]) -> QExpansion:
-        obj = cls.__new__(cls)
-        obj._terms = terms
-        return obj
-
-    @classmethod
-    def zero(cls) -> QExpansion:
-        return cls._raw({})
-
-    def items(self):
-        return self._terms.items()
+    _check_key = staticmethod(_check_qkey)
 
     def coeff(self, key) -> Fraction:
         word, a = key
@@ -107,39 +83,6 @@ class QExpansion:
 
     def weights(self) -> set[int]:
         return {sum(word) + a for word, a in self._terms}
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QExpansion):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __add__(self, other) -> QExpansion:
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return QExpansion._raw(out)
-
-    def __mul__(self, other) -> QExpansion:
-        scalar = _as_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        if not scalar:
-            return QExpansion.zero()
-        return QExpansion._raw({k: c * scalar for k, c in self._terms.items()})
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -168,16 +111,10 @@ def apply_operator_expansion(p: NCPoly, q: QExpansion) -> QExpansion:
     return QExpansion._raw(out)
 
 
-def _check_order(n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"N must be a positive integer, got {n!r}")
-    return n
-
-
 @cache
 def expand_P_explicit(n: int) -> NCPoly:
     """P_{2N} as the sum of n_I * M_{2I} over all compositions I of N."""
-    _check_order(n)
+    check_positive_int(n, "N must be a positive integer")
     return NCPoly._raw({comp: n_coeff(comp) for comp in compositions_of(n)})
 
 
@@ -187,7 +124,7 @@ def expand_P_recursive(n: int) -> NCPoly:
     P_{2N} = - sum over |I| = N, I != (N) of m_I * P_{2I}  +  M_{2N},
     with every lower-order P substituted by its own recursive expansion.
     """
-    _check_order(n)
+    check_positive_int(n, "N must be a positive integer")
     acc = NCPoly.from_word((n,))
     for comp in compositions_of(n):
         if comp == (n,):
@@ -202,7 +139,7 @@ def expand_P_recursive(n: int) -> NCPoly:
 @cache
 def expand_Q_explicit(n: int) -> QExpansion:
     """(-1)^N Q_{2N} as the sum of n_{(I,a)} a!(a-1)! 2^{2a} M_{2I}(W_{2a})."""
-    _check_order(n)
+    check_positive_int(n, "N must be a positive integer")
     terms: dict[QKey, Fraction] = {}
     for comp in compositions_of(n):
         a = comp[-1]
@@ -218,7 +155,7 @@ def expand_Q_recursive(n: int) -> QExpansion:
     + N!(N-1)! 2^{2N} W_{2N},
     with P's in explicit form and each (-1)^a Q_{2a} in explicit form.
     """
-    _check_order(n)
+    check_positive_int(n, "N must be a positive integer")
     acc = QExpansion({((), n): factorial(n) * factorial(n - 1) * 4**n})
     for comp in compositions_of(n):
         a = comp[-1]
@@ -316,8 +253,7 @@ def verify_kidenb(entries, b: int) -> IdentityCheck:
     Each left-side term is built as an integer pair.
     """
     comp = check_composition(entries)
-    if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-        raise ValueError(f"b must be a positive integer, got {b!r}")
+    check_positive_int(b, "b must be a positive integer")
     s = len(comp)
     heads = (0, *partial_sums(comp))
     total = heads[-1]
@@ -349,8 +285,7 @@ def kcoeff(entries, b: int) -> Fraction:
     block of K is computed once.
     """
     comp = check_composition(entries)
-    if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-        raise ValueError(f"b must be a positive integer, got {b!r}")
+    check_positive_int(b, "b must be a positive integer")
     s = len(comp)
     heads = (0, *partial_sums(comp))
     block_m = {(i, j): m_ratio(comp[i:j]) for i in range(s) for j in range(i + 1, s + 1)}
@@ -381,8 +316,7 @@ def kcoeff_closed_form(entries, b: int) -> Fraction:
     tail sums K_p + ... + K_s + b.  Vanishes identically.
     """
     comp = check_composition(entries)
-    if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-        raise ValueError(f"b must be a positive integer, got {b!r}")
+    check_positive_int(b, "b must be a positive integer")
     s = len(comp)
     total = sum(comp)
     prefactor = Fraction(factorial(total + b) * factorial(total + b - 1), factorial(b - 1) ** 2)

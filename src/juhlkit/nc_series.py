@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exact_core import check_positive_int
 from .free_algebra import NCPoly
 
 __all__ = ["NCSeries", "x_series", "apply_L", "iterate_L_full", "iterate_L_partial"]
@@ -116,8 +117,7 @@ def iterate_L_full(n: int) -> NCPoly:
     Supported on words of total weight N; equals the closed-form sum of
     nbar_I * x_I over all compositions I of N.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"N must be a positive integer, got {n!r}")
+    check_positive_int(n, "N must be a positive integer")
     u = NCSeries.one(n)
     for k in range(n - 1, -n, -2):
         u = apply_L(k, u)
@@ -132,8 +132,7 @@ def iterate_L_partial(n: int, a: int) -> NCPoly:
     sum of nbar_{(I,a)} * x_I over compositions I of N-a; for a = N that sum
     degenerates to nbar_{(N)} = (N-1)!^2 times the empty word.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"N must be a positive integer, got {n!r}")
+    check_positive_int(n, "N must be a positive integer")
     if not isinstance(a, int) or isinstance(a, bool) or not 1 <= a <= n:
         raise ValueError(f"a must lie in 1..N, got {a!r}")
     u = NCSeries.monomial(a - 1, n - 1)

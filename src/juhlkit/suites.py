@@ -1,9 +1,10 @@
 """Verification suites driving every module invariant.
 
 Each suite expands into a deterministic list of independent instances
-(description, check-function name, arguments).  Instances are pure and
-picklable, so they can fan out across a process pool; aggregation preserves
-the input order, making reports deterministic regardless of scheduling.
+(description, check function, arguments).  Instances are pure and
+picklable (a module-level function pickles by reference), so they can fan
+out across a process pool; aggregation preserves the input order, making
+reports deterministic regardless of scheduling.
 A check returns None on success or a failure string carrying the exact
 computed and expected values.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ DEFAULT_ORDERS = {
     "backends": 8,
 }
 
-Instance = tuple[str, str, tuple]
+Instance = tuple[str, Callable[..., str | None], tuple]
 
 
 @dataclass
@@ -109,10 +111,10 @@ def _ck_l_bridge(n: int) -> str | None:
 def suite_combinatorial(max_order: int) -> list[Instance]:
     out: list[Instance] = []
     for n in range(1, max_order + 1):
-        out.append((f"full iteration N={n}", "_ck_full_iteration", (n,)))
-        out.append((f"partial-iteration N={n}", "_ck_partial_iteration", (n,)))
+        out.append((f"full iteration N={n}", _ck_full_iteration, (n,)))
+        out.append((f"partial-iteration N={n}", _ck_partial_iteration, (n,)))
     for n in range(1, max_order + 1):
-        out.append((f"L-bridge N={n}", "_ck_l_bridge", (n,)))
+        out.append((f"L-bridge N={n}", _ck_l_bridge, (n,)))
     return out
 
 
@@ -149,9 +151,9 @@ def _ck_q_inversion(n: int) -> str | None:
 def suite_inversion(p_order: int, q_order: int) -> list[Instance]:
     out: list[Instance] = []
     for n in range(1, p_order + 1):
-        out.append((f"P inversion N={n}", "_ck_p_inversion", (n,)))
+        out.append((f"P inversion N={n}", _ck_p_inversion, (n,)))
     for n in range(1, q_order + 1):
-        out.append((f"Q inversion N={n}", "_ck_q_inversion", (n,)))
+        out.append((f"Q inversion N={n}", _ck_q_inversion, (n,)))
     return out
 
 
@@ -205,15 +207,15 @@ def suite_krattenthaler(max_order: int) -> list[Instance]:
     for total in range(2, max_order):
         for comp in exact_core.compositions_of(total):
             if len(comp) > 1:
-                out.append((f"grid identity K={comp}", "_ck_k_grid", (comp,)))
+                out.append((f"grid identity K={comp}", _ck_k_grid, (comp,)))
     for total in range(1, max_order + 1):
         for comp in exact_core.compositions_of(total):
-            out.append((f"X=Y identity K={comp}", "_ck_kidenb", (comp, 10)))
+            out.append((f"X=Y identity K={comp}", _ck_kidenb, (comp, 10)))
     for total in range(1, max_order):
         for comp in exact_core.compositions_of(total):
-            out.append((f"vanishing coefficient K={comp}", "_ck_kcoeff", (comp, 5)))
+            out.append((f"vanishing coefficient K={comp}", _ck_kcoeff, (comp, 5)))
     out.append(
-        (f"telescoping identity (random, s<={max_order})", "_ck_telescope", (20210405, 40, max_order, 5))
+        (f"telescoping identity (random, s<={max_order})", _ck_telescope, (20210405, 40, max_order, 5))
     )
     return out
 
@@ -275,7 +277,7 @@ def _ck_frob_recusolve(n: int) -> str | None:
                 f"seq={seq}: degree {report.computed_degree} (want {n}), "
                 f"top {report.computed_top} (want {report.expected_top})"
             )
-        chain = frobenius.compute_F(seq)
+        chain = report.chain
         table = frobenius.c_table(seq, n)
         for l, m in enumerate(seq, start=1):
             if frobenius.apply_Dm(m, n, chain[l]) != chain[l - 1]:
@@ -297,9 +299,9 @@ def _ck_frob_recusolve(n: int) -> str | None:
 def suite_frobenius(max_order: int) -> list[Instance]:
     out: list[Instance] = []
     for n in range(1, max_order + 1):
-        out.append((f"series solutions N={n}", "_ck_frob_jacobi", (n,)))
-        out.append((f"coefficient table N={n}", "_ck_frob_ctable", (n,)))
-        out.append((f"generating chain N={n}", "_ck_frob_recusolve", (n,)))
+        out.append((f"series solutions N={n}", _ck_frob_jacobi, (n,)))
+        out.append((f"coefficient table N={n}", _ck_frob_ctable, (n,)))
+        out.append((f"generating chain N={n}", _ck_frob_recusolve, (n,)))
     return out
 
 
@@ -327,7 +329,7 @@ def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
             direct = backends.oracle_P_partial(backend, n, a, f)
             scale = Fraction(exact_core.factorial(a - 1) ** 2 * (-2) ** (a - 1))
             if a == n:
-                closed = backends._val_scale(scale, f)
+                closed = tuple(scale * x for x in f)
             else:
                 shifted = NCPoly(
                     {
@@ -335,7 +337,7 @@ def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
                         for comp in exact_core.compositions_of(n - a)
                     }
                 )
-                closed = backends._val_scale(scale, backends.evaluate_P(shifted, backend, f))
+                closed = tuple(scale * x for x in backends.evaluate_P(shifted, backend, f))
             if direct != closed:
                 return f"seed={seed}, N={n}, a={a}: partial iteration {direct} != closed form {closed}"
     return None
@@ -344,12 +346,12 @@ def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
 def _ck_einstein_anchor(n: Fraction, nmax: int) -> str | None:
     flat = backends.EinsteinBackend(backends.EinsteinModel(n, Fraction(0)), nmax)
     for order in range(1, nmax + 1):
-        if backends.oracle_Q(flat, order) != 0:
+        if any(backends.oracle_Q(flat, order)):
             return f"n={n}: flat model has nonzero Q at N={order}"
-        if backends.evaluate_Q(juhl_core.expand_Q_explicit(order), flat) != 0:
+        if any(backends.evaluate_Q(juhl_core.expand_Q_explicit(order), flat)):
             return f"n={n}: flat model explicit Q nonzero at N={order}"
     sphere = backends.EinsteinBackend(backends.EinsteinModel(n, Fraction(1, 2)), 1)
-    q2 = -backends.evaluate_Q(juhl_core.expand_Q_explicit(1), sphere)
+    q2 = -backends.evaluate_Q(juhl_core.expand_Q_explicit(1), sphere)[0]
     if q2 != n / 2:
         return f"n={n}: unit sphere Q_2 = {q2} != n/2 = {n / 2}"
     return None
@@ -358,8 +360,8 @@ def _ck_einstein_anchor(n: Fraction, nmax: int) -> str | None:
 def _ck_einstein_paths(n: Fraction, c: Fraction, nmax: int) -> str | None:
     backend = backends.EinsteinBackend(backends.EinsteinModel(n, c), nmax)
     for order in range(1, nmax + 1):
-        direct = backends.oracle_Q(backend, order)
-        closed = backends.evaluate_Q(juhl_core.expand_Q_explicit(order), backend)
+        direct = backends.oracle_Q(backend, order)[0]
+        closed = backends.evaluate_Q(juhl_core.expand_Q_explicit(order), backend)[0]
         if direct != closed:
             return f"n={n}, c={c}, N={order}: oracle {direct} != formula {closed}"
     return None
@@ -379,16 +381,16 @@ EINSTEIN_CS = (Fraction(0), Fraction(1, 2), Fraction(-1, 3))
 def suite_backends(max_order: int, seed: int) -> list[Instance]:
     out: list[Instance] = []
     for s in range(seed, seed + 5):
-        out.append((f"matrix cross-paths seed={s}", "_ck_backend_matrix", (s, max_order, 4)))
+        out.append((f"matrix cross-paths seed={s}", _ck_backend_matrix, (s, max_order, 4)))
     for n in EINSTEIN_DIMS:
-        out.append((f"einstein anchors n={n}", "_ck_einstein_anchor", (n, max_order)))
+        out.append((f"einstein anchors n={n}", _ck_einstein_anchor, (n, max_order)))
         for c in EINSTEIN_CS:
-            out.append((f"einstein cross-paths n={n} c={c}", "_ck_einstein_paths", (n, c, max_order)))
+            out.append((f"einstein cross-paths n={n} c={c}", _ck_einstein_paths, (n, c, max_order)))
     for n in (Fraction(3), Fraction(4), Fraction(5)):
         for c in (Fraction(0), Fraction(1, 2)):
             for gamma in (Fraction(0), 1 - n / 2):
                 out.append(
-                    (f"conjugation identity n={n} c={c} gamma={gamma}", "_ck_dv_identity", (n, c, gamma))
+                    (f"conjugation identity n={n} c={c} gamma={gamma}", _ck_dv_identity, (n, c, gamma))
                 )
     return out
 
@@ -396,17 +398,10 @@ def suite_backends(max_order: int, seed: int) -> list[Instance]:
 # ---------------------------------------------------------------------------
 # execution
 
-_CHECKS = {
-    name: fn
-    for name, fn in list(globals().items())
-    if name.startswith("_ck_") and callable(fn)
-}
-
-
 def _run_instance(item: Instance) -> tuple[str, str | None]:
-    desc, fname, args = item
+    desc, check, args = item
     try:
-        return desc, _CHECKS[fname](*args)
+        return desc, check(*args)
     except Exception as exc:  # a raised error is an instance failure, not a crash
         return desc, f"raised {exc!r}"
 

@@ -27,7 +27,7 @@ from juhlkit.backends import (
 )
 from juhlkit.exact_core import compositions_of, factorial, n_coeff
 from juhlkit.free_algebra import NCPoly, mat_is_symmetric, mat_vec, nc_eval_matrices
-from juhlkit.juhl_core import expand_P_explicit, expand_Q_explicit
+from juhlkit.juhl_core import QExpansion, expand_P_explicit, expand_Q_explicit
 
 
 def test_general_binomial():
@@ -78,19 +78,19 @@ def test_einstein_m_constants_match_rho_route():
 
 def test_apply_R_on_constant_flat_model_is_zero():
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 3)
-    u = RhoPoly([Fraction(1), Fraction(0), Fraction(0)], 2)
+    u = RhoPoly([(Fraction(1),), (Fraction(0),), (Fraction(0),)], 2)
     out = apply_R(5, u, backend)
     assert out.cap == 1
-    assert all(v == 0 for v in out.coeffs)
+    assert out.coeffs == [(0,), (0,)]
 
 
 def test_apply_R_linear_input_constant_term():
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 3)
-    u = RhoPoly([Fraction(0), Fraction(1), Fraction(0)], 2)
+    u = RhoPoly([(Fraction(0),), (Fraction(1),), (Fraction(0),)], 2)
     for k in (-2, 0, 3):
         out = apply_R(k, u, backend)
         assert out.cap == 1
-        assert out.coeffs[0] == 2 * k
+        assert out.coeffs[0] == (2 * k,)
 
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -174,28 +174,28 @@ def test_oracle_Q_order_one_is_4W2():
     expected = tuple(4 * backend.w_scalars[1] * x for x in backend.f)
     assert oracle_Q(backend, 1) == expected
     eb = EinsteinBackend(EinsteinModel(Fraction(5), Fraction(1, 2)), 1)
-    assert oracle_Q(eb, 1) == 4 * eb.w_scalars[1]
+    assert oracle_Q(eb, 1) == (4 * eb.w_scalars[1],)
 
 
 def test_einstein_flat_Q_vanishes():
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 6)
     for n in range(1, 7):
-        assert oracle_Q(backend, n) == 0
-        assert evaluate_Q(expand_Q_explicit(n), backend) == 0
+        assert oracle_Q(backend, n) == (0,)
+        assert evaluate_Q(expand_Q_explicit(n), backend) == (0,)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
 def test_unit_sphere_Q2_anchor(n):
     backend = EinsteinBackend(EinsteinModel(Fraction(n), Fraction(1, 2)), 1)
-    assert -evaluate_Q(expand_Q_explicit(1), backend) == Fraction(n, 2)
-    assert -oracle_Q(backend, 1) == Fraction(n, 2)
+    assert evaluate_Q(expand_Q_explicit(1), backend) == (-Fraction(n, 2),)
+    assert oracle_Q(backend, 1) == (-Fraction(n, 2),)
 
 
 def test_einstein_Q2_is_nc():
     for n in (Fraction(3), Fraction(7, 2), Fraction(6)):
         for c in (Fraction(1, 3), Fraction(-2, 5)):
             backend = EinsteinBackend(EinsteinModel(n, c), 1)
-            assert -oracle_Q(backend, 1) == n * c
+            assert oracle_Q(backend, 1) == (-n * c,)
 
 
 def test_round_sphere_product_formula():
@@ -212,9 +212,8 @@ def test_round_sphere_product_formula():
     for n in (3, 5, 7):
         backend = EinsteinBackend(EinsteinModel(Fraction(n), Fraction(1, 2)), 4)
         for order in range(1, 5):
-            signed = evaluate_Q(expand_Q_explicit(order), backend)
-            q = signed if order % 2 == 0 else -signed
-            assert q == sphere_q(n, order), (n, order)
+            signed = (-1) ** order * sphere_q(n, order)
+            assert evaluate_Q(expand_Q_explicit(order), backend) == (signed,), (n, order)
 
 
 @pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 2), Fraction(-1, 3)])
@@ -285,7 +284,7 @@ def matrix_and_vector(draw):
 @given(case=matrix_and_vector(), seed=st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=80, deadline=None)
 def test_m_apply_matches_naive_mat_vec(case, seed):
-    # oracle_P and evaluate_P share m_apply, so its kernel is pinned to mat_vec
+    # the R-iteration's integer kernel is pinned to mat_vec on Fractions
     matrix, v = case
     backend = MatrixAssignment({1: matrix}, (0,) * len(v))
     got = backend.m_apply(1, v)
@@ -294,3 +293,86 @@ def test_m_apply_matches_naive_mat_vec(case, seed):
     random_backend = MatrixAssignment.random(len(v), 3, seed=seed)
     for order in (1, 2, 3):
         assert random_backend.m_apply(order, v) == mat_vec(random_backend.matrices[order], v)
+
+
+def _naive_apply(matrices, word, v):
+    for order in reversed(word):
+        v = mat_vec(matrices[order], v)
+    return v
+
+
+def _naive_sum(vectors, d):
+    acc = (Fraction(0),) * d
+    for v in vectors:
+        acc = tuple(x + y for x, y in zip(acc, v))
+    return acc
+
+
+small_words = st.lists(st.integers(min_value=1, max_value=3), max_size=4).map(tuple)
+term_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+@st.composite
+def backend_and_vector(draw):
+    # three mixed-denominator matrices, a rational test vector and W-scalars,
+    # and a rational, zero or int vector to act on
+    first, v = draw(matrix_and_vector())
+    d = len(v)
+    matrices = {1: first}
+    for order in (2, 3):
+        matrices[order] = _symmetric([[draw(wide_entries) for _ in range(d)] for _ in range(d)])
+    f = tuple(draw(wide_entries) for _ in range(d))
+    w_scalars = {a: draw(wide_entries) for a in (1, 2, 3)}
+    return MatrixAssignment(matrices, f, w_scalars), v
+
+
+@given(
+    case=backend_and_vector(),
+    p_terms=st.dictionaries(small_words, term_coeffs, max_size=5),
+    q_terms=st.dictionaries(
+        st.tuples(small_words, st.integers(min_value=1, max_value=3)), term_coeffs, max_size=5
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_evaluate_kernel_matches_naive_fraction_chain(case, p_terms, q_terms):
+    # evaluate_P/evaluate_Q run integer mat_vec steps over one denominator
+    # per word; the reference applies mat_vec on the Fraction matrices
+    backend, v = case
+    matrices, d = backend.matrices, len(v)
+    p = NCPoly(p_terms)
+    got = evaluate_P(p, backend, v)
+    want = _naive_sum((tuple(c * x for x in _naive_apply(matrices, w, v)) for w, c in p.items()), d)
+    assert got == want
+    assert all(isinstance(x, Fraction) for x in got)
+
+    q = QExpansion(q_terms)
+    want_q = _naive_sum(
+        (
+            tuple(c * backend.w_scalars[a] * x for x in _naive_apply(matrices, w, backend.f))
+            for (w, a), c in q.items()
+        ),
+        d,
+    )
+    assert evaluate_Q(q, backend) == want_q
+
+
+def test_einstein_backend_is_a_one_by_one_matrix_backend():
+    model = EinsteinModel(Fraction(7, 2), Fraction(-1, 3))
+    backend = EinsteinBackend(model, 4)
+    w_scalars, m_consts = einstein_invariants(model, 4)
+    assert isinstance(backend, MatrixAssignment)
+    assert backend.matrices == {order: ((m,),) for order, m in m_consts.items()}
+    assert backend.f == (1,)
+    assert backend.w_scalars == w_scalars and backend.m_consts == m_consts
+    for order in range(1, 5):
+        value = evaluate_Q(expand_Q_explicit(order), backend)
+        assert len(value) == 1 and isinstance(value[0], Fraction)
+        assert oracle_Q(backend, order) == value
+
+
+def test_evaluate_missing_order_raises():
+    backend = MatrixAssignment.random(3, 1, seed=0)
+    with pytest.raises(UnboundOrderError):
+        evaluate_P(expand_P_explicit(2), backend, backend.f)
+    with pytest.raises(UnboundOrderError):
+        evaluate_Q(expand_Q_explicit(2), backend)

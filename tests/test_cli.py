@@ -1,13 +1,17 @@
 """CLI contract: output schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from juhlkit import cli
 from juhlkit import exact_core
@@ -214,12 +218,42 @@ def test_einstein_mismatch_exits_one(capsys, monkeypatch):
 
     def corrupted(backend, order):
         value = true_oracle(backend, order)
-        return value + 1 if order == 2 else value
+        return (value[0] + 1,) if order == 2 else value
 
     monkeypatch.setattr(backends, "oracle_Q", corrupted)
     code, _, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
     assert code == 1
     assert "mismatch at N=2" in err
+
+
+dims = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-40, max_value=40, max_denominator=9),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+)
+cs = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**3),
+)
+
+
+@given(dim=dims, c=cs)
+@settings(max_examples=40, deadline=None)
+def test_einstein_rational_inputs_first_row(dim, c):
+    # zero and negative rational dimensions, zero, negative and large c:
+    # the formula/oracle check passes and W_2 = -n*c/4, Q_2 = n*c
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["einstein", f"--dim={dim}", f"--c={c}", "--max-order", "3", "--format", "json"])
+    assert code == 0, err.getvalue()
+    doc = json.loads(out.getvalue())
+    assert (doc["n"], doc["c"]) == (str(dim), str(c))
+    first = doc["rows"][0]
+    assert first["N"] == 1
+    assert Fraction(first["W"]) == -dim * c / 4
+    assert Fraction(first["Q"]) == dim * c
+    assert len(doc["rows"]) == 3
 
 
 def test_verify_jobs_flag_matches_serial_output(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from juhlkit.exact_core import (
+    check_positive_int,
     compositions_of,
     factorial,
     m_coeff,
@@ -51,6 +52,42 @@ def test_compositions_count_distinct_and_sum(n):
 def test_compositions_invalid_argument(bad):
     with pytest.raises(ValueError):
         compositions_of(bad)
+
+
+@pytest.mark.parametrize("bad", [0, -3, True, False, 2.0, "1", None])
+def test_check_positive_int_rejects_with_the_given_message(bad):
+    with pytest.raises(ValueError) as info:
+        check_positive_int(bad, "N must be a positive integer")
+    assert str(info.value) == f"N must be a positive integer, got {bad!r}"
+
+
+def test_check_positive_int_returns_the_value():
+    assert check_positive_int(1, "x") == 1
+    assert check_positive_int(10**30, "x") == 10**30
+
+
+def test_positive_int_guards_keep_their_messages():
+    from juhlkit import backends, frobenius, juhl_core, nc_series
+    from juhlkit.free_algebra import NCPoly
+
+    cases = [
+        (lambda: compositions_of(0), "n must be a positive integer, got 0"),
+        (lambda: n_coeff((2, True)), "composition entries must be positive integers, got True"),
+        (lambda: frobenius.check_msequence((1, 0)), "m-sequence entries must be positive integers, got 0"),
+        (lambda: NCPoly({(1, -1): 1}), "generator indices must be positive integers, got -1"),
+        (lambda: juhl_core.QExpansion({((1,), 0): 1}), "the W-order of a Q-term must be a positive integer, got 0"),
+        (lambda: juhl_core.expand_P_explicit(-2), "N must be a positive integer, got -2"),
+        (lambda: juhl_core.verify_kidenb((1,), 0), "b must be a positive integer, got 0"),
+        (lambda: juhl_core.kcoeff((1,), 1.0), "b must be a positive integer, got 1.0"),
+        (lambda: juhl_core.kcoeff_closed_form((1,), -1), "b must be a positive integer, got -1"),
+        (lambda: nc_series.iterate_L_full(0), "N must be a positive integer, got 0"),
+        (lambda: nc_series.iterate_L_partial(False, 1), "N must be a positive integer, got False"),
+        (lambda: backends.oracle_Q(backends.MatrixAssignment.random(2, 2, 0), 0), "N must be a positive integer, got 0"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad", [(), (0,), (1, -2), (1.5,)])

@@ -12,10 +12,9 @@ from juhlkit.free_algebra import (
     mat_identity,
     mat_is_symmetric,
     mat_scale,
-    nc_add,
     nc_eval_matrices,
-    nc_mul,
 )
+from juhlkit.juhl_core import QExpansion
 
 words = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=3).map(tuple)
 coeffs = st.fractions(min_value=-4, max_value=4)
@@ -24,18 +23,18 @@ polys = st.dictionaries(words, coeffs, max_size=4).map(NCPoly)
 
 def test_add_combines_like_words():
     x1 = NCPoly.from_word((1,))
-    assert nc_add(x1, x1) == NCPoly({(1,): 2})
+    assert x1 + x1 == NCPoly({(1,): 2})
 
 
 def test_add_zero_is_identity():
     p = NCPoly({(1, 2): Fraction(3, 2), (): -1})
-    assert nc_add(p, NCPoly.zero()) == p
+    assert p + NCPoly.zero() == p
 
 
 def test_add_cancellation_prunes_word():
     p = NCPoly({(1, 2): 1})
     q = NCPoly({(1, 2): -1})
-    total = nc_add(p, q)
+    total = p + q
     assert total == NCPoly.zero()
     assert len(total) == 0
 
@@ -43,19 +42,19 @@ def test_add_cancellation_prunes_word():
 def test_mul_concatenates_words():
     x1 = NCPoly.from_word((1,))
     x2 = NCPoly.from_word((2,))
-    assert nc_mul(x1, x2) == NCPoly.from_word((1, 2))
+    assert x1 * x2 == NCPoly.from_word((1, 2))
 
 
 def test_mul_is_noncommutative():
     x1 = NCPoly.from_word((1,))
     x2 = NCPoly.from_word((2,))
-    assert nc_mul(x1, x2) != nc_mul(x2, x1)
+    assert x1 * x2 != x2 * x1
 
 
 def test_mul_distributes():
     x1 = NCPoly.from_word((1,))
     x2 = NCPoly.from_word((2,))
-    assert nc_mul(x1 + x2, x1) == NCPoly({(1, 1): 1, (2, 1): 1})
+    assert (x1 + x2) * x1 == NCPoly({(1, 1): 1, (2, 1): 1})
 
 
 def test_scalar_multiplication_and_negation():
@@ -63,6 +62,21 @@ def test_scalar_multiplication_and_negation():
     assert 2 * p == NCPoly({(1,): 1})
     assert -p == NCPoly({(1,): Fraction(-1, 2)})
     assert 0 * p == NCPoly.zero()
+
+
+def test_term_maps_combine_only_with_their_own_type():
+    # NCPoly and QExpansion share one sparse map; its sums and equality
+    # never mix the two key types
+    p = NCPoly({(1,): 1})
+    q = QExpansion({((1,), 1): 1})
+    assert NCPoly.zero() != QExpansion.zero()
+    with pytest.raises(TypeError):
+        p + q
+    with pytest.raises(TypeError):
+        p * q
+    assert q - q == QExpansion.zero()
+    assert 3 * q == q * 3 == QExpansion({((1,), 1): 3})
+    assert 0 * q == QExpansion.zero()
 
 
 def test_sorted_terms_are_length_then_lex():
