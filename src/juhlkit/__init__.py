@@ -19,7 +19,7 @@ from .exact_core import (
     nbar_coeff,
     partial_sums,
 )
-from .free_algebra import NCPoly, UnboundGeneratorError, Word, nc_eval_matrices
+from .free_algebra import NCPoly, Word
 from .nc_series import NCSeries, apply_L, iterate_L_full, iterate_L_partial, x_series
 from .frobenius import (
     RecusolveReport,

@@ -193,7 +193,6 @@ class MatrixAssignment:
         matrices: dict[int, Matrix],
         f: Vector,
         w_scalars: dict[int, Fraction] | None = None,
-        seed: int | None = None,
     ):
         dims = {len(m) for m in matrices.values()}
         if len(dims) > 1:
@@ -210,7 +209,6 @@ class MatrixAssignment:
         self._int_matrices = {order: int_matrix(m) for order, m in self.matrices.items()}
         self.f = tuple(Fraction(x) for x in f)
         self.w_scalars = dict(w_scalars) if w_scalars else {}
-        self.seed = seed
 
     @classmethod
     def random(cls, dim: int, max_order: int, seed: int) -> MatrixAssignment:
@@ -230,7 +228,7 @@ class MatrixAssignment:
             matrices[order] = sym
         f = tuple(entry() for _ in range(dim))
         w_scalars = {a: entry() for a in range(1, max_order + 1)}
-        return cls(matrices, f, w_scalars, seed=seed)
+        return cls(matrices, f, w_scalars)
 
     @property
     def dim(self) -> int:
@@ -374,7 +372,9 @@ def _apply_words(backend: MatrixAssignment, terms, f) -> Vector:
     Each word is applied with integer ``mat_vec`` steps on the integer
     numerator matrices, under one running denominator per word; the words
     are summed over the lcm of their denominators, and the result has one
-    Fraction per entry.  Shares only ``mat_vec`` with ``m_apply``, which the
+    Fraction per entry.  This is the package's one word evaluator: the
+    suites' operator-matrix symmetry check runs it on the standard basis
+    vectors.  Shares only ``mat_vec`` with ``m_apply``, which the
     R-iteration uses.
     """
     ints = backend._int_matrices

@@ -7,9 +7,10 @@ zero coefficients are never stored.  ``TermMap`` is that sparse map with its
 sums and scalar multiples; ``NCPoly`` adds the word product, and
 ``juhl_core.QExpansion`` keys the same map by Q-terms.
 
-The module also carries a small kit of exact rational matrix helpers so a
-polynomial can be evaluated in a matrix assignment (words become matrix
-products, the empty word becomes the identity matrix).
+The matrix helpers at the end (``int_matrix``, ``mat_vec``,
+``mat_transpose``, ``mat_is_symmetric``) are the ones ``backends`` needs:
+there a polynomial is evaluated in a matrix backend by applying each word to
+a vector (``backends.evaluate_P``), never by forming matrix products.
 """
 
 from __future__ import annotations
@@ -27,23 +28,13 @@ __all__ = [
     "Word",
     "Matrix",
     "Vector",
-    "UnboundGeneratorError",
     "TermMap",
     "NCPoly",
-    "nc_eval_matrices",
     "int_matrix",
-    "mat_identity",
-    "mat_add",
-    "mat_scale",
-    "mat_mul",
     "mat_vec",
     "mat_transpose",
     "mat_is_symmetric",
 ]
-
-
-class UnboundGeneratorError(KeyError):
-    """A generator appearing in a polynomial has no assigned matrix."""
 
 
 def _check_word(word) -> Word:
@@ -191,29 +182,6 @@ class NCPoly(TermMap):
         return "NCPoly(" + " + ".join(parts) + ")"
 
 
-def mat_identity(d: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(d)) for i in range(d)
-    )
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(b) != len(a[0]):
-        raise ValueError("matrix dimension mismatch")
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     if len(v) != len(a[0]):
         raise ValueError("matrix dimension mismatch")
@@ -230,54 +198,8 @@ def mat_is_symmetric(a: Matrix) -> bool:
     return a == mat_transpose(a)
 
 
-def _check_square(m, dim: int | None) -> int:
-    rows = len(m)
-    if rows == 0 or any(len(row) != rows for row in m):
-        raise ValueError("matrices must be square")
-    if dim is not None and rows != dim:
-        raise ValueError(f"matrix dimension mismatch: {rows} != {dim}")
-    return rows
-
-
 def int_matrix(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """``a`` as ``(numerators, den)``: an integer matrix over the lcm of the
     entry denominators, so that ``a[i][j] == numerators[i][j] / den``."""
     den = math.lcm(*[x.denominator for row in a for x in row])
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a), den
-
-
-def nc_eval_matrices(p: NCPoly, assign: dict[int, Matrix], dim: int | None = None) -> Matrix:
-    """Evaluate ``p`` by substituting the assigned matrix for each generator.
-
-    Word concatenation becomes matrix product and the empty word becomes the
-    identity matrix.  Each word is a product of integer numerator matrices
-    (see ``int_matrix``), scaled once into an integer accumulator over the
-    lcm of the word denominators; the result has one Fraction per entry.
-    Raises ``UnboundGeneratorError`` for a generator of ``p`` without an
-    assignment and ``ValueError`` on dimension mismatch.
-    """
-    d = dim
-    for m in assign.values():
-        d = _check_square(m, d)
-    if d is None:
-        raise ValueError("dimension cannot be inferred from an empty assignment")
-    ints = {g: int_matrix(m) for g, m in assign.items()}
-    eye = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    acc = [[0] * d for _ in range(d)]
-    acc_den = 1
-    for word, coeff in p.items():
-        prod, den = eye, coeff.denominator
-        for g in word:
-            if g not in ints:
-                raise UnboundGeneratorError(g)
-            num, gden = ints[g]
-            prod = mat_mul(prod, num)
-            den *= gden
-        lcm = math.lcm(acc_den, den)
-        old_scale, new_scale = lcm // acc_den, lcm // den * coeff.numerator
-        acc = [
-            [x * old_scale + y * new_scale for x, y in zip(acc_row, row)]
-            for acc_row, row in zip(acc, prod)
-        ]
-        acc_den = lcm
-    return tuple(tuple(Fraction(x, acc_den) for x in row) for row in acc)

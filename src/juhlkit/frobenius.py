@@ -76,9 +76,6 @@ class ScalarSeries:
         """The actual y^j coefficient, u_j / (j!)^2."""
         return Fraction(self.normalized[j], factorial(j) ** 2)
 
-    def as_y_coeffs(self) -> list[Fraction]:
-        return [self.y_coeff(j) for j in range(self.cap + 1)]
-
     def degree(self) -> int:
         """Largest j with a nonzero coefficient, or -1 for the zero series."""
         for j in range(self.cap, -1, -1):

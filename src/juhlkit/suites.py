@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import backends, exact_core, frobenius, juhl_core, nc_series
-from .free_algebra import NCPoly, mat_is_symmetric, nc_eval_matrices
+from .free_algebra import NCPoly, mat_is_symmetric
 
 SUITE_NAMES = ("combinatorial", "inversion", "krattenthaler", "frobenius", "backends")
 
@@ -259,18 +259,9 @@ def _ck_frob_ctable(n: int) -> str | None:
     return None
 
 
-def _increasing_sequences(n: int) -> list[tuple[int, ...]]:
-    from itertools import combinations
-
-    out = []
-    for r in range(0, n):
-        for mids in combinations(range(1, n), r):
-            out.append((*mids, n))
-    return out
-
-
 def _ck_frob_recusolve(n: int) -> str | None:
-    for seq in _increasing_sequences(n):
+    for comp in exact_core.compositions_of(n):
+        seq = exact_core.partial_sums(comp)
         report = frobenius.verify_recusolve(seq)
         if not report.passed:
             return (
@@ -312,6 +303,7 @@ def suite_frobenius(max_order: int) -> list[Instance]:
 def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
     backend = backends.MatrixAssignment.random(dim, nmax, seed)
     f = backend.base_value()
+    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     for n in range(1, nmax + 1):
         expansion = juhl_core.expand_P_explicit(n)
         direct = backends.oracle_P(backend, n, f)
@@ -322,8 +314,9 @@ def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
         q_closed = backends.evaluate_Q(juhl_core.expand_Q_explicit(n), backend)
         if q_direct != q_closed:
             return f"seed={seed}, N={n}: oracle_Q {q_direct} != evaluated expansion {q_closed}"
-        matrix = nc_eval_matrices(expansion, backend.matrices, dim)
-        if not mat_is_symmetric(matrix):
+        # the images of the basis vectors are the operator matrix's columns
+        columns = tuple(backends.evaluate_P(expansion, backend, e) for e in basis)
+        if not mat_is_symmetric(columns):
             return f"seed={seed}, N={n}: evaluated operator matrix is not symmetric"
         for a in range(1, n + 1):
             direct = backends.oracle_P_partial(backend, n, a, f)

@@ -26,7 +26,7 @@ from juhlkit.backends import (
     verify_dv_identity,
 )
 from juhlkit.exact_core import compositions_of, factorial, n_coeff
-from juhlkit.free_algebra import NCPoly, mat_is_symmetric, mat_vec, nc_eval_matrices
+from juhlkit.free_algebra import NCPoly, mat_is_symmetric, mat_vec
 from juhlkit.juhl_core import QExpansion, expand_P_explicit, expand_Q_explicit
 
 
@@ -147,10 +147,12 @@ def test_matrix_cross_paths(seed):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_evaluated_operator_matrices_symmetric(seed):
+    # the images of the standard basis vectors are the operator's columns
     backend = MatrixAssignment.random(4, 5, seed=seed)
+    basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     for n in range(1, 6):
-        matrix = nc_eval_matrices(expand_P_explicit(n), backend.matrices, 4)
-        assert mat_is_symmetric(matrix)
+        columns = tuple(evaluate_P(expand_P_explicit(n), backend, e) for e in basis)
+        assert mat_is_symmetric(columns)
 
 
 def test_partial_iteration_closed_form():
@@ -354,6 +356,22 @@ def test_evaluate_kernel_matches_naive_fraction_chain(case, p_terms, q_terms):
         d,
     )
     assert evaluate_Q(q, backend) == want_q
+
+
+polys = st.dictionaries(small_words, term_coeffs, max_size=4).map(NCPoly)
+
+
+@given(p=polys, q=polys, seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_evaluate_P_is_ring_homomorphism(p, q, seed):
+    # words act as operator compositions, rightmost factor first
+    backend = MatrixAssignment.random(3, 3, seed)
+    f = backend.f
+    assert evaluate_P(NCPoly.one(), backend, f) == f
+    assert evaluate_P(p * q, backend, f) == evaluate_P(p, backend, evaluate_P(q, backend, f))
+    assert evaluate_P(p + q, backend, f) == tuple(
+        x + y for x, y in zip(evaluate_P(p, backend, f), evaluate_P(q, backend, f))
+    )
 
 
 def test_einstein_backend_is_a_one_by_one_matrix_backend():

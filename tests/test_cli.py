@@ -156,6 +156,28 @@ def test_bare_verify_runs_every_suite(capsys, monkeypatch):
     assert out.endswith("verify: all suites passed\n")
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("abc", "JUHL_MAX_ORDER must be an integer, got 'abc'"),
+        ("0", "JUHL_MAX_ORDER must be >= 1, got 0"),
+        ("-3", "JUHL_MAX_ORDER must be >= 1, got -3"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv", [["verify", "inversion"], ["einstein", "--dim", "4", "--c", "1/2"]]
+)
+def test_bad_env_max_order_exits_two(capsys, monkeypatch, raw, message, argv):
+    # both commands read JUHL_MAX_ORDER when --max-order is not given
+    monkeypatch.setenv("JUHL_MAX_ORDER", raw)
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(message)
+
+
 def _readme_cli_examples():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

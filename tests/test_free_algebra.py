@@ -1,4 +1,5 @@
-"""Noncommutative polynomial arithmetic and matrix evaluation."""
+"""Noncommutative polynomial arithmetic, and its evaluation in matrices
+(``backends.evaluate_P`` on the standard basis vectors)."""
 
 import random
 from fractions import Fraction
@@ -6,14 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from juhlkit.free_algebra import (
-    NCPoly,
-    UnboundGeneratorError,
-    mat_identity,
-    mat_is_symmetric,
-    mat_scale,
-    nc_eval_matrices,
-)
+from juhlkit.backends import MatrixAssignment, UnboundOrderError, evaluate_P
+from juhlkit.free_algebra import NCPoly, mat_is_symmetric
 from juhlkit.juhl_core import QExpansion
 
 words = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=3).map(tuple)
@@ -104,80 +99,79 @@ def _random_symmetric(rng, d):
     return tuple(tuple((raw[i][j] + raw[j][i]) / 2 for j in range(d)) for i in range(d))
 
 
-def _naive_mat_mul(a, b):
+def _naive_product(a, b):
     d = len(a)
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)) for i in range(d)
     )
 
 
+def _identity(d):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
+
+
+def _eval_matrix(p, assign, d):
+    # evaluate_P on the standard basis vectors gives the columns; the
+    # matrix is their transpose
+    backend = MatrixAssignment(assign, (0,) * d)
+    columns = [evaluate_P(p, backend, tuple(int(i == j) for j in range(d))) for i in range(d)]
+    return tuple(zip(*columns))
+
+
 def test_eval_single_generator_returns_its_matrix():
     rng = random.Random(7)
     a = _random_symmetric(rng, 3)
-    assert nc_eval_matrices(NCPoly.from_word((1,)), {1: a}) == a
+    assert _eval_matrix(NCPoly.from_word((1,)), {1: a}, 3) == a
 
 
 def test_eval_word_is_matrix_product_against_naive_oracle():
     rng = random.Random(11)
     a = _random_symmetric(rng, 3)
     b = _random_symmetric(rng, 3)
-    got = nc_eval_matrices(NCPoly.from_word((1, 2)), {1: a, 2: b})
-    assert got == _naive_mat_mul(a, b)
+    got = _eval_matrix(NCPoly.from_word((1, 2)), {1: a, 2: b}, 3)
+    assert got == _naive_product(a, b)
 
 
 def test_eval_identity_assignment_sums_coefficients():
     p = NCPoly({(): 2, (1,): Fraction(1, 3), (1, 2): 1})
-    eye = mat_identity(3)
+    eye = _identity(3)
     total = Fraction(2) + Fraction(1, 3) + 1
-    assert nc_eval_matrices(p, {1: eye, 2: eye}) == mat_scale(total, eye)
-
-
-def test_eval_is_ring_homomorphism():
-    rng = random.Random(23)
-    assign = {g: _random_symmetric(rng, 3) for g in (1, 2, 3)}
-    for _ in range(10):
-        p = NCPoly(
-            {tuple(rng.choices((1, 2, 3), k=rng.randint(0, 3))): Fraction(rng.randint(-3, 3))}
-        )
-        q = NCPoly(
-            {tuple(rng.choices((1, 2, 3), k=rng.randint(0, 3))): Fraction(rng.randint(-3, 3))}
-        )
-        ev = lambda poly: nc_eval_matrices(poly, assign)
-        assert ev(p * q) == _naive_mat_mul(ev(p), ev(q))
-        assert ev(p + q) == tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(ev(p), ev(q))
-        )
+    f = (Fraction(1), Fraction(-1, 2), Fraction(0))
+    assert evaluate_P(p, MatrixAssignment({1: eye, 2: eye}, f), f) == tuple(total * x for x in f)
 
 
 def test_eval_missing_generator_raises():
-    with pytest.raises(UnboundGeneratorError):
-        nc_eval_matrices(NCPoly.from_word((2,)), {1: mat_identity(2)})
+    backend = MatrixAssignment({1: _identity(2)}, (1, 0))
+    with pytest.raises(UnboundOrderError):
+        evaluate_P(NCPoly.from_word((2,)), backend, backend.f)
 
 
 def test_eval_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        nc_eval_matrices(
-            NCPoly.from_word((1, 2)), {1: mat_identity(2), 2: mat_identity(3)}
-        )
+        MatrixAssignment({1: _identity(2), 2: _identity(3)}, (1, 0))
 
 
 def test_eval_needs_dimension_for_empty_assignment():
-    with pytest.raises(ValueError):
-        nc_eval_matrices(NCPoly.one(), {})
-    assert nc_eval_matrices(NCPoly.one(), {}, dim=2) == mat_identity(2)
+    # with no matrices the test vector fixes the dimension
+    f = (Fraction(1, 2), Fraction(-3))
+    backend = MatrixAssignment({}, f)
+    assert backend.dim == 2
+    assert evaluate_P(NCPoly.one(), backend, f) == f
+    assert _eval_matrix(NCPoly.one(), {}, 2) == _identity(2)
 
 
 def test_symmetric_helper():
-    assert mat_is_symmetric(mat_identity(3))
+    assert mat_is_symmetric(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert mat_is_symmetric(((Fraction(1, 2), -3), (-3, Fraction(7, 5))))
     assert not mat_is_symmetric(((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))))
 
 
 def _naive_eval(p, assign, d):
     acc = tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
     for word, coeff in p.items():
-        prod = mat_identity(d)
+        prod = _identity(d)
         for g in word:
-            prod = _naive_mat_mul(prod, assign[g])
+            prod = _naive_product(prod, assign[g])
         acc = tuple(
             tuple(x + coeff * y for x, y in zip(ra, rb)) for ra, rb in zip(acc, prod)
         )
@@ -190,18 +184,17 @@ def test_eval_matches_naive_fraction_path(entry_kind):
     d = 3
     for _ in range(20):
         if entry_kind == "mixed":
-            assign = {
-                g: tuple(
-                    tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 12)) for _ in range(d))
-                    for _ in range(d)
-                )
+            raw = {
+                g: [[Fraction(rng.randint(-7, 7), rng.randint(1, 12)) for _ in range(d)] for _ in range(d)]
                 for g in (1, 2, 3)
             }
         else:
-            assign = {
-                g: tuple(tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d))
-                for g in (1, 2, 3)
-            }
+            raw = {g: [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)] for g in (1, 2, 3)}
+        # the backend takes symmetric matrices; A + A^T keeps int entries int
+        assign = {
+            g: tuple(tuple(m[i][j] + m[j][i] for j in range(d)) for i in range(d))
+            for g, m in raw.items()
+        }
         p = NCPoly(
             {
                 tuple(rng.choices((1, 2, 3), k=rng.randint(0, 4))): Fraction(
@@ -210,4 +203,4 @@ def test_eval_matches_naive_fraction_path(entry_kind):
                 for _ in range(rng.randint(0, 5))
             }
         )
-        assert nc_eval_matrices(p, assign) == _naive_eval(p, assign, d)
+        assert _eval_matrix(p, assign, d) == _naive_eval(p, assign, d)

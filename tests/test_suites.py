@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from juhlkit import frobenius, suites
+from juhlkit import exact_core, frobenius, suites
 
 
 @pytest.mark.parametrize("name", suites.SUITE_NAMES)
@@ -27,8 +27,9 @@ def test_generating_chain_check_builds_each_chain_once(monkeypatch):
     monkeypatch.setattr(frobenius, "compute_F", counting)
     n = 6
     assert suites._ck_frob_recusolve(n) is None
-    sequences = suites._increasing_sequences(n)
+    sequences = [exact_core.partial_sums(c) for c in exact_core.compositions_of(n)]
     assert len(sequences) == 2 ** (n - 1)
+    assert len(set(sequences)) == len(sequences)
     assert sorted(calls) == sorted(sequences)
 
 
