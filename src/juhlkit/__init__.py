@@ -23,7 +23,6 @@ from .free_algebra import NCPoly, Word
 from .nc_series import NCSeries, apply_L, iterate_L_full, iterate_L_partial, x_series
 from .frobenius import (
     RecusolveReport,
-    ScalarSeries,
     apply_Dm,
     c_table,
     compute_F,
@@ -51,7 +50,6 @@ from .backends import (
     EinsteinBackend,
     EinsteinModel,
     MatrixAssignment,
-    RhoPoly,
     UnboundOrderError,
     apply_R,
     einstein_invariants,

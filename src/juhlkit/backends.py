@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import check_positive_int, factorial
+from .exact_core import check_int_range, check_positive_int, factorial
 from .free_algebra import (
     Matrix,
     NCPoly,
@@ -50,7 +50,6 @@ __all__ = [
     "EinsteinModel",
     "EinsteinBackend",
     "MatrixAssignment",
-    "RhoPoly",
     "general_binomial",
     "einstein_invariants",
     "apply_R",
@@ -252,9 +251,6 @@ class MatrixAssignment:
     def zero_value(self) -> Vector:
         return (Fraction(0),) * self.dim
 
-    def base_value(self) -> Vector:
-        return self.f
-
 
 class EinsteinBackend(MatrixAssignment):
     """The Einstein family as a 1x1 matrix backend: M_{2N} is the matrix
@@ -271,54 +267,39 @@ class EinsteinBackend(MatrixAssignment):
 # the R-iteration
 
 
-class RhoPoly:
-    """Truncated polynomial in rho whose coefficients are backend values.
+def apply_R(k: int, lanes: list, backend) -> list:
+    """Apply R_k = -2*rho*d2 + 2k*d + Mtilde(rho) to the rho-polynomial u
+    whose coefficients u_0..u_cap, backend values, are the list ``lanes``.
 
-    ``apply_R`` returns the lanes 0..cap-1, the ones its input determines
-    exactly, so every stored lane is exact.
+    Returns a list one lane shorter: the lanes 0..cap-1, the ones the input
+    determines exactly.  Coefficient i of the result is
+    2(i+1)(k-i)*u_{i+1} plus the Mtilde part
+    sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}.  Raises UnboundOrderError if
+    a needed building block is missing from the backend.
     """
-
-    __slots__ = ("coeffs", "cap")
-
-    def __init__(self, coeffs: list, cap: int):
-        if cap < 0:
-            raise ValueError(f"cap must be >= 0, got {cap}")
-        if len(coeffs) != cap + 1:
-            raise ValueError("coefficient list must have length cap + 1")
-        self.coeffs = list(coeffs)
-        self.cap = cap
-
-
-def apply_R(k: int, u: RhoPoly, backend) -> RhoPoly:
-    """Apply R_k = -2*rho*d2 + 2k*d + Mtilde(rho) to a rho-polynomial.
-
-    Coefficient i of the result, for i in 0..u.cap-1, is 2(i+1)(k-i)*u_{i+1}
-    plus the Mtilde part sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}.  Raises
-    UnboundOrderError if a needed building block is missing from the backend.
-    """
-    weights = [Fraction((-1) ** e, factorial(e) ** 2 * 2**e) for e in range(u.cap)]
+    cap = len(lanes) - 1
+    weights = [Fraction((-1) ** e, factorial(e) ** 2 * 2**e) for e in range(cap)]
     out = []
-    for i in range(u.cap):
+    for i in range(cap):
         factor = 2 * (i + 1) * (k - i)
-        acc = [factor * x for x in u.coeffs[i + 1]]
+        acc = [factor * x for x in lanes[i + 1]]
         for e in range(i + 1):
-            low = u.coeffs[i - e]
+            low = lanes[i - e]
             if any(low):
                 weight = weights[e]
                 acc = [x + weight * y for x, y in zip(acc, backend.m_apply(e + 1, low))]
         out.append(tuple(acc))
-    return RhoPoly(out, u.cap - 1)
+    return out
 
 
-def _iterate_R(backend, ks: range, coeffs: list):
-    """rho=0 value of R_{ks[-1]} ... R_{ks[0]} applied to the lanes
-    ``coeffs``, whose window is one lane wider than the number of factors."""
-    u = RhoPoly(coeffs, len(ks))
+def _iterate_R(backend, ks: range, lanes: list):
+    """rho=0 value of R_{ks[-1]} ... R_{ks[0]} applied to ``lanes``, which
+    is one lane longer than the number of factors."""
     for k in ks:
-        u = apply_R(k, u, backend)
-    if u.cap != 0:
-        raise RuntimeError(f"expected a one-lane window after the iteration, got cap {u.cap}")
-    return u.coeffs[0]
+        lanes = apply_R(k, lanes, backend)
+    if len(lanes) != 1:
+        raise RuntimeError(f"expected a one-lane window after the iteration, got {len(lanes)} lanes")
+    return lanes[0]
 
 
 def oracle_P(backend, n: int, f):
@@ -338,27 +319,25 @@ def oracle_P_partial(backend, n: int, a: int, f):
     the rho-side counterpart of the s-variable partial iteration.
     """
     check_positive_int(n, "N must be a positive integer")
-    if not 1 <= a <= n:
-        raise ValueError(f"a must lie in 1..N, got {a!r}")
-    coeffs = [backend.zero_value()] * n
-    coeffs[a - 1] = f
-    return _iterate_R(backend, range(n - 3, -n, -2), coeffs)
+    check_int_range(a, 1, n, "a must lie in 1..N")
+    lanes = [backend.zero_value()] * n
+    lanes[a - 1] = f
+    return _iterate_R(backend, range(n - 3, -n, -2), lanes)
 
 
 def oracle_Q(backend, n: int):
     """(-1)^N Q_{2N} as -2 times the rho=0 value of R_{1-N}...R_{N-3}(w').
 
     Here w' = sum_a a(-2)^a W_{2a} rho^(a-1) is built from the backend's
-    W-scalars (applied to the backend's base value).  Agrees exactly with
-    the explicit Q-expansion evaluated in the backend.
+    W-scalars (applied to the backend's test vector f).  Agrees exactly
+    with the explicit Q-expansion evaluated in the backend.
     """
     check_positive_int(n, "N must be a positive integer")
-    f = backend.base_value()
-    coeffs = []
+    lanes = []
     for a in range(1, n + 1):
         scale = a * (-2) ** a * backend.w_scalar(a)
-        coeffs.append(tuple([scale * x for x in f]))
-    return tuple([-2 * x for x in _iterate_R(backend, range(n - 3, -n, -2), coeffs)])
+        lanes.append(tuple([scale * x for x in backend.f]))
+    return tuple([-2 * x for x in _iterate_R(backend, range(n - 3, -n, -2), lanes)])
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +383,10 @@ def evaluate_P(expansion: NCPoly, backend: MatrixAssignment, f) -> Vector:
 
 def evaluate_Q(expansion: QExpansion, backend: MatrixAssignment) -> Vector:
     """Evaluate a Q-expansion: each (I, a) term is M_{2I} applied to
-    W_{2a} times the backend's base value, W_{2a} folded into the term's
+    W_{2a} times the backend's test vector f, W_{2a} folded into the term's
     coefficient."""
     terms = [(word, coeff * backend.w_scalar(a)) for (word, a), coeff in expansion.items()]
-    return _apply_words(backend, terms, backend.base_value())
+    return _apply_words(backend, terms, backend.f)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ __all__ = [
     "Composition",
     "factorial",
     "check_positive_int",
+    "check_int_range",
     "check_composition",
     "compositions_of",
     "partial_sums",
@@ -42,6 +43,14 @@ def check_positive_int(value, message: str) -> int:
     """``value`` if it is a positive ``int`` (a ``bool`` is not), else a
     ValueError reading ``message``, then ", got" and the value's repr."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{message}, got {value!r}")
+    return value
+
+
+def check_int_range(value, lo: int, hi: int, message: str) -> int:
+    """``value`` if it is an ``int`` (a ``bool`` is not) in lo..hi, else a
+    ValueError reading ``message``, then ", got" and the value's repr."""
+    if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
         raise ValueError(f"{message}, got {value!r}")
     return value
 

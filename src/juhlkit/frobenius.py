@@ -6,17 +6,18 @@ at their regular singular point, the generating-function chain F_0..F_r
 attached to an increasing sequence m_1 < ... < m_r = N, and the integer
 coefficient table c_{j,l} that the chain encodes.
 
-Series are stored in normalized form: the stored entry u_j is (j!)^2 times
-the y^j coefficient, which keeps the defining recursion
+A series truncated at y^cap is the plain list u_0..u_cap of its normalized
+entries, ``int`` or ``Fraction``: u_j is (j!)^2 times the y^j coefficient,
+which keeps the defining recursion
 
     u_{j+1} = -(m-j)(N-m-j) u_j + f_j
 
-integer-preserving for integer data.  ``int`` entries are stored as
-``int`` (anything else becomes a ``Fraction``), so the chain built from
-integer data (``compute_F``, ``jacobi_P``, ``jacobi_Q``) runs on integers.
-The actual y^j coefficients, Fractions, are recovered at presentation time.
-``apply_Dm`` works on the actual y-coefficients, scaled by (cap!)^2 so that
-they stay integral.
+integer-preserving, so the chain built from integer data (``compute_F``,
+``jacobi_P``, ``jacobi_Q``) runs on ``int`` entries.  Two series are equal
+when their lists are; every series here is truncated at N + CAP_PAD.
+``y_coeff`` recovers the actual y^j coefficients, Fractions, at
+presentation time.  ``apply_Dm`` works on the actual y-coefficients, scaled
+by (cap!)^2 so that they stay integral.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import check_positive_int, factorial
+from .exact_core import check_int_range, check_positive_int, factorial
 
 CAP_PAD = 2  # every series in this module is truncated at N + CAP_PAD
 
 __all__ = [
-    "ScalarSeries",
+    "y_coeff",
+    "degree",
     "check_msequence",
     "solve_Dm",
     "apply_Dm",
@@ -42,57 +44,17 @@ __all__ = [
 ]
 
 
-def _exact(v):
-    """``v`` itself if it is an ``int`` or a ``Fraction``, else ``Fraction(v)``."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+def y_coeff(u: list, j: int) -> Fraction:
+    """The actual y^j coefficient of the series ``u``, u_j / (j!)^2."""
+    return Fraction(u[j], factorial(j) ** 2)
 
 
-class ScalarSeries:
-    """Truncated power series in y over the rationals, in normalized storage."""
-
-    __slots__ = ("normalized", "cap")
-
-    def __init__(self, normalized, cap: int | None = None):
-        vals = [_exact(v) for v in normalized]
-        if cap is None:
-            cap = len(vals) - 1
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        vals += [0] * (cap + 1 - len(vals))
-        if len(vals) != cap + 1:
-            raise ValueError("more coefficients than cap + 1")
-        self.normalized = vals
-        self.cap = cap
-
-    @classmethod
-    def zero(cls, cap: int) -> ScalarSeries:
-        return cls([], cap)
-
-    @classmethod
-    def constant(cls, value, cap: int) -> ScalarSeries:
-        return cls([value], cap)
-
-    def y_coeff(self, j: int) -> Fraction:
-        """The actual y^j coefficient, u_j / (j!)^2."""
-        return Fraction(self.normalized[j], factorial(j) ** 2)
-
-    def degree(self) -> int:
-        """Largest j with a nonzero coefficient, or -1 for the zero series."""
-        for j in range(self.cap, -1, -1):
-            if self.normalized[j]:
-                return j
-        return -1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScalarSeries):
-            return NotImplemented
-        n = max(self.cap, other.cap) + 1
-        pad_a = self.normalized + [0] * (n - len(self.normalized))
-        pad_b = other.normalized + [0] * (n - len(other.normalized))
-        return pad_a == pad_b
-
-    def __repr__(self) -> str:
-        return f"ScalarSeries({self.normalized!r})"
+def degree(u: list) -> int:
+    """Largest j with a nonzero entry of ``u``, or -1 for the zero series."""
+    for j in range(len(u) - 1, -1, -1):
+        if u[j]:
+            return j
+    return -1
 
 
 def check_msequence(entries) -> tuple[int, ...]:
@@ -107,20 +69,20 @@ def check_msequence(entries) -> tuple[int, ...]:
     return seq
 
 
-def solve_Dm(m: int, big_n: int, f: ScalarSeries, u0) -> ScalarSeries:
-    """The unique series u with D_m u = f and u(0) = u0.
+def solve_Dm(m: int, big_n: int, f: list, u0) -> list:
+    """The unique series u with D_m u = f and u(0) = u0, truncated where
+    ``f`` is.
 
     Computed by the normalized-coefficient recursion
     u_{j+1} = -(m-j)(N-m-j) u_j + f_j.
     """
-    cap = f.cap
-    u = [_exact(u0)]
-    for j in range(cap):
-        u.append(-(m - j) * (big_n - m - j) * u[j] + f.normalized[j])
-    return ScalarSeries(u, cap)
+    u = [u0]
+    for j in range(len(f) - 1):
+        u.append(-(m - j) * (big_n - m - j) * u[j] + f[j])
+    return u
 
 
-def apply_Dm(m: int, big_n: int, u: ScalarSeries) -> ScalarSeries:
+def apply_Dm(m: int, big_n: int, u: list) -> list:
     """Apply D_m directly, term by term, on actual y-coefficients.
 
     The y-coefficients a_i = u_i / (i!)^2 enter scaled by (cap!)^2, as
@@ -129,9 +91,9 @@ def apply_Dm(m: int, big_n: int, u: ScalarSeries) -> ScalarSeries:
     ``solve_Dm``; exact whenever ``u`` is a polynomial of degree < cap (true
     up-cap coefficients are zero).
     """
-    cap = u.cap
+    cap = len(u) - 1
     top = factorial(cap)
-    a = [v * (top // factorial(i)) ** 2 for i, v in enumerate(u.normalized)]
+    a = [v * (top // factorial(i)) ** 2 for i, v in enumerate(u)]
     a_pad = a + [0, 0]
     upp = [(i + 2) * (i + 1) * a_pad[i + 2] for i in range(cap + 1)]
     up = [(i + 1) * a_pad[i + 1] for i in range(cap + 1)]
@@ -147,45 +109,48 @@ def apply_Dm(m: int, big_n: int, u: ScalarSeries) -> ScalarSeries:
         num, den = term * factorial(i) ** 2, top * top
         q, rem = divmod(num, den)
         out.append(Fraction(num, den) if rem else q)  # an exact quotient stays an int
-    return ScalarSeries(out, cap)
+    return out
 
 
-def jacobi_P(m: int, big_n: int) -> ScalarSeries:
+def _check_m(m, big_n) -> None:
+    check_positive_int(big_n, "N must be a positive integer")
+    check_int_range(m, 0, big_n, "m must lie in 0..N")
+
+
+def jacobi_P(m: int, big_n: int) -> list:
     """The kernel solution: D_m P = 0, P(0) = 1.
 
     A polynomial of degree exactly min(m, N-m); up to normalization these
     are Jacobi polynomials.
     """
-    if not 0 <= m <= big_n:
-        raise ValueError(f"m must lie in 0..N, got {m}")
-    sol = solve_Dm(m, big_n, ScalarSeries.zero(big_n + CAP_PAD), 1)
+    _check_m(m, big_n)
+    sol = solve_Dm(m, big_n, [0] * (big_n + CAP_PAD + 1), 1)
     want = min(m, big_n - m)
-    if sol.degree() != want:
-        raise AssertionError(f"kernel solution degree {sol.degree()} != {want}")
+    if degree(sol) != want:
+        raise AssertionError(f"kernel solution degree {degree(sol)} != {want}")
     return sol
 
 
-def jacobi_Q(m: int, big_n: int) -> ScalarSeries:
+def jacobi_Q(m: int, big_n: int) -> list:
     """The particular solution: D_m Q = P_m, Q(0) = 0, for m != N/2.
 
     A polynomial of degree <= max(m, N-m); at m = N/2 no polynomial solution
     exists and a ValueError is raised.
     """
-    if not 0 <= m <= big_n:
-        raise ValueError(f"m must lie in 0..N, got {m}")
+    _check_m(m, big_n)
     if 2 * m == big_n:
         raise ValueError(f"singular case m = N/2 (m={m}, N={big_n})")
     sol = solve_Dm(m, big_n, jacobi_P(m, big_n), 0)
-    if sol.degree() > max(m, big_n - m):
-        raise AssertionError(f"particular solution degree {sol.degree()} too large")
+    if degree(sol) > max(m, big_n - m):
+        raise AssertionError(f"particular solution degree {degree(sol)} too large")
     return sol
 
 
-def compute_F(seq) -> list[ScalarSeries]:
+def compute_F(seq) -> list[list]:
     """The chain F_0 = 1, D_{m_l} F_l = F_{l-1}, F_l(0) = 0, as F_0..F_r."""
     mseq = check_msequence(seq)
     big_n = mseq[-1]
-    chain = [ScalarSeries.constant(1, big_n + CAP_PAD)]
+    chain = [[1] + [0] * (big_n + CAP_PAD)]
     for m in mseq:
         chain.append(solve_Dm(m, big_n, chain[-1], 0))
     return chain
@@ -224,7 +189,7 @@ class RecusolveReport:
     expected_top: Fraction
     observed_degrees: tuple[int, ...]
     passed: bool
-    chain: list[ScalarSeries]
+    chain: list[list]
 
 
 def verify_recusolve(seq) -> RecusolveReport:
@@ -241,8 +206,8 @@ def verify_recusolve(seq) -> RecusolveReport:
     for m in mseq[:-1]:
         denom *= m * (big_n - m)
     expected = Fraction(1, denom)
-    top = chain[-1].y_coeff(big_n)
-    degrees = tuple(f.degree() for f in chain)
+    top = y_coeff(chain[-1], big_n)
+    degrees = tuple(degree(f) for f in chain)
     passed = degrees[-1] == big_n and top == expected
     return RecusolveReport(
         seq=mseq,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_core import check_positive_int
+from .exact_core import check_int_range, check_positive_int
 from .free_algebra import NCPoly
 
 __all__ = ["NCSeries", "x_series", "apply_L", "iterate_L_full", "iterate_L_partial"]
@@ -133,8 +133,7 @@ def iterate_L_partial(n: int, a: int) -> NCPoly:
     degenerates to nbar_{(N)} = (N-1)!^2 times the empty word.
     """
     check_positive_int(n, "N must be a positive integer")
-    if not isinstance(a, int) or isinstance(a, bool) or not 1 <= a <= n:
-        raise ValueError(f"a must lie in 1..N, got {a!r}")
+    check_int_range(a, 1, n, "a must lie in 1..N")
     u = NCSeries.monomial(a - 1, n - 1)
     for k in range(n - 3, -n, -2):
         u = apply_L(k, u)

@@ -15,7 +15,7 @@ import random
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -225,24 +225,24 @@ def suite_krattenthaler(max_order: int) -> list[Instance]:
 
 
 def _ck_frob_jacobi(n: int) -> str | None:
-    zero = frobenius.ScalarSeries.zero(n + frobenius.CAP_PAD)
+    zero = [0] * (n + frobenius.CAP_PAD + 1)
     for m in range(0, n + 1):
         p = frobenius.jacobi_P(m, n)
-        if p.degree() != min(m, n - m):
-            return f"N={n}, m={m}: deg P = {p.degree()} != {min(m, n - m)}"
+        if frobenius.degree(p) != min(m, n - m):
+            return f"N={n}, m={m}: deg P = {frobenius.degree(p)} != {min(m, n - m)}"
         if frobenius.apply_Dm(m, n, p) != zero:
             return f"N={n}, m={m}: D_m P_m != 0"
         if p != frobenius.jacobi_P(n - m, n):
             return f"N={n}, m={m}: P_m != P_(N-m)"
         if 2 * m != n:
             q = frobenius.jacobi_Q(m, n)
-            if q.degree() > max(m, n - m):
-                return f"N={n}, m={m}: deg Q = {q.degree()} > {max(m, n - m)}"
+            if frobenius.degree(q) > max(m, n - m):
+                return f"N={n}, m={m}: deg Q = {frobenius.degree(q)} > {max(m, n - m)}"
             if frobenius.apply_Dm(m, n, q) != p:
                 return f"N={n}, m={m}: D_m Q_m != P_m"
             if q != frobenius.jacobi_Q(n - m, n):
                 return f"N={n}, m={m}: Q_m != Q_(N-m)"
-    top = frobenius.jacobi_Q(0, n).y_coeff(n)
+    top = frobenius.y_coeff(frobenius.jacobi_Q(0, n), n)
     if top != Fraction(1, n * n):
         return f"N={n}: top coefficient of Q_0 = {top} != 1/N^2"
     return None
@@ -271,18 +271,19 @@ def _ck_frob_recusolve(n: int) -> str | None:
         chain = report.chain
         table = frobenius.c_table(seq, n)
         for l, m in enumerate(seq, start=1):
-            if frobenius.apply_Dm(m, n, chain[l]) != chain[l - 1]:
+            series = chain[l]
+            if frobenius.apply_Dm(m, n, series) != chain[l - 1]:
                 return f"seq={seq}: D_(m_{l}) F_{l} != F_{l - 1}"
-            if chain[l].degree() > m:
-                return f"seq={seq}: deg F_{l} = {chain[l].degree()} > m_l = {m}"
+            if frobenius.degree(series) > m:
+                return f"seq={seq}: deg F_{l} = {frobenius.degree(series)} > m_l = {m}"
             for j in range(n + 1):
-                if chain[l].normalized[j] != table[j][l]:
+                if series[j] != table[j][l]:
                     return (
-                        f"seq={seq}: (j!)^2 [y^{j}] F_{l} = {chain[l].normalized[j]}"
+                        f"seq={seq}: (j!)^2 [y^{j}] F_{l} = {series[j]}"
                         f" != c[{j}][{l}] = {table[j][l]}"
                     )
-            low = [j for j in range(chain[l].cap + 1) if chain[l].normalized[j]]
-            if not low or low[0] != l or chain[l].normalized[l] != 1:
+            low = [j for j, v in enumerate(series) if v]
+            if not low or low[0] != l or series[l] != 1:
                 return f"seq={seq}: lowest normalized coefficient of F_{l} is not y^{l} with value 1"
     return None
 
@@ -302,7 +303,7 @@ def suite_frobenius(max_order: int) -> list[Instance]:
 
 def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
     backend = backends.MatrixAssignment.random(dim, nmax, seed)
-    f = backend.base_value()
+    f = backend.f
     basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     for n in range(1, nmax + 1):
         expansion = juhl_core.expand_P_explicit(n)
@@ -436,14 +437,24 @@ def run_suites(
             if item not in ordered:
                 ordered.append(item)
     reports = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    try:
         for name in ordered:
             note, instances = build_suite(name, max_order, seed)
             start = time.perf_counter()
-            if pool is not None:
-                results = list(pool.map(_run_instance, instances, chunksize=8))
-            else:
+            if pool is None:
                 results = [_run_instance(item) for item in instances]
+            else:
+                results = []
+                try:
+                    for result in pool.map(_run_instance, instances, chunksize=8):
+                        results.append(result)
+                except BrokenProcessPool:
+                    # a worker died: every instance without a result fails,
+                    # and the next suite gets a new pool
+                    results += [(desc, "worker process died") for desc, _, _ in instances[len(results):]]
+                    pool.shutdown()
+                    pool = ProcessPoolExecutor(max_workers=jobs)
             failures = [SuiteFailure(desc, detail) for desc, detail in results if detail is not None]
             reports.append(
                 SuiteReport(
@@ -454,4 +465,7 @@ def run_suites(
                     wall_time=time.perf_counter() - start,
                 )
             )
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return reports

@@ -1,5 +1,6 @@
 """Backend oracles: direct operator iteration against the closed forms."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from juhlkit.backends import (
     EinsteinBackend,
     EinsteinModel,
     MatrixAssignment,
-    RhoPoly,
     UnboundOrderError,
     _ser_deriv,
     _ser_div,
@@ -78,19 +78,17 @@ def test_einstein_m_constants_match_rho_route():
 
 def test_apply_R_on_constant_flat_model_is_zero():
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 3)
-    u = RhoPoly([(Fraction(1),), (Fraction(0),), (Fraction(0),)], 2)
-    out = apply_R(5, u, backend)
-    assert out.cap == 1
-    assert out.coeffs == [(0,), (0,)]
+    out = apply_R(5, [(Fraction(1),), (Fraction(0),), (Fraction(0),)], backend)
+    assert out == [(0,), (0,)]
 
 
 def test_apply_R_linear_input_constant_term():
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 3)
-    u = RhoPoly([(Fraction(0),), (Fraction(1),), (Fraction(0),)], 2)
+    lanes = [(Fraction(0),), (Fraction(1),), (Fraction(0),)]
     for k in (-2, 0, 3):
-        out = apply_R(k, u, backend)
-        assert out.cap == 1
-        assert out.coeffs[0] == (2 * k,)
+        out = apply_R(k, lanes, backend)
+        assert len(out) == 2
+        assert out[0] == (2 * k,)
 
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -107,11 +105,10 @@ vectors = st.tuples(entries, entries)
 def test_apply_R_lanes_do_not_depend_on_padding(seed, k, lanes, padding):
     # every lane apply_R returns is exact: extra input lanes never reach it
     backend = MatrixAssignment.random(2, 8, seed=seed)
-    cap = len(lanes) - 1
-    short = apply_R(k, RhoPoly(lanes, cap), backend)
-    long = apply_R(k, RhoPoly(lanes + padding, cap + len(padding)), backend)
-    assert short.cap == cap - 1
-    assert short.coeffs == long.coeffs[:cap]
+    short = apply_R(k, lanes, backend)
+    long = apply_R(k, lanes + padding, backend)
+    assert len(short) == len(lanes) - 1
+    assert short == long[: len(short)]
 
 
 def test_oracle_P_single_step_is_M2():
@@ -169,6 +166,13 @@ def test_partial_iteration_closed_form():
                 )
                 expected = tuple(scale * x for x in evaluate_P(shifted, backend, f))
             assert oracle_P_partial(backend, n, a, f) == expected, (n, a)
+
+
+@pytest.mark.parametrize("a", [0, 4, 1.5, True])
+def test_oracle_P_partial_rejects_non_integer_or_out_of_range_a(a):
+    backend = MatrixAssignment.random(2, 3, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"a must lie in 1..N, got {a!r}")):
+        oracle_P_partial(backend, 3, a, backend.f)
 
 
 def test_oracle_Q_order_one_is_4W2():

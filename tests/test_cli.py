@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from juhlkit import cli
 from juhlkit import exact_core
+from juhlkit import suites
 
 
 def run_cli(capsys, argv):
@@ -278,17 +279,42 @@ def test_einstein_rational_inputs_first_row(dim, c):
     assert len(doc["rows"]) == 3
 
 
-def test_verify_jobs_flag_matches_serial_output(capsys):
-    _, serial, _ = run_cli(capsys, ["verify", "krattenthaler", "--max-order", "3"])
+@pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+def test_verify_jobs_flag_matches_serial_output(capsys, suite):
+    _, serial, _ = run_cli(capsys, ["verify", suite, "--max-order", "3"])
     _, parallel, _ = run_cli(
-        capsys, ["verify", "krattenthaler", "--max-order", "3", "--jobs", "2"]
+        capsys, ["verify", suite, "--max-order", "3", "--jobs", "2"]
     )
     assert serial == parallel
 
 
-def test_verify_jobs_uses_one_pool_for_all_suites(capsys, monkeypatch):
-    from juhlkit import suites
+def _worker_exits():
+    # module level, so a forked pool worker unpickles it by reference
+    os._exit(3)
 
+
+def test_verify_reports_a_dying_worker_as_failures(capsys, monkeypatch):
+    plain = suites.build_suite
+
+    def with_exiting_check(name, max_order, seed):
+        note, instances = plain(name, max_order, seed)
+        if name == "inversion":
+            instances = [*instances, ("worker exits", _worker_exits, ())]
+        return note, instances
+
+    monkeypatch.setattr(suites, "build_suite", with_exiting_check)
+    code, out, _ = run_cli(
+        capsys, ["verify", "inversion", "krattenthaler", "--max-order", "2", "--jobs", "2"]
+    )
+    assert code == 1
+    # the suite's one chunk got no result; the next suite runs in a new pool
+    assert "[FAIL] inversion (P N<=2, Q N<=2): 5 instances, 5 failures\n" in out
+    assert "  FAIL worker exits: worker process died\n" in out
+    assert "[PASS] krattenthaler" in out
+    assert out.endswith("verify: 5 failure(s)\n")
+
+
+def test_verify_jobs_uses_one_pool_for_all_suites(capsys, monkeypatch):
     created = []
 
     class CountingPool(suites.ProcessPoolExecutor):

@@ -1,5 +1,6 @@
 """Series solutions at the regular singular point and the generating chain."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 from juhlkit.exact_core import compositions_of, factorial, nbar_coeff, partial_sums
 from juhlkit.frobenius import (
     CAP_PAD,
-    ScalarSeries,
     apply_Dm,
     c_table,
     compute_F,
     check_msequence,
+    degree,
     jacobi_P,
     jacobi_Q,
     solve_Dm,
     verify_recusolve,
+    y_coeff,
 )
 
 
@@ -30,42 +32,51 @@ def _sequences_ending_at(n):
 def test_solve_with_constant_forcing_top_coefficient():
     # m = 0, f = 1, u0 = 0: u_j = (j-1)! (N-j+1)...(N-1), so u_N = (N-1)!^2
     n = 5
-    f = ScalarSeries.constant(1, n + CAP_PAD)
+    f = [1] + [0] * (n + CAP_PAD)
     u = solve_Dm(0, n, f, 0)
+    assert len(u) == len(f)
     for j in range(1, n + 1):
         expect = factorial(j - 1)
         for t in range(n - j + 1, n):
             expect *= t
-        assert u.normalized[j] == expect
-    assert u.normalized[n] == factorial(n - 1) ** 2
+        assert u[j] == expect
+    assert u[n] == factorial(n - 1) ** 2
 
 
 def test_solve_degree_drops_when_factor_vanishes():
-    u = solve_Dm(1, 2, ScalarSeries.zero(4), 1)
-    assert u.degree() == 1
+    u = solve_Dm(1, 2, [0] * 5, 1)
+    assert degree(u) == 1
 
 
 def test_jacobi_P_base_and_small_values():
-    assert jacobi_P(0, 4) == ScalarSeries.constant(1, 4 + CAP_PAD)
+    assert jacobi_P(0, 4) == [1] + [0] * (4 + CAP_PAD)
     p = jacobi_P(1, 4)
-    assert p.degree() == 1
-    assert p.y_coeff(0) == 1
-    assert p.y_coeff(1) == -3
+    assert degree(p) == 1
+    assert y_coeff(p, 0) == 1
+    assert y_coeff(p, 1) == -3
+
+
+def test_degree_of_zero_and_constant_series():
+    assert degree([0, 0, 0]) == -1
+    assert degree([Fraction(0), Fraction(0)]) == -1
+    assert degree([7, 0, 0]) == 0
+    assert degree([0, Fraction(1, 3), 0]) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_jacobi_P_degree_law_symmetry_and_kernel(n):
-    zero = ScalarSeries.zero(n + CAP_PAD)
+    zero = [0] * (n + CAP_PAD + 1)
     for m in range(n + 1):
         p = jacobi_P(m, n)
-        assert p.degree() == min(m, n - m)
+        assert len(p) == n + CAP_PAD + 1
+        assert degree(p) == min(m, n - m)
         assert p == jacobi_P(n - m, n)
         assert apply_Dm(m, n, p) == zero
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_jacobi_Q_top_coefficient(n):
-    assert jacobi_Q(0, n).y_coeff(n) == Fraction(1, n * n)
+    assert y_coeff(jacobi_Q(0, n), n) == Fraction(1, n * n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -74,14 +85,14 @@ def test_jacobi_Q_symmetry_and_defining_equation(n):
         if 2 * m == n:
             continue
         q = jacobi_Q(m, n)
-        assert q.degree() <= max(m, n - m)
+        assert degree(q) <= max(m, n - m)
         assert q == jacobi_Q(n - m, n)
         assert apply_Dm(m, n, q) == jacobi_P(m, n)
 
 
 def test_jacobi_Q_first_coefficient_at_m_equal_N():
     # Q_N = Q_0 and the recursion gives u_1 = 1
-    assert jacobi_Q(4, 4).y_coeff(1) == 1
+    assert y_coeff(jacobi_Q(4, 4), 1) == 1
 
 
 def test_jacobi_Q_singular_case_raises():
@@ -94,13 +105,13 @@ def test_jacobi_Q_singular_case_raises():
 def test_compute_F_single_step_matches_top_coefficient_lemma():
     for n in (1, 2, 3, 5):
         chain = compute_F((n,))
-        assert chain[-1].y_coeff(n) == Fraction(1, n * n)
+        assert y_coeff(chain[-1], n) == Fraction(1, n * n)
 
 
 def test_compute_F_small_chain():
     chain = compute_F((1, 2))
-    assert chain[0] == ScalarSeries.constant(1, 2 + CAP_PAD)
-    assert chain[2].y_coeff(2) == Fraction(1, 4)
+    assert chain[0] == [1] + [0] * (2 + CAP_PAD)
+    assert y_coeff(chain[2], 2) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -109,10 +120,10 @@ def test_compute_F_chain_and_lowest_power(n):
         chain = compute_F(seq)
         for l, m in enumerate(seq, start=1):
             assert apply_Dm(m, n, chain[l]) == chain[l - 1]
-            assert chain[l].degree() <= m
-            support = [j for j in range(chain[l].cap + 1) if chain[l].normalized[j]]
+            assert degree(chain[l]) <= m
+            support = [j for j, v in enumerate(chain[l]) if v]
             assert support[0] == l
-            assert chain[l].normalized[l] == 1
+            assert chain[l][l] == 1
 
 
 def test_c_table_seeds_and_vanishing():
@@ -138,7 +149,7 @@ def test_c_table_matches_series_coefficients(n):
         table = c_table(seq, n)
         for l in range(len(seq) + 1):
             for j in range(n + 1):
-                assert table[j][l] == chain[l].normalized[j]
+                assert table[j][l] == chain[l][j]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -176,18 +187,35 @@ def test_msequence_validation():
 
 
 def test_integer_chain_stays_int_and_y_coeff_is_fraction():
-    for series in [*compute_F((2, 3, 5)), jacobi_P(2, 5), jacobi_Q(1, 5)]:
-        assert all(type(v) is int for v in series.normalized)
-        for j in range(series.cap + 1):
-            got = series.y_coeff(j)
+    for series in [*compute_F((2, 3, 5)), jacobi_P(2, 5), jacobi_Q(1, 5), apply_Dm(1, 5, jacobi_Q(1, 5))]:
+        assert all(type(v) is int for v in series)
+        for j in range(len(series)):
+            got = y_coeff(series, j)
             assert type(got) is Fraction
-            assert got == Fraction(series.normalized[j], factorial(j) ** 2)
+            assert got == Fraction(series[j], factorial(j) ** 2)
+
+
+@pytest.mark.parametrize("jacobi", [jacobi_P, jacobi_Q])
+@pytest.mark.parametrize(
+    "m, n, message",
+    [
+        (-1, 4, "m must lie in 0..N, got -1"),
+        (5, 4, "m must lie in 0..N, got 5"),
+        (1.5, 4, "m must lie in 0..N, got 1.5"),
+        (True, 4, "m must lie in 0..N, got True"),
+        (1, 0, "N must be a positive integer, got 0"),
+        (1, 4.0, "N must be a positive integer, got 4.0"),
+    ],
+)
+def test_jacobi_rejects_non_integer_or_out_of_range_orders(jacobi, m, n, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        jacobi(m, n)
 
 
 def _apply_Dm_reference(m, big_n, u):
     # term by term on the Fraction y-coefficients, with no integer scaling
-    cap = u.cap
-    a = [Fraction(v) / factorial(j) ** 2 for j, v in enumerate(u.normalized)] + [Fraction(0)] * 2
+    cap = len(u) - 1
+    a = [Fraction(v) / factorial(j) ** 2 for j, v in enumerate(u)] + [Fraction(0)] * 2
     out = []
     for i in range(cap + 1):
         # y^i coefficient of y(1+y)u'' + [1-(N-1)y]u' + m(N-m)u
@@ -206,5 +234,4 @@ def _apply_Dm_reference(m, big_n, u):
 @settings(max_examples=80, deadline=None)
 def test_apply_Dm_matches_fraction_reference(vals, m, extra):
     big_n = m + extra
-    u = ScalarSeries(vals)
-    assert apply_Dm(m, big_n, u).normalized == _apply_Dm_reference(m, big_n, u)
+    assert apply_Dm(m, big_n, vals) == _apply_Dm_reference(m, big_n, vals)

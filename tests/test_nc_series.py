@@ -1,5 +1,6 @@
 """The operators L_k and the brute-force iteration behind the closed forms."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,12 @@ def test_invalid_arguments():
         iterate_L_partial(3, 0)
     with pytest.raises(ValueError):
         iterate_L_partial(3, 4)
+
+
+@pytest.mark.parametrize("a", [0, 4, 1.5, True])
+def test_iterate_L_partial_rejects_non_integer_or_out_of_range_a(a):
+    with pytest.raises(ValueError, match=re.escape(f"a must lie in 1..N, got {a!r}")):
+        iterate_L_partial(3, a)
 
 
 def test_monomial_power_out_of_range():
