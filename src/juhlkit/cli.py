@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``constants`` (coefficient tables), ``expand`` (operator and
-Q-curvature expansions as JSON), ``verify`` (identity suites), ``einstein``
-(exact table for the one-parameter Einstein family, with the explicit
-formula cross-checked against the direct operator iteration).
+Q-curvature expansions), ``verify`` (identity suites), ``einstein`` (exact
+table for the one-parameter Einstein family, with the explicit formula
+cross-checked against the direct operator iteration).  Each table prints as
+one JSON document or, with ``--format tsv``, as that document's rows.
 
 All rationals are serialized as exact strings "p/q", never floats.  Stdout
 is byte-deterministic for identical invocations; wall-clock timing goes to
@@ -101,76 +102,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_constants(order: int, fmt: str) -> int:
-    rows = []
-    for comp in exact_core.compositions_of(order):
-        rows.append(
-            (
-                comp,
-                exact_core.n_coeff(comp),
-                exact_core.m_coeff(comp),
-                exact_core.nbar_coeff(comp),
-            )
-        )
+def _tsv_field(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _emit(doc: dict, rows_key: str, fmt: str) -> int:
+    """Print ``doc`` as indented JSON, or its ``doc[rows_key]`` rows as TSV:
+    a header of the row keys, then one line per row, a list value
+    comma-joined and any other value through ``str``."""
     if fmt == "json":
-        doc = {
-            "schema": SCHEMA,
-            "N": order,
-            "rows": [
-                {"composition": list(comp), "n": str(n), "m": str(m), "nbar": str(nb)}
-                for comp, n, m, nb in rows
-            ],
-        }
         print(json.dumps(doc, indent=2))
-    else:
-        print("composition\tn\tm\tnbar")
-        for comp, n, m, nb in rows:
-            print(f"{','.join(map(str, comp))}\t{n}\t{m}\t{nb}")
+        return 0
+    rows = doc[rows_key]
+    print("\t".join(rows[0]))
+    for row in rows:
+        print("\t".join(map(_tsv_field, row.values())))
     return 0
+
+
+def cmd_constants(order: int, fmt: str) -> int:
+    rows = [
+        {
+            "composition": list(comp),
+            "n": str(exact_core.n_coeff(comp)),
+            "m": str(exact_core.m_coeff(comp)),
+            "nbar": str(exact_core.nbar_coeff(comp)),
+        }
+        for comp in exact_core.compositions_of(order)
+    ]
+    return _emit({"schema": SCHEMA, "N": order, "rows": rows}, "rows", fmt)
 
 
 def cmd_expand(target: str, order: int, form: str, fmt: str) -> int:
+    # by name at call time, so a juhl_core function a tracer or test replaced is used
+    expansion = getattr(juhl_core, f"expand_{target}_{form}")(order)
+    doc = {"schema": SCHEMA, "target": target, "N": order, "form": form}
     if target == "P":
-        expansion = (
-            juhl_core.expand_P_explicit(order)
-            if form == "explicit"
-            else juhl_core.expand_P_recursive(order)
-        )
-        terms = [
+        doc["basis"] = "M"
+        doc["terms"] = [
             {"word": list(word), "coeff": str(coeff)} for word, coeff in expansion.sorted_terms()
         ]
-        doc = {"schema": SCHEMA, "target": "P", "N": order, "form": form, "basis": "M", "terms": terms}
-        if fmt == "tsv":
-            print("word\tcoeff")
-            for t in terms:
-                print(f"{','.join(map(str, t['word']))}\t{t['coeff']}")
-            return 0
     else:
-        expansion = (
-            juhl_core.expand_Q_explicit(order)
-            if form == "explicit"
-            else juhl_core.expand_Q_recursive(order)
-        )
-        terms = [
+        doc["basis"] = "MW"
+        doc["sign_convention"] = "(-1)^N Q"
+        doc["terms"] = [
             {"word": list(word), "a": a, "coeff": str(coeff)}
             for (word, a), coeff in expansion.sorted_terms()
         ]
-        doc = {
-            "schema": SCHEMA,
-            "target": "Q",
-            "N": order,
-            "form": form,
-            "basis": "MW",
-            "sign_convention": "(-1)^N Q",
-            "terms": terms,
-        }
-        if fmt == "tsv":
-            print("word\ta\tcoeff")
-            for t in terms:
-                print(f"{','.join(map(str, t['word']))}\t{t['a']}\t{t['coeff']}")
-            return 0
-    print(json.dumps(doc, indent=2))
-    return 0
+    return _emit(doc, "terms", fmt)
 
 
 def cmd_verify(names: list[str], max_order: int | None, seed: int, jobs: int) -> int:
@@ -207,24 +186,9 @@ def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
             return 1
         q_value = formula if order % 2 == 0 else -formula
         regime = "extension" if extension_start is not None and order > extension_start else "standard"
-        rows.append((order, backend.w_scalars[order], q_value, regime))
-    if fmt == "json":
-        doc = {
-            "schema": SCHEMA,
-            "n": str(dim),
-            "c": str(c),
-            "max_order": max_order,
-            "rows": [
-                {"N": order, "W": str(w), "Q": str(q), "regime": regime}
-                for order, w, q, regime in rows
-            ],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print("N\tW\tQ\tregime")
-        for order, w, q, regime in rows:
-            print(f"{order}\t{w}\t{q}\t{regime}")
-    return 0
+        rows.append({"N": order, "W": str(backend.w_scalars[order]), "Q": str(q_value), "regime": regime})
+    doc = {"schema": SCHEMA, "n": str(dim), "c": str(c), "max_order": max_order, "rows": rows}
+    return _emit(doc, "rows", fmt)
 
 
 def main(argv=None) -> int:

@@ -99,10 +99,17 @@ def n_coeff(entries) -> Fraction:
 def n_ratio(comp: Composition) -> tuple[int, int]:
     """n_I as an unreduced (numerator, denominator) pair of integers, for a
     composition that is already validated."""
-    total = sum(comp)
-    den = 1
+    num, den = _nbar_ratio(comp)
     for e in comp:
         den *= factorial(e - 1) ** 2
+    return num, den
+
+
+def _nbar_ratio(comp: Composition) -> tuple[int, int]:
+    """nbar_I as an unreduced (numerator, denominator) pair of integers:
+    (N-1)!^2 over the head products prod_{j<r} (I_1+...+I_j)(I_{j+1}+...+I_r)."""
+    total = sum(comp)
+    den = 1
     head = 0
     for e in comp[:-1]:
         head += e
@@ -138,11 +145,4 @@ def nbar_coeff(entries) -> Fraction:
     nbar_I = (N-1)!^2 / prod_{k<r} [(I_1+...+I_k)(I_{k+1}+...+I_r)], N = |I|,
     so that n_I = nbar_I * prod_j 1/(I_j-1)!^2.
     """
-    comp = check_composition(entries)
-    total = sum(comp)
-    den = 1
-    head = 0
-    for e in comp[:-1]:
-        head += e
-        den *= head * (total - head)
-    return Fraction(factorial(total - 1) ** 2, den)
+    return Fraction(*_nbar_ratio(check_composition(entries)))

@@ -71,20 +71,20 @@ def _ck_full_iteration(n: int) -> str | None:
     return None
 
 
+def _tail_closed_form(coeff: Callable[[tuple], Fraction], n: int, a: int) -> NCPoly:
+    """The sum over compositions I of n-a of coeff(I + (a,)) x_I; the empty
+    word alone, with coeff((n,)), when a = n."""
+    if a == n:
+        return NCPoly({(): coeff((n,))})
+    return NCPoly({comp: coeff(comp + (a,)) for comp in exact_core.compositions_of(n - a)})
+
+
 def _ck_partial_iteration(n: int) -> str | None:
     full = nc_series.iterate_L_full(n)
     recombined = NCPoly.zero()
     for a in range(1, n + 1):
         part = nc_series.iterate_L_partial(n, a)
-        if a == n:
-            expected = NCPoly({(): exact_core.nbar_coeff((n,))})
-        else:
-            expected = NCPoly(
-                {
-                    comp: exact_core.nbar_coeff(comp + (a,))
-                    for comp in exact_core.compositions_of(n - a)
-                }
-            )
+        expected = _tail_closed_form(exact_core.nbar_coeff, n, a)
         if part != expected:
             return f"iterate_L_partial({n},{a}) = {part!r}, closed form = {expected!r}"
         recombined = recombined + part * NCPoly.from_word((a,))
@@ -322,16 +322,8 @@ def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
         for a in range(1, n + 1):
             direct = backends.oracle_P_partial(backend, n, a, f)
             scale = Fraction(exact_core.factorial(a - 1) ** 2 * (-2) ** (a - 1))
-            if a == n:
-                closed = tuple(scale * x for x in f)
-            else:
-                shifted = NCPoly(
-                    {
-                        comp: exact_core.n_coeff(comp + (a,))
-                        for comp in exact_core.compositions_of(n - a)
-                    }
-                )
-                closed = tuple(scale * x for x in backends.evaluate_P(shifted, backend, f))
+            shifted = _tail_closed_form(exact_core.n_coeff, n, a)
+            closed = tuple(scale * x for x in backends.evaluate_P(shifted, backend, f))
             if direct != closed:
                 return f"seed={seed}, N={n}, a={a}: partial iteration {direct} != closed form {closed}"
     return None

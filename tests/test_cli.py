@@ -85,6 +85,34 @@ def test_expand_recursive_same_terms_as_explicit(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--N", "4"],
+        ["expand", "--target", "P", "--N", "4"],
+        ["expand", "--target", "P", "--N", "4", "--form", "recursive"],
+        ["expand", "--target", "Q", "--N", "3"],
+        ["expand", "--target", "Q", "--N", "3", "--form", "recursive"],
+        ["einstein", "--dim", "6", "--c", "1/2", "--max-order", "4"],
+        ["einstein", "--dim", "0", "--c", "0", "--max-order", "3"],
+        ["einstein", "--dim=-3/5", "--c=-7/3", "--max-order", "3"],
+    ],
+    ids=" ".join,
+)
+def test_tsv_is_the_json_rows(capsys, argv):
+    # a header of the row keys, then one line per row: lists comma-joined
+    code, tsv, _ = run_cli(capsys, [*argv, "--format", "tsv"])
+    assert code == 0
+    _, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    rows = json.loads(out)["terms" if argv[0] == "expand" else "rows"]
+
+    def field(value):
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    lines = ["\t".join(rows[0])] + ["\t".join(map(field, row.values())) for row in rows]
+    assert tsv == "".join(line + "\n" for line in lines)
+
+
 def test_output_is_byte_deterministic(capsys):
     _, first, _ = run_cli(capsys, ["constants", "--N", "6", "--format", "json"])
     _, second, _ = run_cli(capsys, ["constants", "--N", "6", "--format", "json"])
