@@ -22,17 +22,15 @@ from .exact_core import (
 from .free_algebra import NCPoly, Word
 from .nc_series import NCSeries, apply_L, iterate_L_full, iterate_L_partial, x_series
 from .frobenius import (
-    RecusolveReport,
     apply_Dm,
     c_table,
     compute_F,
     jacobi_P,
     jacobi_Q,
     solve_Dm,
-    verify_recusolve,
+    top_coefficient,
 )
 from .juhl_core import (
-    IdentityCheck,
     QExpansion,
     apply_operator_expansion,
     expand_P_explicit,
@@ -46,13 +44,13 @@ from .juhl_core import (
     verify_kidenb,
 )
 from .backends import (
-    DvIdentityReport,
     EinsteinBackend,
     EinsteinModel,
     MatrixAssignment,
     UnboundOrderError,
     apply_R,
     einstein_invariants,
+    einstein_q_closed_form,
     evaluate_P,
     evaluate_Q,
     general_binomial,

@@ -22,7 +22,6 @@ by (cap!)^2 so that they stay integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_core import check_int_range, check_positive_int, factorial
@@ -39,8 +38,7 @@ __all__ = [
     "jacobi_Q",
     "compute_F",
     "c_table",
-    "RecusolveReport",
-    "verify_recusolve",
+    "top_coefficient",
 ]
 
 
@@ -177,45 +175,12 @@ def c_table(seq, jmax: int) -> list[list[int]]:
     return rows
 
 
-@dataclass
-class RecusolveReport:
-    """Outcome of checking the degree and top coefficient of F_r, with the
-    chain F_0..F_r that was checked."""
-
-    seq: tuple[int, ...]
-    big_n: int
-    computed_degree: int
-    computed_top: Fraction
-    expected_top: Fraction
-    observed_degrees: tuple[int, ...]
-    passed: bool
-    chain: list[list]
-
-
-def verify_recusolve(seq) -> RecusolveReport:
-    """Check that F_r has degree N and top coefficient
-    1 / [N^2 * prod_{l<r} m_l (N - m_l)].
-
-    Failure is reported, not raised.  Degrees of the intermediate F_l are
-    recorded; only the bound deg F_l <= m_l is guaranteed for l < r.
-    """
+def top_coefficient(seq) -> Fraction:
+    """The y^N coefficient of F_r in closed form,
+    1 / [N^2 * prod_{l<r} m_l (N - m_l)]; F_r has degree exactly N."""
     mseq = check_msequence(seq)
     big_n = mseq[-1]
-    chain = compute_F(mseq)
     denom = big_n * big_n
     for m in mseq[:-1]:
         denom *= m * (big_n - m)
-    expected = Fraction(1, denom)
-    top = y_coeff(chain[-1], big_n)
-    degrees = tuple(degree(f) for f in chain)
-    passed = degrees[-1] == big_n and top == expected
-    return RecusolveReport(
-        seq=mseq,
-        big_n=big_n,
-        computed_degree=degrees[-1],
-        computed_top=top,
-        expected_top=expected,
-        observed_degrees=degrees,
-        passed=passed,
-        chain=chain,
-    )
+    return Fraction(1, denom)

@@ -20,7 +20,6 @@ argument can be verified instance by instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -47,7 +46,6 @@ __all__ = [
     "expand_Q_explicit",
     "expand_Q_recursive",
     "apply_operator_expansion",
-    "IdentityCheck",
     "krattenthaler_identity",
     "verify_kidenb",
     "kcoeff",
@@ -231,20 +229,8 @@ def krattenthaler_identity(entries, x, y) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-@dataclass
-class IdentityCheck:
-    """Exact left/right evaluation of a summation identity."""
-
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def verify_kidenb(entries, b: int) -> IdentityCheck:
-    """The X = Y form of the subset-sum lemma, holding for any length s >= 1:
+def verify_kidenb(entries, b: int) -> tuple[Fraction, Fraction]:
+    """Both sides of the X = Y form of the subset-sum lemma, holding for any length s >= 1:
 
         sum over A of (-1)^r I_1...I_r * prod_{a in A}(K_a + K_{a+1})
           / prod_{i<r} (I_1+...+I_i)(I_{i+1}+...+I_r+b)
@@ -270,7 +256,7 @@ def verify_kidenb(entries, b: int) -> IdentityCheck:
         terms.append((num, den))
     lhs = _ratio_sum(terms)
     rhs = Fraction(-b * total, total - comp[0] + b)
-    return IdentityCheck(lhs, rhs)
+    return lhs, rhs
 
 
 def kcoeff(entries, b: int) -> Fraction:
@@ -335,8 +321,8 @@ def kcoeff_closed_form(entries, b: int) -> Fraction:
     return m_coeff(comp + (b,)) + Fraction((-1) ** (s + 1)) * prefactor * rsum
 
 
-def telescope_check(entries) -> IdentityCheck:
-    """The telescoping identity for positive integers K_1..K_{s+1}:
+def telescope_check(entries) -> tuple[Fraction, Fraction]:
+    """Both sides of the telescoping identity for positive integers K_1..K_{s+1}:
 
         sum_{p=1}^{s-1} (K_p+K_{p+1}) / (T_p T_{p+1} T_{p+2})
         = 1/(K_{s+1}(K_s+K_{s+1})) - 1/(T_1 T_2),
@@ -352,4 +338,4 @@ def telescope_check(entries) -> IdentityCheck:
     for p in range(1, s):
         lhs += Fraction(comp[p - 1] + comp[p], suffix[p - 1] * suffix[p] * suffix[p + 1])
     rhs = Fraction(1, comp[s] * (comp[s - 1] + comp[s])) - Fraction(1, suffix[0] * suffix[1])
-    return IdentityCheck(lhs, rhs)
+    return lhs, rhs

@@ -17,6 +17,7 @@ from juhlkit.backends import (
     _ser_shift,
     apply_R,
     einstein_invariants,
+    einstein_q_closed_form,
     evaluate_P,
     evaluate_Q,
     general_binomial,
@@ -222,6 +223,27 @@ def test_round_sphere_product_formula():
             assert evaluate_Q(expand_Q_explicit(order), backend) == (signed,), (n, order)
 
 
+@pytest.mark.parametrize(
+    "n",
+    [Fraction(0), Fraction(3), Fraction(4), Fraction(5), Fraction(6), Fraction(8),
+     Fraction(7, 2), Fraction(10), Fraction(-3, 5)],
+)
+def test_einstein_q_closed_form_matches_evaluated_expansion(n):
+    # every order up to 8, across the critical order N = n/2 for even n
+    for c in (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2), Fraction(7, 5)):
+        model = EinsteinModel(n, c)
+        backend = EinsteinBackend(model, 8)
+        assert einstein_q_closed_form(model, 1) == n * c
+        for order in range(1, 9):
+            signed = (-1) ** order * einstein_q_closed_form(model, order)
+            assert evaluate_Q(expand_Q_explicit(order), backend) == (signed,), (n, c, order)
+
+
+def test_einstein_q_closed_form_rejects_non_positive_order():
+    with pytest.raises(ValueError):
+        einstein_q_closed_form(EinsteinModel(Fraction(4), Fraction(1, 2)), 0)
+
+
 @pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 2), Fraction(-1, 3)])
 def test_einstein_cross_paths(c):
     for n in (Fraction(3), Fraction(4), Fraction(7, 2)):
@@ -253,15 +275,19 @@ def test_dv_identity_flat_and_sphere():
     for n in (Fraction(3), Fraction(4), Fraction(5)):
         for c in (Fraction(0), Fraction(1, 2)):
             for gamma in (Fraction(0), 1 - n / 2):
-                report = verify_dv_identity(EinsteinModel(n, c), gamma, kmax=4, cap=8)
-                assert report.passed, (n, c, gamma, report.failures)
+                sides = verify_dv_identity(EinsteinModel(n, c), gamma, kmax=4, cap=8)
+                assert len(sides) == 5
+                for k, (lhs, rhs) in enumerate(sides):
+                    assert len(lhs) == len(rhs) == 9
+                    assert lhs == rhs, (n, c, gamma, k)
 
 
 def test_dv_identity_flat_linear_input_by_hand():
     # k = 1, c = 0: both sides reduce to the constant 2*gamma + n - 2
     n = Fraction(6)
-    report = verify_dv_identity(EinsteinModel(n, Fraction(0)), Fraction(2), kmax=1, cap=4)
-    assert report.passed
+    sides = verify_dv_identity(EinsteinModel(n, Fraction(0)), Fraction(2), kmax=1, cap=4)
+    lhs, rhs = sides[1]
+    assert lhs == rhs == [2 * 2 + n - 2] + [0] * 4
 
 
 def _symmetric(raw):

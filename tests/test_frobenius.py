@@ -18,7 +18,7 @@ from juhlkit.frobenius import (
     jacobi_P,
     jacobi_Q,
     solve_Dm,
-    verify_recusolve,
+    top_coefficient,
     y_coeff,
 )
 
@@ -160,19 +160,17 @@ def test_c_table_reaches_nbar(n):
 
 
 def test_verify_recusolve_examples():
-    rep = verify_recusolve((3,))
-    assert rep.passed and rep.computed_top == Fraction(1, 9)
-    rep = verify_recusolve((1, 2))
-    assert rep.passed and rep.computed_top == Fraction(1, 4)
+    assert top_coefficient((3,)) == y_coeff(compute_F((3,))[-1], 3) == Fraction(1, 9)
+    assert top_coefficient((1, 2)) == y_coeff(compute_F((1, 2))[-1], 2) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_verify_recusolve_exhaustive(n):
     for seq in _sequences_ending_at(n):
-        rep = verify_recusolve(seq)
-        assert rep.passed, (seq, rep)
-        assert rep.computed_degree == n
-        assert rep.observed_degrees[0] == 0
+        chain = compute_F(seq)
+        assert degree(chain[-1]) == n, seq
+        assert y_coeff(chain[-1], n) == top_coefficient(seq), seq
+        assert degree(chain[0]) == 0
 
 
 def test_msequence_validation():

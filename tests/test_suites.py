@@ -1,10 +1,11 @@
 """Suite instances: what they carry and how much work a check repeats."""
 
 import pickle
+from fractions import Fraction
 
 import pytest
 
-from juhlkit import exact_core, frobenius, suites
+from juhlkit import backends, exact_core, frobenius, juhl_core, suites
 
 
 @pytest.mark.parametrize("name", suites.SUITE_NAMES)
@@ -33,8 +34,24 @@ def test_generating_chain_check_builds_each_chain_once(monkeypatch):
     assert sorted(calls) == sorted(sequences)
 
 
-def test_recusolve_report_carries_the_checked_chain():
-    seq = (1, 3, 4)
-    report = frobenius.verify_recusolve(seq)
-    assert report.passed
-    assert report.chain == frobenius.compute_F(seq)
+@pytest.mark.parametrize(
+    "module, attr, fake, check, args, detail",
+    [
+        (juhl_core, "verify_kidenb", lambda comp, b: (1, 2), suites._ck_kidenb, ((1,), 1),
+         "K=(1,), b=1: lhs 1 != rhs 2"),
+        # s <= 1 and entries <= 1 leave K = (1, 1) as the only draw
+        (juhl_core, "telescope_check", lambda comp: (1, 2), suites._ck_telescope, (0, 1, 1, 1),
+         "K=(1, 1): lhs 1 != rhs 2"),
+        (frobenius, "top_coefficient", lambda seq: Fraction(1, 2), suites._ck_frob_recusolve, (1,),
+         "seq=(1,): degree 1 (want 1), top 1 (want 1/2)"),
+        (backends, "verify_dv_identity", lambda model, gamma: [([0], [0]), ([0], [1]), ([0], [2])],
+         suites._ck_dv_identity, (Fraction(3), Fraction(0), Fraction(0)),
+         "n=3, c=0, gamma=0: k=1: lhs=[0] rhs=[1]"),
+        (backends, "einstein_q_closed_form", lambda model, order: Fraction(7), suites._ck_einstein_paths,
+         (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: oracle -3/2 != closed form -7"),
+    ],
+    ids=["kidenb", "telescope", "generating-chain", "conjugation", "einstein-closed-form"],
+)
+def test_checks_report_both_sides_on_failure(monkeypatch, module, attr, fake, check, args, detail):
+    monkeypatch.setattr(module, attr, fake)
+    assert check(*args) == detail
