@@ -170,7 +170,8 @@ def cmd_verify(names: list[str], max_order: int | None, seed: int, jobs: int) ->
 
 
 def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
-    backend = backends.EinsteinBackend(backends.EinsteinModel(dim, c), max_order)
+    model = backends.EinsteinModel(dim, c)
+    backend = backends.EinsteinBackend(model, max_order)
     extension_start = None
     if dim.denominator == 1 and dim.numerator % 2 == 0:
         extension_start = dim.numerator // 2
@@ -185,6 +186,10 @@ def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
             )
             return 1
         q_value = formula if order % 2 == 0 else -formula
+        closed = backends.einstein_q_closed_form(model, order)
+        if q_value != closed:
+            print(f"einstein: closed-form mismatch at N={order}: {q_value} != {closed}", file=sys.stderr)
+            return 1
         regime = "extension" if extension_start is not None and order > extension_start else "standard"
         rows.append({"N": order, "W": str(backend.w_scalars[order]), "Q": str(q_value), "regime": regime})
     doc = {"schema": SCHEMA, "n": str(dim), "c": str(c), "max_order": max_order, "rows": rows}

@@ -23,6 +23,7 @@ __all__ = [
     "check_positive_int",
     "check_int_range",
     "check_composition",
+    "cut_bounds",
     "compositions_of",
     "partial_sums",
     "n_coeff",
@@ -65,15 +66,19 @@ def check_composition(entries) -> Composition:
     return comp
 
 
+def cut_bounds(lo: int, hi: int):
+    """Every subset A of {lo+1..hi-1}, size ascending then lexicographic, as
+    the block bounds (lo, *A, hi) of the entries lo..hi-1 of a composition
+    cut at A."""
+    for size in range(hi - lo):
+        for cuts in combinations(range(lo + 1, hi), size):
+            yield (lo, *cuts, hi)
+
+
 def compositions_of(n: int) -> list[Composition]:
     """All 2**(n-1) compositions of ``n``, length ascending then lexicographic."""
     check_positive_int(n, "n must be a positive integer")
-    out: list[Composition] = []
-    for r in range(1, n + 1):
-        for cuts in combinations(range(1, n), r - 1):
-            bounds = (0, *cuts, n)
-            out.append(tuple(bounds[i + 1] - bounds[i] for i in range(r)))
-    return out
+    return [tuple(b - a for a, b in zip(bounds, bounds[1:])) for bounds in cut_bounds(0, n)]
 
 
 def partial_sums(entries) -> tuple[int, ...]:

@@ -144,35 +144,27 @@ def jacobi_Q(m: int, big_n: int) -> list:
     return sol
 
 
-def compute_F(seq) -> list[list]:
-    """The chain F_0 = 1, D_{m_l} F_l = F_{l-1}, F_l(0) = 0, as F_0..F_r."""
-    mseq = check_msequence(seq)
-    big_n = mseq[-1]
-    chain = [[1] + [0] * (big_n + CAP_PAD)]
+def _chain(mseq: tuple[int, ...], cap: int) -> list[list]:
+    """F_0 = 1, D_{m_l} F_l = F_{l-1}, F_l(0) = 0, as F_0..F_r truncated at y^cap."""
+    chain = [[1] + [0] * cap]
     for m in mseq:
-        chain.append(solve_Dm(m, big_n, chain[-1], 0))
+        chain.append(solve_Dm(m, mseq[-1], chain[-1], 0))
     return chain
 
 
-def c_table(seq, jmax: int) -> list[list[int]]:
-    """The integer table c[j][l] for 0 <= j <= jmax, 0 <= l <= r.
-
-    Seeds c[0][0] = 1, zero for j < l and for (l = 0, j >= 1); recursion
-    c[j+1][l] = -(m_l - j)(N - m_l - j) c[j][l] + c[j][l-1].  The entries
-    satisfy c[j][l] = (j!)^2 * [y^j] F_l.
-    """
+def compute_F(seq) -> list[list]:
+    """The chain F_0 = 1, D_{m_l} F_l = F_{l-1}, F_l(0) = 0, as F_0..F_r."""
     mseq = check_msequence(seq)
-    big_n = mseq[-1]
-    if jmax < big_n:
-        raise ValueError(f"jmax must be >= N = {big_n}, got {jmax}")
-    r = len(mseq)
-    rows = [[0] * (r + 1) for _ in range(jmax + 1)]
-    rows[0][0] = 1
-    for j in range(jmax):
-        for l in range(1, r + 1):
-            m = mseq[l - 1]
-            rows[j + 1][l] = -(m - j) * (big_n - m - j) * rows[j][l] + rows[j][l - 1]
-    return rows
+    return _chain(mseq, mseq[-1] + CAP_PAD)
+
+
+def c_table(seq, jmax: int) -> list[list[int]]:
+    """The integer table c[j][l] = (j!)^2 [y^j] F_l for 0 <= j <= jmax,
+    0 <= l <= r: the chain truncated at y^jmax, transposed into rows."""
+    mseq = check_msequence(seq)
+    if jmax < mseq[-1]:
+        raise ValueError(f"jmax must be >= N = {mseq[-1]}, got {jmax}")
+    return [list(row) for row in zip(*_chain(mseq, jmax))]
 
 
 def top_coefficient(seq) -> Fraction:

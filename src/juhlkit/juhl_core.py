@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 
 from .exact_core import (
     check_composition,
     check_positive_int,
     compositions_of,
+    cut_bounds,
     factorial,
     m_coeff,
     m_ratio,
@@ -166,14 +166,6 @@ def expand_Q_recursive(n: int) -> QExpansion:
     return acc
 
 
-def _cut_bounds(lo: int, hi: int):
-    """Every subset A of {lo+1..hi-1}, in a fixed order, as the block bounds
-    (lo, *A, hi) of the entries lo..hi-1 of a composition cut at A."""
-    for size in range(hi - lo):
-        for cuts in combinations(range(lo + 1, hi), size):
-            yield (lo, *cuts, hi)
-
-
 def _ratio_sum(terms: list[tuple[int, int]]) -> Fraction:
     """The sum of the (numerator, denominator) pairs ``terms``, over the lcm
     of their denominators."""
@@ -209,7 +201,7 @@ def krattenthaler_identity(entries, x, y) -> tuple[Fraction, Fraction]:
     heads = (0, *partial_sums(comp))
     total = heads[-1]
     terms = []
-    for bounds in _cut_bounds(0, s):
+    for bounds in cut_bounds(0, s):
         r = len(bounds) - 1
         num = -1 if r % 2 else 1
         den = xd
@@ -244,7 +236,7 @@ def verify_kidenb(entries, b: int) -> tuple[Fraction, Fraction]:
     heads = (0, *partial_sums(comp))
     total = heads[-1]
     terms = []
-    for bounds in _cut_bounds(0, s):
+    for bounds in cut_bounds(0, s):
         r = len(bounds) - 1
         num = -1 if r % 2 else 1
         den = 1
@@ -278,7 +270,7 @@ def kcoeff(entries, b: int) -> Fraction:
     terms = [m_ratio(comp + (b,))]
     for p in range(s):
         outer_num, outer_den = m_ratio(comp[:p] + (heads[-1] - heads[p] + b,))
-        for bounds in _cut_bounds(p, s):
+        for bounds in cut_bounds(p, s):
             weights = [heads[hi] - heads[lo] for lo, hi in zip(bounds, bounds[1:])]
             num, den = n_ratio((*weights, b))
             num *= outer_num

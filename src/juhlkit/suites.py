@@ -11,6 +11,7 @@ computed and expected values.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from collections.abc import Callable
@@ -21,17 +22,6 @@ from fractions import Fraction
 
 from . import backends, exact_core, frobenius, juhl_core, nc_series
 from .free_algebra import NCPoly, mat_is_symmetric
-
-SUITE_NAMES = ("combinatorial", "inversion", "krattenthaler", "frobenius", "backends")
-
-DEFAULT_ORDERS = {
-    "combinatorial": 14,
-    "inversion_p": 10,
-    "inversion_q": 8,
-    "krattenthaler": 9,
-    "frobenius": 11,
-    "backends": 8,
-}
 
 Instance = tuple[str, Callable[..., str | None], tuple]
 
@@ -108,14 +98,15 @@ def _ck_l_bridge(n: int) -> str | None:
     return None
 
 
-def suite_combinatorial(max_order: int) -> list[Instance]:
+def suite_combinatorial(max_order: int | None, seed: int) -> tuple[str, list[Instance]]:
+    order = max_order or 14
     out: list[Instance] = []
-    for n in range(1, max_order + 1):
+    for n in range(1, order + 1):
         out.append((f"full iteration N={n}", _ck_full_iteration, (n,)))
         out.append((f"partial-iteration N={n}", _ck_partial_iteration, (n,)))
-    for n in range(1, max_order + 1):
+    for n in range(1, order + 1):
         out.append((f"L-bridge N={n}", _ck_l_bridge, (n,)))
-    return out
+    return f"N<={order}", out
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +139,14 @@ def _ck_q_inversion(n: int) -> str | None:
     return None
 
 
-def suite_inversion(p_order: int, q_order: int) -> list[Instance]:
+def suite_inversion(max_order: int | None, seed: int) -> tuple[str, list[Instance]]:
+    p_order, q_order = (max_order, max_order) if max_order else (10, 8)
     out: list[Instance] = []
     for n in range(1, p_order + 1):
         out.append((f"P inversion N={n}", _ck_p_inversion, (n,)))
     for n in range(1, q_order + 1):
         out.append((f"Q inversion N={n}", _ck_q_inversion, (n,)))
-    return out
+    return f"P N<={p_order}, Q N<={q_order}", out
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +194,21 @@ def _ck_telescope(seed: int, count: int, smax: int, entry_max: int) -> str | Non
     return None
 
 
-def suite_krattenthaler(max_order: int) -> list[Instance]:
+def suite_krattenthaler(max_order: int | None, seed: int) -> tuple[str, list[Instance]]:
+    order = max_order or 9
     out: list[Instance] = []
-    for total in range(2, max_order):
+    for total in range(2, order):
         for comp in exact_core.compositions_of(total):
             if len(comp) > 1:
                 out.append((f"grid identity K={comp}", _ck_k_grid, (comp,)))
-    for total in range(1, max_order + 1):
+    for total in range(1, order + 1):
         for comp in exact_core.compositions_of(total):
             out.append((f"X=Y identity K={comp}", _ck_kidenb, (comp, 10)))
-    for total in range(1, max_order):
+    for total in range(1, order):
         for comp in exact_core.compositions_of(total):
             out.append((f"vanishing coefficient K={comp}", _ck_kcoeff, (comp, 5)))
-    out.append(
-        (f"telescoping identity (random, s<={max_order})", _ck_telescope, (20210405, 40, max_order, 5))
-    )
-    return out
+    out.append((f"telescoping identity (random, s<={order})", _ck_telescope, (20210405, 40, order, 5)))
+    return f"|K|<={order}", out
 
 
 # ---------------------------------------------------------------------------
@@ -268,32 +259,26 @@ def _ck_frob_recusolve(n: int) -> str | None:
         want = frobenius.top_coefficient(seq)
         if deg != n or top != want:
             return f"seq={seq}: degree {deg} (want {n}), top {top} (want {want})"
-        table = frobenius.c_table(seq, n)
         for l, m in enumerate(seq, start=1):
             series = chain[l]
             if frobenius.apply_Dm(m, n, series) != chain[l - 1]:
                 return f"seq={seq}: D_(m_{l}) F_{l} != F_{l - 1}"
             if frobenius.degree(series) > m:
                 return f"seq={seq}: deg F_{l} = {frobenius.degree(series)} > m_l = {m}"
-            for j in range(n + 1):
-                if series[j] != table[j][l]:
-                    return (
-                        f"seq={seq}: (j!)^2 [y^{j}] F_{l} = {series[j]}"
-                        f" != c[{j}][{l}] = {table[j][l]}"
-                    )
             low = [j for j, v in enumerate(series) if v]
             if not low or low[0] != l or series[l] != 1:
                 return f"seq={seq}: lowest normalized coefficient of F_{l} is not y^{l} with value 1"
     return None
 
 
-def suite_frobenius(max_order: int) -> list[Instance]:
+def suite_frobenius(max_order: int | None, seed: int) -> tuple[str, list[Instance]]:
+    order = max_order or 11
     out: list[Instance] = []
-    for n in range(1, max_order + 1):
+    for n in range(1, order + 1):
         out.append((f"series solutions N={n}", _ck_frob_jacobi, (n,)))
         out.append((f"coefficient table N={n}", _ck_frob_ctable, (n,)))
         out.append((f"generating chain N={n}", _ck_frob_recusolve, (n,)))
-    return out
+    return f"N<={order}", out
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +327,16 @@ def _ck_einstein_anchor(n: Fraction, nmax: int) -> str | None:
     return None
 
 
+def _gover_product(model: backends.EinsteinModel, order: int) -> Fraction:
+    """(-1)^N P_{2N}(1) on the Einstein model by Gover's factorization
+    (arXiv:math/0506037): prod_{j=1}^{N} 2c(n/2+j-1)(n/2-j)."""
+    half = model.n / 2
+    out = Fraction(1)
+    for j in range(1, order + 1):
+        out *= 2 * model.c * (half + j - 1) * (half - j)
+    return out
+
+
 def _ck_einstein_paths(n: Fraction, c: Fraction, nmax: int) -> str | None:
     model = backends.EinsteinModel(n, c)
     backend = backends.EinsteinBackend(model, nmax)
@@ -350,9 +345,18 @@ def _ck_einstein_paths(n: Fraction, c: Fraction, nmax: int) -> str | None:
         closed = backends.evaluate_Q(juhl_core.expand_Q_explicit(order), backend)[0]
         if direct != closed:
             return f"n={n}, c={c}, N={order}: oracle {direct} != formula {closed}"
-        literature = (-1) ** order * backends.einstein_q_closed_form(model, order)
-        if direct != literature:
-            return f"n={n}, c={c}, N={order}: oracle {direct} != closed form {literature}"
+        sign = (-1) ** order
+        q_value = backends.einstein_q_closed_form(model, order)
+        if direct != sign * q_value:
+            return f"n={n}, c={c}, N={order}: oracle {direct} != closed form {sign * q_value}"
+        # (-1)^N P_{2N}(1) by Branson's relation (n/2 - N) Q_{2N} and by Gover's factorization
+        signed_p = sign * backends.evaluate_P(juhl_core.expand_P_explicit(order), backend, backend.f)[0]
+        branson = (n / 2 - order) * q_value
+        if signed_p != branson:
+            return f"n={n}, c={c}, N={order}: (-1)^N P(1) {signed_p} != (n/2-N) Q {branson}"
+        gover = _gover_product(model, order)
+        if signed_p != gover:
+            return f"n={n}, c={c}, N={order}: (-1)^N P(1) {signed_p} != Gover product {gover}"
     return None
 
 
@@ -368,21 +372,33 @@ EINSTEIN_DIMS = (Fraction(3), Fraction(4), Fraction(5), Fraction(6), Fraction(8)
 EINSTEIN_CS = (Fraction(0), Fraction(1, 2), Fraction(-1, 3))
 
 
-def suite_backends(max_order: int, seed: int) -> list[Instance]:
+def suite_backends(max_order: int | None, seed: int) -> tuple[str, list[Instance]]:
+    order = max_order or 8
     out: list[Instance] = []
     for s in range(seed, seed + 5):
-        out.append((f"matrix cross-paths seed={s}", _ck_backend_matrix, (s, max_order, 4)))
+        out.append((f"matrix cross-paths seed={s}", _ck_backend_matrix, (s, order, 4)))
     for n in EINSTEIN_DIMS:
-        out.append((f"einstein anchors n={n}", _ck_einstein_anchor, (n, max_order)))
+        out.append((f"einstein anchors n={n}", _ck_einstein_anchor, (n, order)))
         for c in EINSTEIN_CS:
-            out.append((f"einstein cross-paths n={n} c={c}", _ck_einstein_paths, (n, c, max_order)))
+            out.append((f"einstein cross-paths n={n} c={c}", _ck_einstein_paths, (n, c, order)))
     for n in (Fraction(3), Fraction(4), Fraction(5)):
         for c in (Fraction(0), Fraction(1, 2)):
             for gamma in (Fraction(0), 1 - n / 2):
                 out.append(
                     (f"conjugation identity n={n} c={c} gamma={gamma}", _ck_dv_identity, (n, c, gamma))
                 )
-    return out
+    return f"N<={order}, seed={seed}", out
+
+
+# each builder maps (max_order or None for its default, seed) to (note, instances)
+SUITES = {
+    "combinatorial": suite_combinatorial,
+    "inversion": suite_inversion,
+    "krattenthaler": suite_krattenthaler,
+    "frobenius": suite_frobenius,
+    "backends": suite_backends,
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -398,23 +414,11 @@ def _run_instance(item: Instance) -> tuple[str, str | None]:
 
 def build_suite(name: str, max_order: int | None, seed: int) -> tuple[str, list[Instance]]:
     """Instance list plus a short note naming the order bound in effect."""
-    if name == "combinatorial":
-        order = max_order or DEFAULT_ORDERS["combinatorial"]
-        return f"N<={order}", suite_combinatorial(order)
-    if name == "inversion":
-        p_order = max_order or DEFAULT_ORDERS["inversion_p"]
-        q_order = max_order or DEFAULT_ORDERS["inversion_q"]
-        return f"P N<={p_order}, Q N<={q_order}", suite_inversion(p_order, q_order)
-    if name == "krattenthaler":
-        order = max_order or DEFAULT_ORDERS["krattenthaler"]
-        return f"|K|<={order}", suite_krattenthaler(order)
-    if name == "frobenius":
-        order = max_order or DEFAULT_ORDERS["frobenius"]
-        return f"N<={order}", suite_frobenius(order)
-    if name == "backends":
-        order = max_order or DEFAULT_ORDERS["backends"]
-        return f"N<={order}, seed={seed}", suite_backends(order, seed)
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    if max_order is not None:
+        exact_core.check_positive_int(max_order, "max_order must be a positive integer or None")
+    return SUITES[name](max_order, seed)
 
 
 def run_suites(
@@ -423,20 +427,19 @@ def run_suites(
     seed: int = 0,
     jobs: int = 1,
 ) -> list[SuiteReport]:
-    """Run the named suites and return one deterministic report per suite."""
+    """Run the named suites and return one deterministic report per suite.
+
+    Every suite is built before any runs, so a bad name or order raises
+    first.  The pool has at most one worker per CPU."""
     ordered: list[str] = []
     for name in names:
-        expansion = list(SUITE_NAMES) if name == "all" else [name]
-        for item in expansion:
-            if item not in SUITE_NAMES:
-                raise ValueError(f"unknown suite {item!r}")
-            if item not in ordered:
-                ordered.append(item)
+        ordered += SUITE_NAMES if name == "all" else (name,)
+    built = [(name, *build_suite(name, max_order, seed)) for name in dict.fromkeys(ordered)]
+    workers = min(jobs, os.cpu_count() or 1)
     reports = []
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for name in ordered:
-            note, instances = build_suite(name, max_order, seed)
+        for name, note, instances in built:
             start = time.perf_counter()
             if pool is None:
                 results = [_run_instance(item) for item in instances]
@@ -450,7 +453,7 @@ def run_suites(
                     # and the next suite gets a new pool
                     results += [(desc, "worker process died") for desc, _, _ in instances[len(results):]]
                     pool.shutdown()
-                    pool = ProcessPoolExecutor(max_workers=jobs)
+                    pool = ProcessPoolExecutor(max_workers=workers)
             failures = [SuiteFailure(desc, detail) for desc, detail in results if detail is not None]
             reports.append(
                 SuiteReport(

@@ -277,6 +277,22 @@ def test_einstein_mismatch_exits_one(capsys, monkeypatch):
     assert "mismatch at N=2" in err
 
 
+def test_einstein_closed_form_mismatch_exits_one(capsys, monkeypatch):
+    from juhlkit import backends
+
+    true_closed = backends.einstein_q_closed_form
+
+    def corrupted(model, order):
+        value = true_closed(model, order)
+        return value + 1 if order == 2 else value
+
+    monkeypatch.setattr(backends, "einstein_q_closed_form", corrupted)
+    code, out, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
+    assert code == 1
+    assert out == ""
+    assert "closed-form mismatch at N=2" in err
+
+
 dims = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=-40, max_value=40, max_denominator=9),
@@ -322,6 +338,7 @@ def _worker_exits():
 
 
 def test_verify_reports_a_dying_worker_as_failures(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool even on one CPU
     plain = suites.build_suite
 
     def with_exiting_check(name, max_order, seed):
@@ -343,6 +360,7 @@ def test_verify_reports_a_dying_worker_as_failures(capsys, monkeypatch):
 
 
 def test_verify_jobs_uses_one_pool_for_all_suites(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool even on one CPU
     created = []
 
     class CountingPool(suites.ProcessPoolExecutor):

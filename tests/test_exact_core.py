@@ -48,6 +48,14 @@ def test_compositions_count_distinct_and_sum(n):
     assert all(all(e >= 1 for e in c) for c in comps)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_compositions_are_sorted_by_length_then_lex(n):
+    # every emitted table and serialization follows this order
+    comps = compositions_of(n)
+    assert type(comps) is list
+    assert comps == sorted(set(comps), key=lambda c: (len(c), c))
+
+
 @pytest.mark.parametrize("bad", [0, -1, "3", 2.5, True])
 def test_compositions_invalid_argument(bad):
     with pytest.raises(ValueError):

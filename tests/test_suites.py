@@ -1,5 +1,6 @@
 """Suite instances: what they carry and how much work a check repeats."""
 
+import os
 import pickle
 from fractions import Fraction
 
@@ -49,9 +50,52 @@ def test_generating_chain_check_builds_each_chain_once(monkeypatch):
          "n=3, c=0, gamma=0: k=1: lhs=[0] rhs=[1]"),
         (backends, "einstein_q_closed_form", lambda model, order: Fraction(7), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: oracle -3/2 != closed form -7"),
+        # N=1 on n=3, c=1/2: (-1)^N P_2(1) = 3/4 = (n/2-N) Q_2
+        (backends, "evaluate_P", lambda expansion, backend, f: (Fraction(7),), suites._ck_einstein_paths,
+         (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) -7 != (n/2-N) Q 3/4"),
+        (suites, "_gover_product", lambda model, order: Fraction(7), suites._ck_einstein_paths,
+         (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) 3/4 != Gover product 7"),
     ],
-    ids=["kidenb", "telescope", "generating-chain", "conjugation", "einstein-closed-form"],
+    ids=["kidenb", "telescope", "generating-chain", "conjugation", "einstein-closed-form",
+         "einstein-branson", "einstein-gover"],
 )
 def test_checks_report_both_sides_on_failure(monkeypatch, module, attr, fake, check, args, detail):
     monkeypatch.setattr(module, attr, fake)
     assert check(*args) == detail
+
+
+@pytest.mark.parametrize("max_order", [0, -1, True])
+def test_a_bad_max_order_raises_before_any_instance_runs(monkeypatch, max_order):
+    ran = []
+    monkeypatch.setattr(suites, "_run_instance", ran.append)
+    with pytest.raises(ValueError, match="max_order must be a positive integer"):
+        suites.run_suites(list(suites.SUITE_NAMES), max_order=max_order)
+    assert ran == []
+
+
+def test_an_unknown_suite_raises_before_any_instance_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(suites, "_run_instance", ran.append)
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        suites.run_suites(["inversion", "nope"], max_order=1)
+    assert ran == []
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [(3, 64, 3), (8, 2, 2), (1, 64, None), (None, 4, None)])
+def test_jobs_runs_at_most_one_worker_per_cpu(monkeypatch, cpus, jobs, workers):
+    created = []
+
+    class RecordingPool(suites.ProcessPoolExecutor):
+        # records its size and runs in-process, so no worker is ever started
+        def __init__(self, max_workers):
+            created.append(max_workers)
+            super().__init__(max_workers)
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    reports = suites.run_suites(["inversion", "krattenthaler"], max_order=2, jobs=jobs)
+    assert [rep.passed for rep in reports] == [True, True]
+    assert created == ([] if workers is None else [workers])
