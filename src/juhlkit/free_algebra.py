@@ -4,8 +4,10 @@ Words are tuples of positive generator indices; the empty word is the
 multiplicative identity, and multiplication of words is concatenation
 (modelling composition of operators).  Coefficients are ``Fraction``;
 zero coefficients are never stored.  ``TermMap`` is that sparse map with its
-sums and scalar multiples; ``NCPoly`` adds the word product, and
-``juhl_core.QExpansion`` keys the same map by Q-terms.
+sums, scalar multiples and length-then-lexicographic term order; ``NCPoly``
+adds the word product, and ``juhl_core.QExpansion`` stores a Q-term (I, a)
+under the word ``(*I, a)``, so the same product gives ``NCPoly *
+QExpansion``, that is P_{2I}(Q).
 
 The matrix helpers at the end (``int_matrix``, ``mat_vec``,
 ``mat_transpose``, ``mat_is_symmetric``) are the ones ``backends`` needs:
@@ -53,11 +55,11 @@ def _as_scalar(value) -> Fraction | None:
 
 
 class TermMap:
-    """Sparse finite map key -> Fraction with zero values never stored.
+    """Sparse finite map word -> Fraction with zero values never stored.
 
-    A subclass validates its keys with ``_check_key``.  Sums, differences
-    and equality are defined between maps of the same type only; scalars
-    multiply every value.
+    A subclass turns the keys its constructor is given into stored words
+    with ``_check_key``.  Sums, differences and equality are defined between
+    maps of the same type only; scalars multiply every value.
     """
 
     __slots__ = ("_terms",)
@@ -85,6 +87,14 @@ class TermMap:
 
     def items(self):
         return self._terms.items()
+
+    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
+        """Terms ordered by word length, then lexicographically."""
+        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+    def weights(self) -> set[int]:
+        """Entry-sums of the support words (the empty word has weight 0)."""
+        return {sum(w) for w in self._terms}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -149,17 +159,10 @@ class NCPoly(TermMap):
     def coeff(self, word) -> Fraction:
         return self._terms.get(tuple(word), Fraction(0))
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        """Terms ordered by word length, then lexicographically."""
-        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def weights(self) -> set[int]:
-        """Entry-sums of the support words (the empty word has weight 0)."""
-        return {sum(w) for w in self._terms}
-
-    def __mul__(self, other) -> NCPoly:
-        """Scalar multiple, or the bilinear extension of word concatenation."""
-        if not isinstance(other, NCPoly):
+    def __mul__(self, other):
+        """Scalar multiple, or the bilinear extension of word concatenation
+        onto any term map, whose type the product keeps."""
+        if not isinstance(other, TermMap):
             return super().__mul__(other)
         out: dict[Word, Fraction] = {}
         for w1, c1 in self._terms.items():
@@ -170,7 +173,7 @@ class NCPoly(TermMap):
                     out[w] = s
                 else:
                     out.pop(w, None)
-        return NCPoly._raw(out)
+        return other._raw(out)
 
     def __repr__(self) -> str:
         if not self._terms:

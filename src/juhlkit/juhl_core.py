@@ -7,9 +7,10 @@ noncommutative polynomials in opaque generators indexed by M-order, so the
 two forms can be compared exactly.
 
 Q-curvatures: expansions always represent the sign-carrying combination
-(-1)^N Q_{2N}; presentation layers apply the sign.  A term is keyed by a
+(-1)^N Q_{2N}; presentation layers apply the sign.  A term is read as a
 pair (I, a) standing for M_{2I} applied to the scalar W_{2a}, with I
-possibly empty and |I| + a = N.
+possibly empty and |I| + a = N, and stored under the composition (I, a) of
+N.  Both recursions are then one m-weighted sum over compositions.
 
 The Krattenthaler two-variable summation lemma, its single-variable X = Y
 form, the coefficient-vanishing double sum, and the final telescoping
@@ -54,33 +55,31 @@ __all__ = [
 ]
 
 
-def _check_qkey(key) -> QKey:
+def _check_qkey(key) -> Word:
     word, a = key
     w = _check_word(word)
     check_positive_int(a, "the W-order of a Q-term must be a positive integer")
-    return (w, a)
+    return (*w, a)
 
 
 class QExpansion(TermMap):
-    """Finite map (word I, a) -> Fraction representing sum c * M_{2I}(W_{2a})."""
+    """Finite map (word I, a) -> Fraction representing sum c * M_{2I}(W_{2a}),
+    stored under the composition (I, a); ``items``, ``coeff`` and
+    ``sorted_terms`` speak in (I, a) pairs."""
 
     __slots__ = ()
 
     _check_key = staticmethod(_check_qkey)
 
+    def items(self) -> list[tuple[QKey, Fraction]]:
+        return [((w[:-1], w[-1]), c) for w, c in self._terms.items()]
+
     def coeff(self, key) -> Fraction:
         word, a = key
-        return self._terms.get((tuple(word), a), Fraction(0))
+        return self._terms.get((*word, a), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[QKey, Fraction]]:
-        """Terms ordered by the composition (I, a): length then lexicographic."""
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: (len(kv[0][0]) + 1, kv[0][0] + (kv[0][1],)),
-        )
-
-    def weights(self) -> set[int]:
-        return {sum(word) + a for word, a in self._terms}
+        return [((w[:-1], w[-1]), c) for w, c in super().sorted_terms()]
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -93,20 +92,20 @@ class QExpansion(TermMap):
 
 
 def apply_operator_expansion(p: NCPoly, q: QExpansion) -> QExpansion:
-    """Compose an operator expansion with a Q-expansion.
+    """Compose an operator expansion with a Q-expansion: P_{2I}(Q)."""
+    return p * q
 
-    Each word of ``p`` is prepended onto the I-slot of each (I, a) key.
-    """
-    out: dict[QKey, Fraction] = {}
-    for word, c in p.items():
-        for (tail, a), d in q.items():
-            key = (word + tail, a)
-            s = out.get(key, Fraction(0)) + c * d
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return QExpansion._raw(out)
+
+def _m_recursion(n: int, top, head, last):
+    """``top`` minus the sum over compositions I of n with r >= 2 parts of
+    m_I * head(I_1)...head(I_{r-1}) * last(I_r), multiplied left to right."""
+    acc = top
+    for comp in compositions_of(n)[1:]:  # (n) comes first
+        prod = NCPoly.one()
+        for part in comp[:-1]:
+            prod = prod * head(part)
+        acc = acc + prod * last(comp[-1]) * (-m_coeff(comp))
+    return acc
 
 
 @cache
@@ -123,27 +122,17 @@ def expand_P_recursive(n: int) -> NCPoly:
     with every lower-order P substituted by its own recursive expansion.
     """
     check_positive_int(n, "N must be a positive integer")
-    acc = NCPoly.from_word((n,))
-    for comp in compositions_of(n):
-        if comp == (n,):
-            continue
-        prod = NCPoly.one()
-        for part in comp:
-            prod = prod * expand_P_recursive(part)
-        acc = acc + prod * (-m_coeff(comp))
-    return acc
+    return _m_recursion(n, NCPoly.from_word((n,)), expand_P_recursive, expand_P_recursive)
 
 
 @cache
 def expand_Q_explicit(n: int) -> QExpansion:
     """(-1)^N Q_{2N} as the sum of n_{(I,a)} a!(a-1)! 2^{2a} M_{2I}(W_{2a})."""
     check_positive_int(n, "N must be a positive integer")
-    terms: dict[QKey, Fraction] = {}
-    for comp in compositions_of(n):
-        a = comp[-1]
-        coeff = n_coeff(comp) * factorial(a) * factorial(a - 1) * 4**a
-        terms[(comp[:-1], a)] = coeff
-    return QExpansion._raw(terms)
+    return QExpansion._raw({
+        comp: n_coeff(comp) * factorial(comp[-1]) * factorial(comp[-1] - 1) * 4 ** comp[-1]
+        for comp in compositions_of(n)
+    })
 
 
 @cache
@@ -154,16 +143,8 @@ def expand_Q_recursive(n: int) -> QExpansion:
     with P's in explicit form and each (-1)^a Q_{2a} in explicit form.
     """
     check_positive_int(n, "N must be a positive integer")
-    acc = QExpansion({((), n): factorial(n) * factorial(n - 1) * 4**n})
-    for comp in compositions_of(n):
-        a = comp[-1]
-        if a == n:
-            continue
-        p_part = NCPoly.one()
-        for part in comp[:-1]:
-            p_part = p_part * expand_P_explicit(part)
-        acc = acc + apply_operator_expansion(p_part, expand_Q_explicit(a)) * (-m_coeff(comp))
-    return acc
+    top = QExpansion({((), n): factorial(n) * factorial(n - 1) * 4**n})
+    return _m_recursion(n, top, expand_P_explicit, expand_Q_explicit)
 
 
 def _ratio_sum(terms: list[tuple[int, int]]) -> Fraction:

@@ -429,11 +429,13 @@ def run_suites(
 ) -> list[SuiteReport]:
     """Run the named suites and return one deterministic report per suite.
 
-    Every suite is built before any runs, so a bad name or order raises
-    first.  The pool has at most one worker per CPU."""
+    Every suite is built before any runs, so a bad name or order, or no
+    name at all, raises first.  The pool has at most one worker per CPU."""
     ordered: list[str] = []
     for name in names:
         ordered += SUITE_NAMES if name == "all" else (name,)
+    if not ordered:
+        raise ValueError(f"no suite named: name any of {', '.join(SUITE_NAMES)}, or all")
     built = [(name, *build_suite(name, max_order, seed)) for name in dict.fromkeys(ordered)]
     workers = min(jobs, os.cpu_count() or 1)
     reports = []

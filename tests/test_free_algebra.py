@@ -61,14 +61,16 @@ def test_scalar_multiplication_and_negation():
 
 def test_term_maps_combine_only_with_their_own_type():
     # NCPoly and QExpansion share one sparse map; its sums and equality
-    # never mix the two key types
+    # never mix the two types, and an operator acts on a Q-expansion only
+    # from the left
     p = NCPoly({(1,): 1})
     q = QExpansion({((1,), 1): 1})
     assert NCPoly.zero() != QExpansion.zero()
     with pytest.raises(TypeError):
         p + q
+    assert p * q == QExpansion({((1, 1), 1): 1})
     with pytest.raises(TypeError):
-        p * q
+        q * p
     assert q - q == QExpansion.zero()
     assert 3 * q == q * 3 == QExpansion({((1,), 1): 3})
     assert 0 * q == QExpansion.zero()

@@ -144,12 +144,19 @@ def test_c_table_seeds_and_vanishing():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_c_table_matches_series_coefficients(n):
+    # the recurrence written out, independent of the chain c_table reads:
+    # c[0][l] = [l = 0], c[j][0] = [j = 0],
+    # c[j+1][l] = -(m_l - j)(N - m_l - j) c[j][l] + c[j][l-1]
     for seq in _sequences_ending_at(n):
-        chain = compute_F(seq)
-        table = c_table(seq, n)
-        for l in range(len(seq) + 1):
-            for j in range(n + 1):
-                assert table[j][l] == chain[l][j]
+        for jmax in (n, n + 3):
+            want = [[1] + [0] * len(seq)]
+            for j in range(jmax):
+                row = want[-1]
+                want.append([0] + [
+                    -(m - j) * (n - m - j) * row[l] + row[l - 1]
+                    for l, m in enumerate(seq, start=1)
+                ])
+            assert c_table(seq, jmax) == want, (seq, jmax)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -94,10 +94,29 @@ def test_Q_expansion_homogeneous(n):
     assert expand_Q_explicit(n).weights() == {n}
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_Q_terms_are_pairs_in_composition_order(n):
+    q = expand_Q_explicit(n)
+    keys = [key for key, _ in q.sorted_terms()]
+    assert keys == sorted(keys, key=lambda k: (len(k[0]) + 1, k[0] + (k[1],)))
+    assert sorted(keys) == sorted(key for key, _ in q.items())
+    for (word, a), _ in q.items():
+        assert type(word) is tuple and type(a) is int
+
+
 def test_apply_operator_expansion_prepends_words():
     p = NCPoly({(2,): Fraction(1, 2)})
     q = QExpansion({((1,), 3): 4})
     assert apply_operator_expansion(p, q) == QExpansion({((2, 1), 3): 2})
+    p = NCPoly({(2,): Fraction(1, 2), (): 3})
+    q = QExpansion({((1,), 3): 4, ((), 2): -1})
+    assert apply_operator_expansion(p, q) == QExpansion(
+        {((2, 1), 3): 2, ((2,), 2): Fraction(-1, 2), ((1,), 3): 12, ((), 2): -3}
+    )
+    # the two M2*M2(W4) terms cancel
+    p = NCPoly({(1,): 1, (1, 1): 1})
+    q = QExpansion({((1,), 2): 1, ((), 2): -1})
+    assert apply_operator_expansion(p, q) == QExpansion({((1,), 2): -1, ((1, 1, 1), 2): 1})
 
 
 def test_qexpansion_rejects_bad_keys():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from juhlkit import backends, exact_core, frobenius, juhl_core, suites
+from juhlkit import backends, cli, exact_core, frobenius, juhl_core, suites
 
 
 @pytest.mark.parametrize("name", suites.SUITE_NAMES)
@@ -79,6 +79,17 @@ def test_an_unknown_suite_raises_before_any_instance_runs(monkeypatch):
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         suites.run_suites(["inversion", "nope"], max_order=1)
     assert ran == []
+
+
+def test_no_suite_named_raises_instead_of_passing(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(suites, "_run_instance", ran.append)
+    with pytest.raises(ValueError, match="no suite named"):
+        suites.run_suites([])
+    with pytest.raises(ValueError, match="no suite named"):
+        cli.cmd_verify([], None, 0, 1)
+    assert ran == []
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("cpus, jobs, workers", [(3, 64, 3), (8, 2, 2), (1, 64, None), (None, 4, None)])
