@@ -121,12 +121,13 @@ def _emit(doc: dict, rows_key: str, fmt: str) -> int:
 
 
 def cmd_constants(order: int, fmt: str) -> int:
+    # compositions_of yields valid compositions, so the unchecked ratios serve
     rows = [
         {
             "composition": list(comp),
-            "n": str(exact_core.n_coeff(comp)),
-            "m": str(exact_core.m_coeff(comp)),
-            "nbar": str(exact_core.nbar_coeff(comp)),
+            "n": str(Fraction(*exact_core.n_ratio(comp))),
+            "m": str(Fraction(*exact_core.m_ratio(comp))),
+            "nbar": str(Fraction(*exact_core.nbar_ratio(comp))),
         }
         for comp in exact_core.compositions_of(order)
     ]

@@ -31,6 +31,7 @@ __all__ = [
     "m_coeff",
     "m_ratio",
     "nbar_coeff",
+    "nbar_ratio",
 ]
 
 
@@ -104,15 +105,16 @@ def n_coeff(entries) -> Fraction:
 def n_ratio(comp: Composition) -> tuple[int, int]:
     """n_I as an unreduced (numerator, denominator) pair of integers, for a
     composition that is already validated."""
-    num, den = _nbar_ratio(comp)
+    num, den = nbar_ratio(comp)
     for e in comp:
         den *= factorial(e - 1) ** 2
     return num, den
 
 
-def _nbar_ratio(comp: Composition) -> tuple[int, int]:
+def nbar_ratio(comp: Composition) -> tuple[int, int]:
     """nbar_I as an unreduced (numerator, denominator) pair of integers:
-    (N-1)!^2 over the head products prod_{j<r} (I_1+...+I_j)(I_{j+1}+...+I_r)."""
+    (N-1)!^2 over the head products prod_{j<r} (I_1+...+I_j)(I_{j+1}+...+I_r),
+    for a composition that is already validated."""
     total = sum(comp)
     den = 1
     head = 0
@@ -150,4 +152,4 @@ def nbar_coeff(entries) -> Fraction:
     nbar_I = (N-1)!^2 / prod_{k<r} [(I_1+...+I_k)(I_{k+1}+...+I_r)], N = |I|,
     so that n_I = nbar_I * prod_j 1/(I_j-1)!^2.
     """
-    return Fraction(*_nbar_ratio(check_composition(entries)))
+    return Fraction(*nbar_ratio(check_composition(entries)))

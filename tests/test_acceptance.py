@@ -49,12 +49,12 @@ def test_criterion_3_inversion_suite():
     started = time.perf_counter()
     ok = all(
         juhl_core.expand_P_explicit(n) == juhl_core.expand_P_recursive(n)
-        for n in range(1, 11)
+        for n in range(1, 12)
     ) and all(
         juhl_core.expand_Q_explicit(n) == juhl_core.expand_Q_recursive(n)
-        for n in range(1, 9)
+        for n in range(1, 11)
     )
-    _finish(3, "explicit = recursive for P (N <= 10) and Q (N <= 8)", ok, started, 120.0)
+    _finish(3, "explicit = recursive for P (N <= 11) and Q (N <= 10)", ok, started, 120.0)
 
 
 def test_criterion_4_krattenthaler_suite():

@@ -1,6 +1,7 @@
 """CLI contract: output schemas, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -83,6 +84,16 @@ def test_expand_recursive_same_terms_as_explicit(capsys):
     assert {k: v for k, v in de.items() if k != "form"} == {
         k: v for k, v in dr.items() if k != "form"
     }
+
+
+def test_expand_P_recursive_order_twelve_stdout_is_pinned(capsys):
+    # sha256 recorded from the composition-by-composition recursion, before
+    # the sum was regrouped into a table
+    code, out, _ = run_cli(capsys, ["expand", "--target", "P", "--N", "12", "--form", "recursive"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5591e3422bc0e49cf02165d5207b494dd58ec96b0f33f7ef3483fdc04aed599a"
+    )
 
 
 @pytest.mark.parametrize(

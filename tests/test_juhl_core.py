@@ -43,7 +43,7 @@ def test_expand_P_term_count():
         assert len(expand_P_explicit(n)) == 2 ** (n - 1)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 12))
 def test_P_explicit_equals_recursive(n):
     assert expand_P_explicit(n) == expand_P_recursive(n)
 
@@ -84,9 +84,65 @@ def test_Q_pure_W_coefficient(n):
     assert expand_Q_explicit(n).coeff(((), n)) == factorial(n) * factorial(n - 1) * 4**n
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_Q_explicit_equals_recursive(n):
     assert expand_Q_explicit(n) == expand_Q_recursive(n)
+
+
+def _m_recursion_reference(n, top, head, last):
+    # the composition-by-composition sum that the table regroups
+    acc = top
+    for comp in compositions_of(n)[1:]:
+        prod = NCPoly.one()
+        for part in comp[:-1]:
+            prod = prod * head(part)
+        acc = acc + prod * last(comp[-1]) * (-m_coeff(comp))
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_m_recursion_table_equals_composition_sum_for_P(n):
+    top = NCPoly.from_word((n,))
+    args = (n, top, expand_P_recursive, expand_P_recursive)
+    assert juhl_core._m_recursion(*args) == _m_recursion_reference(*args)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_m_recursion_table_equals_composition_sum_for_Q(n):
+    top = QExpansion({((), n): factorial(n) * factorial(n - 1) * 4**n})
+    args = (n, top, expand_P_explicit, expand_Q_explicit)
+    assert juhl_core._m_recursion(*args) == _m_recursion_reference(*args)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_m_recursion_on_free_letters_gives_every_m_coeff(n):
+    # one letter per part, a different alphabet for the last part: each
+    # composition I then owns the word it maps to, whose coefficient is -m_I
+    def letter(k):
+        return NCPoly.from_word((k,))
+
+    def last_letter(k):
+        return NCPoly.from_word((k + n,))
+
+    expected = NCPoly({
+        (*comp[:-1], comp[-1] + n): -m_coeff(comp) for comp in compositions_of(n)[1:]
+    })
+    assert juhl_core._m_recursion(n, NCPoly.zero(), letter, last_letter) == expected
+
+
+def test_P_recursive_uses_no_n_coefficient(monkeypatch):
+    def forbidden(*_):
+        raise AssertionError("the recursive P expansion reached an n-coefficient")
+
+    for name in ("n_coeff", "n_ratio"):
+        monkeypatch.setattr(exact_core, name, forbidden)
+        monkeypatch.setattr(juhl_core, name, forbidden, raising=False)
+    expand_P_recursive.cache_clear()
+    expand_P_explicit.cache_clear()
+    try:
+        assert len(expand_P_recursive(7)) == 2**6
+    finally:
+        expand_P_recursive.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
