@@ -16,6 +16,15 @@ where Mtilde(rho) = sum_N M_{2N} * (1/(N-1)!^2) * (-rho/2)^(N-1), giving a
 computation of the operator and Q-curvature values that is independent of
 the closed-form expansions.
 
+The explicit formulae reach a backend by two paths.  ``evaluate_P`` and
+``evaluate_Q`` apply every word of an ``NCPoly`` or ``QExpansion`` one at a
+time, 2^(N-1) words at order N; they check that the expansions themselves
+match the iteration.  ``formula_P``, ``formula_P_partial`` and
+``formula_Q`` use that n_I depends only on the parts of I and their prefix
+sums, and sum over cut points in O(N^2) matrix-vector products, with no
+expansion, no n_I table and no R-iteration; the ``einstein`` command and the
+Einstein cross-path checks take their formula values from them.
+
 Einstein family.  With g_rho = (1+c*rho)^2 g the volume ratio is
 v(rho) = (1+c*rho)^n and w = sqrt(v) = (1+c*rho)^(n/2); in the r variable
 (rho = -r^2/2) the expansion W(r) = (1 - c*r^2/2)^(n/2) gives
@@ -57,6 +66,9 @@ __all__ = [
     "oracle_P",
     "oracle_P_partial",
     "oracle_Q",
+    "formula_P",
+    "formula_P_partial",
+    "formula_Q",
     "evaluate_P",
     "evaluate_Q",
     "verify_dv_identity",
@@ -200,7 +212,7 @@ class MatrixAssignment:
 
     Next to the public ``matrices``, each one is kept as an integer
     numerator matrix over the lcm of its entry denominators, which
-    ``m_apply`` and the evaluation kernel work on.
+    ``m_apply``, the word evaluator and the prefix sums work on.
     """
 
     def __init__(
@@ -353,6 +365,89 @@ def oracle_Q(backend, n: int):
         scale = a * (-2) ** a * backend.w_scalar(a)
         lanes.append(tuple([scale * x for x in backend.f]))
     return tuple([-2 * x for x in _iterate_R(backend, range(n - 3, -n, -2), lanes)])
+
+
+# ---------------------------------------------------------------------------
+# the explicit formulae by prefix sums
+
+
+def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict[int, Vector]) -> Vector:
+    """(N-1)!^2 V_0, where V_s, for s = N down to 0, is
+
+        V_s = terminal[s] + sum_{t=s+1}^{N} w_t/(t-s-1)!^2 * M_{2(t-s)} V_t,
+
+    with w_t = 1/(t(N-t)) for t < N and w_N = 1; a V_s with no terminal
+    term and no V_t to sum is zero and is skipped.
+
+    The explicit coefficient n_I = (N-1)!^2 prod_j 1/(I_j-1)!^2
+    prod_{j<r} w_{S_j} depends only on the parts of I and its prefix sums
+    S_j, so the sum over compositions is grouped by the first cut t = S_1:
+    V_s sums the words whose cuts run from s up to N, each applied
+    rightmost factor first, and V_0 collects every composition of N in
+    O(N^2) matrix-vector products.
+
+    Each V_s is kept as integer numerators over one denominator, reduced by
+    their gcd, and each product is an integer ``mat_vec`` on a numerator
+    matrix, as in the word evaluator.  ``m_apply`` would convert from and
+    back to Fractions at every product, which takes 2 to 4 times as long,
+    and longer than the cached word path at N <= 5.
+    """
+    ints = backend._int_matrices
+    sums: dict[int, tuple[list[int], int]] = {}  # s -> V_s as (numerators, den)
+    for s in range(n, -1, -1):
+        parts = []  # (numerators, den) pairs
+        if s in terminal:
+            value = terminal[s]
+            den = math.lcm(*[x.denominator for x in value])
+            parts.append(([x.numerator * (den // x.denominator) for x in value], den))
+        for t, (vec, den) in sums.items():
+            if t - s not in ints:
+                raise UnboundOrderError(t - s)
+            rows, mden = ints[t - s]
+            weight_den = (t * (n - t) if t < n else 1) * factorial(t - s - 1) ** 2
+            parts.append((mat_vec(rows, vec), den * mden * weight_den))
+        if parts:
+            den = math.lcm(*[d for _, d in parts])
+            acc = [0] * backend.dim
+            for vec, d in parts:
+                scale = den // d
+                acc = [x + scale * y for x, y in zip(acc, vec)]
+            g = math.gcd(den, *acc)
+            sums[s] = ([x // g for x in acc], den // g)
+    vec, den = sums[0]
+    scale = factorial(n - 1) ** 2
+    return tuple([Fraction(scale * x, den) for x in vec])
+
+
+def formula_P(backend, n: int, f) -> Vector:
+    """P_{2N} f by the explicit formula, summed over cut points: equals
+    ``evaluate_P(expand_P_explicit(N), backend, f)`` and ``oracle_P``,
+    in O(N^2) matrix-vector products instead of 2^(N-1) words."""
+    check_positive_int(n, "N must be a positive integer")
+    return _prefix_sums(backend, n, {n: f})
+
+
+def formula_P_partial(backend, n: int, a: int, f) -> Vector:
+    """The closed form ``oracle_P_partial`` iterates to: the sum over
+    |I| = N-a of n_{(I,a)} (a-1)!^2 (-2)^(a-1) M_{2I}(f).  The last part's
+    1/(a-1)!^2 cancels (a-1)!^2, leaving one terminal term at s = N-a."""
+    check_positive_int(n, "N must be a positive integer")
+    check_int_range(a, 1, n, "a must lie in 1..N")
+    scale = (-2) ** (a - 1)
+    return _prefix_sums(backend, n, {n - a: tuple([scale * x for x in f])})
+
+
+def formula_Q(backend, n: int) -> Vector:
+    """(-1)^N Q_{2N} by the explicit formula, summed over cut points: equals
+    ``evaluate_Q(expand_Q_explicit(N), backend)`` and ``oracle_Q``.  The
+    term (I, a) ends in the terminal term at s = N-a,
+    a!(a-1)! 4^a/(a-1)!^2 * W_{2a} f = a 4^a W_{2a} f."""
+    check_positive_int(n, "N must be a positive integer")
+    terminal = {}
+    for a in range(1, n + 1):
+        scale = a * 4**a * backend.w_scalar(a)
+        terminal[n - a] = tuple([scale * x for x in backend.f])
+    return _prefix_sums(backend, n, terminal)
 
 
 # ---------------------------------------------------------------------------

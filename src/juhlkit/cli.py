@@ -178,7 +178,7 @@ def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
         extension_start = dim.numerator // 2
     rows = []
     for order in range(1, max_order + 1):
-        formula = backends.evaluate_Q(juhl_core.expand_Q_explicit(order), backend)[0]
+        formula = backends.formula_Q(backend, order)[0]
         direct = backends.oracle_Q(backend, order)[0]
         if formula != direct:
             print(

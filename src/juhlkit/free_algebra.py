@@ -85,6 +85,30 @@ class TermMap:
     def zero(cls):
         return cls._raw({})
 
+    @classmethod
+    def linear_combination(cls, pairs):
+        """The sum of scale * tmap over the (tmap, scale) pairs, each added
+        into one dict as it arrives; a chain of ``+`` would copy its left
+        operand at every step."""
+        out: dict = {}
+        for tmap, scale in pairs:
+            if not scale:
+                continue
+            terms = tmap._terms.items()
+            if scale != 1:
+                terms = [(k, c * scale) for k, c in terms]
+            for k, c in terms:
+                s = out.get(k)
+                if s is None:
+                    out[k] = c
+                    continue
+                s += c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return cls._raw(out)
+
     def items(self):
         return self._terms.items()
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from .exact_core import (
     check_composition,
@@ -120,10 +121,9 @@ def _m_recursion(n: int, top, head, last):
     sum.
     """
 
-    def chained(row: dict, b: int, scale: Fraction):
-        # sum over a of -row[a] * scale / (a + b); a row is never empty
-        terms = [poly * (-scale / (a + b)) for a, poly in row.items()]
-        return sum(terms[1:], terms[0])
+    def chained(row: dict, b: int, scale: Fraction) -> NCPoly:
+        # sum over a of -row[a] * scale / (a + b)
+        return NCPoly.linear_combination((poly, -scale / (a + b)) for a, poly in row.items())
 
     def f(b: int) -> Fraction:
         return Fraction(1, factorial(b) * factorial(b - 1))
@@ -133,10 +133,11 @@ def _m_recursion(n: int, top, head, last):
         row = {b: chained(rows[k - b], b, f(b)) * head(b) for b in range(1, k)}
         row[k] = head(k) * f(k)
         rows.append(row)
-    acc = top
-    for b in range(1, n):
-        acc = acc + chained(rows[n - b], b, -factorial(n) * factorial(n - 1) * f(b)) * last(b)
-    return acc
+    # a generator, so that the closing products are not all held at once
+    closing = (
+        (chained(rows[n - b], b, -factorial(n) * factorial(n - 1) * f(b)) * last(b), 1) for b in range(1, n)
+    )
+    return type(top).linear_combination(chain([(top, 1)], closing))
 
 
 @cache

@@ -342,7 +342,7 @@ def _ck_einstein_paths(n: Fraction, c: Fraction, nmax: int) -> str | None:
     backend = backends.EinsteinBackend(model, nmax)
     for order in range(1, nmax + 1):
         direct = backends.oracle_Q(backend, order)[0]
-        closed = backends.evaluate_Q(juhl_core.expand_Q_explicit(order), backend)[0]
+        closed = backends.formula_Q(backend, order)[0]
         if direct != closed:
             return f"n={n}, c={c}, N={order}: oracle {direct} != formula {closed}"
         sign = (-1) ** order
@@ -350,7 +350,7 @@ def _ck_einstein_paths(n: Fraction, c: Fraction, nmax: int) -> str | None:
         if direct != sign * q_value:
             return f"n={n}, c={c}, N={order}: oracle {direct} != closed form {sign * q_value}"
         # (-1)^N P_{2N}(1) by Branson's relation (n/2 - N) Q_{2N} and by Gover's factorization
-        signed_p = sign * backends.evaluate_P(juhl_core.expand_P_explicit(order), backend, backend.f)[0]
+        signed_p = sign * backends.formula_P(backend, order, backend.f)[0]
         branson = (n / 2 - order) * q_value
         if signed_p != branson:
             return f"n={n}, c={c}, N={order}: (-1)^N P(1) {signed_p} != (n/2-N) Q {branson}"

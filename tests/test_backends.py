@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from juhlkit import backends, exact_core, juhl_core
 from juhlkit.backends import (
     EinsteinBackend,
     EinsteinModel,
@@ -20,6 +21,9 @@ from juhlkit.backends import (
     einstein_q_closed_form,
     evaluate_P,
     evaluate_Q,
+    formula_P,
+    formula_P_partial,
+    formula_Q,
     general_binomial,
     oracle_P,
     oracle_P_partial,
@@ -27,8 +31,9 @@ from juhlkit.backends import (
     verify_dv_identity,
 )
 from juhlkit.exact_core import compositions_of, factorial, n_coeff
-from juhlkit.free_algebra import NCPoly, mat_is_symmetric, mat_vec
+from juhlkit.free_algebra import NCPoly, TermMap, mat_is_symmetric, mat_vec
 from juhlkit.juhl_core import QExpansion, expand_P_explicit, expand_Q_explicit
+from juhlkit.suites import _tail_closed_form
 
 
 def test_general_binomial():
@@ -424,3 +429,99 @@ def test_evaluate_missing_order_raises():
         evaluate_P(expand_P_explicit(2), backend, backend.f)
     with pytest.raises(UnboundOrderError):
         evaluate_Q(expand_Q_explicit(2), backend)
+
+
+FORMULA_BACKENDS = {
+    "3x3-seed0": lambda order: MatrixAssignment.random(3, order, seed=0),
+    "3x3-seed5": lambda order: MatrixAssignment.random(3, order, seed=5),
+    "4x4-seed1": lambda order: MatrixAssignment.random(4, order, seed=1),
+    "4x4-seed2": lambda order: MatrixAssignment.random(4, order, seed=2),
+    "einstein-flat": lambda order: EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), order),
+    "einstein-rational-n": lambda order: EinsteinBackend(EinsteinModel(Fraction(7, 2), Fraction(-1, 3)), order),
+    "einstein-negative-n": lambda order: EinsteinBackend(EinsteinModel(Fraction(-3, 5), Fraction(7, 5)), order),
+}
+
+
+@pytest.mark.parametrize("make", FORMULA_BACKENDS.values(), ids=FORMULA_BACKENDS)
+def test_formula_kernel_matches_the_word_path(make):
+    # the prefix sums against every word of the NCPoly expansions, which
+    # carry n_I through exact_core.n_ratio
+    backend = make(10)
+    f = backend.f
+    for n in range(1, 11):
+        assert formula_P(backend, n, f) == evaluate_P(expand_P_explicit(n), backend, f), n
+        assert formula_Q(backend, n) == evaluate_Q(expand_Q_explicit(n), backend), n
+        for a in range(1, n + 1):
+            scale = Fraction(factorial(a - 1) ** 2 * (-2) ** (a - 1))
+            words = evaluate_P(_tail_closed_form(n_coeff, n, a), backend, f)
+            assert formula_P_partial(backend, n, a, f) == tuple(scale * x for x in words), (n, a)
+
+
+@pytest.mark.parametrize("n", [14, 16, 20])
+def test_formula_kernel_matches_the_oracle_at_high_order(n):
+    backend = MatrixAssignment.random(3, 20, seed=9)
+    f = backend.f
+    assert formula_P(backend, n, f) == oracle_P(backend, n, f)
+    assert formula_Q(backend, n) == oracle_Q(backend, n)
+    for a in (1, 2, n // 2, n - 1, n):
+        assert formula_P_partial(backend, n, a, f) == oracle_P_partial(backend, n, a, f), a
+
+
+def test_formula_kernel_uses_no_expansion_and_no_R_iteration(monkeypatch):
+    backend = MatrixAssignment.random(3, 6, seed=4)
+    f = backend.f
+    want = (
+        oracle_P(backend, 6, f),
+        [oracle_P_partial(backend, 6, a, f) for a in range(1, 7)],
+        oracle_Q(backend, 6),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the prefix-sum kernel reached a path it must not use")
+
+    for name in ("expand_P_explicit", "expand_P_recursive", "expand_Q_explicit", "expand_Q_recursive"):
+        monkeypatch.setattr(juhl_core, name, refuse)
+    for name in ("apply_R", "_iterate_R", "_apply_words"):
+        monkeypatch.setattr(backends, name, refuse)
+    for name in ("n_coeff", "n_ratio", "nbar_coeff", "nbar_ratio", "m_coeff", "m_ratio"):
+        monkeypatch.setattr(exact_core, name, refuse)
+    monkeypatch.setattr(TermMap, "_raw", classmethod(refuse))
+    monkeypatch.setattr(TermMap, "__init__", refuse)
+    got = (
+        formula_P(backend, 6, f),
+        [formula_P_partial(backend, 6, a, f) for a in range(1, 7)],
+        formula_Q(backend, 6),
+    )
+    assert got == want
+
+
+def test_formula_missing_order_raises():
+    # as on the word path: M_4 is missing from N = 2 on (from N = 3 for the
+    # partial form at a = 1), and a backend may have no W-scalars
+    backend = MatrixAssignment.random(3, 1, seed=0)
+    f = backend.f
+    with pytest.raises(UnboundOrderError):
+        formula_P(backend, 2, f)
+    with pytest.raises(UnboundOrderError):
+        formula_P_partial(backend, 3, 1, f)
+    with pytest.raises(UnboundOrderError):
+        formula_Q(backend, 2)
+    no_w = MatrixAssignment(backend.matrices, f)
+    with pytest.raises(UnboundOrderError):
+        evaluate_Q(expand_Q_explicit(1), no_w)
+    with pytest.raises(UnboundOrderError):
+        formula_Q(no_w, 1)
+
+
+@pytest.mark.parametrize("bad", [0, 4, 1.5, True])
+def test_formula_rejects_a_bad_order(bad):
+    backend = MatrixAssignment.random(2, 3, seed=0)
+    f = backend.f
+    with pytest.raises(ValueError, match=re.escape(f"a must lie in 1..N, got {bad!r}")):
+        formula_P_partial(backend, 3, bad, f)
+    if bad == 4:
+        return  # a fine N
+    for call in (lambda: formula_P(backend, bad, f), lambda: formula_Q(backend, bad),
+                 lambda: formula_P_partial(backend, bad, 1, f)):
+        with pytest.raises(ValueError, match=re.escape(f"N must be a positive integer, got {bad!r}")):
+            call()

@@ -288,6 +288,45 @@ def test_einstein_mismatch_exits_one(capsys, monkeypatch):
     assert "mismatch at N=2" in err
 
 
+def test_einstein_formula_mismatch_exits_one(capsys, monkeypatch):
+    from juhlkit import backends
+
+    true_formula = backends.formula_Q
+
+    def corrupted(backend, order):
+        value = true_formula(backend, order)
+        return (value[0] + 1,) if order == 2 else value
+
+    monkeypatch.setattr(backends, "formula_Q", corrupted)
+    code, out, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
+    assert code == 1
+    assert out == ""
+    assert "formula/oracle mismatch at N=2" in err
+
+
+def test_einstein_order_twelve_stdout_is_pinned(capsys):
+    # sha256 recorded while the formula column was the evaluated 2^(N-1)-word
+    # expansion, before it became the prefix sums
+    code, out, _ = run_cli(capsys, ["einstein", "--dim", "7/2", "--c=-1/3", "--max-order", "12"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0071590a624372b6850532abb3aa2bd4c62c63ef468fe068691fc6917d5eb3b9"
+    )
+
+
+@pytest.mark.parametrize("dim, c, standard", [("4", "1/2", 2), ("7/2", "-1/3", 20)])
+def test_einstein_order_twenty_rows_are_the_closed_form(capsys, dim, c, standard):
+    # at n = 4 every Q_{2N} with N >= 3 is 0; at n = 7/2 none is
+    from juhlkit import backends
+
+    code, out, _ = run_cli(capsys, ["einstein", f"--dim={dim}", f"--c={c}", "--max-order", "20", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    model = backends.EinsteinModel(Fraction(dim), Fraction(c))
+    assert [Fraction(row["Q"]) for row in rows] == [backends.einstein_q_closed_form(model, n) for n in range(1, 21)]
+    assert [row["regime"] for row in rows] == ["standard"] * standard + ["extension"] * (20 - standard)
+
+
 def test_einstein_closed_form_mismatch_exits_one(capsys, monkeypatch):
     from juhlkit import backends
 

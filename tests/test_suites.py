@@ -51,7 +51,7 @@ def test_generating_chain_check_builds_each_chain_once(monkeypatch):
         (backends, "einstein_q_closed_form", lambda model, order: Fraction(7), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: oracle -3/2 != closed form -7"),
         # N=1 on n=3, c=1/2: (-1)^N P_2(1) = 3/4 = (n/2-N) Q_2
-        (backends, "evaluate_P", lambda expansion, backend, f: (Fraction(7),), suites._ck_einstein_paths,
+        (backends, "formula_P", lambda backend, n, f: (Fraction(7),), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) -7 != (n/2-N) Q 3/4"),
         (suites, "_gover_product", lambda model, order: Fraction(7), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) 3/4 != Gover product 7"),
