@@ -25,6 +25,12 @@ sums, and sum over cut points in O(N^2) matrix-vector products, with no
 expansion, no n_I table and no R-iteration; the ``einstein`` command and the
 Einstein cross-path checks take their formula values from them.
 
+The R-iteration, the prefix sums and the word evaluator share one exact
+arithmetic and nothing else: integer numerators over one denominator, made
+by ``_ints``, summed by ``_lincomb``, multiplied by ``MatrixAssignment._times``
+and turned back into Fractions by ``_fractions``.  The tests pin each of
+these helpers to plain ``Fraction`` arithmetic.
+
 Einstein family.  With g_rho = (1+c*rho)^2 g the volume ratio is
 v(rho) = (1+c*rho)^n and w = sqrt(v) = (1+c*rho)^(n/2); in the r variable
 (rho = -r^2/2) the expansion W(r) = (1 - c*r^2/2)^(n/2) gives
@@ -44,14 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_core import check_int_range, check_positive_int, factorial
-from .free_algebra import (
-    Matrix,
-    NCPoly,
-    Vector,
-    int_matrix,
-    mat_is_symmetric,
-    mat_vec,
-)
+from .free_algebra import Matrix, NCPoly, Vector, _as_scalar, mat_is_symmetric, mat_vec
 from .juhl_core import QExpansion
 
 __all__ = [
@@ -201,18 +200,58 @@ def einstein_q_closed_form(model: EinsteinModel, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# integer-numerator vectors: (numerators, den) stands for numerators[i] / den
+
+
+def int_matrix(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``a`` as ``(numerators, den)``: an integer matrix over the lcm of the
+    entry denominators, so that ``a[i][j] == numerators[i][j] / den``."""
+    den = math.lcm(*[x.denominator for row in a for x in row])
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a), den
+
+
+def _ints(value) -> tuple[list[int], int]:
+    """A backend value as integer numerators over the lcm of its denominators."""
+    den = math.lcm(*[x.denominator for x in value])
+    return [x.numerator * (den // x.denominator) for x in value], den
+
+
+def _lincomb(dim: int, parts: list) -> tuple[list[int], int]:
+    """The sum of the (numerators, den) pairs ``parts`` over the lcm of their
+    denominators, reduced by the gcd; the zero vector over 1 for no parts."""
+    den = math.lcm(*[d for _, d in parts])
+    acc = [0] * dim
+    for vec, d in parts:
+        scale = den // d
+        acc = [x + scale * y for x, y in zip(acc, vec)]
+    g = math.gcd(den, *acc)
+    return [x // g for x in acc], den // g
+
+
+def _fractions(vec, den: int) -> Vector:
+    return tuple([Fraction(x, den) for x in vec])
+
+
+def _rational(value, what: str) -> Fraction:
+    c = _as_scalar(value)
+    if c is None:
+        raise ValueError(f"{what} must be rational, got {value!r}")
+    return c
+
+
+# ---------------------------------------------------------------------------
 # the matrix backend and its 1x1 Einstein case
 
 
 class MatrixAssignment:
     """Matrix backend: symmetric rational matrices stand in for the building
     blocks, scalars for the W-coefficients, and a test vector for the
-    function being acted on.  Every backend value is a tuple of Fractions,
-    one entry per matrix row.
+    function being acted on.  Entries and W-scalars must be ``int`` or
+    ``Fraction`` and are stored as Fractions; every backend value is a tuple
+    of Fractions, one entry per matrix row.
 
-    Next to the public ``matrices``, each one is kept as an integer
-    numerator matrix over the lcm of its entry denominators, which
-    ``m_apply``, the word evaluator and the prefix sums work on.
+    Each matrix is also kept as an integer numerator matrix over the lcm of
+    its entry denominators, read only by ``_times``.
     """
 
     def __init__(
@@ -225,17 +264,19 @@ class MatrixAssignment:
         if len(dims) > 1:
             raise ValueError("all matrices must share one dimension")
         d = dims.pop() if dims else len(f)
-        for m in matrices.values():
+        self.matrices = {}
+        for order, m in matrices.items():
             if any(len(row) != d for row in m):
                 raise ValueError("matrices must be square")
+            m = tuple(tuple(_rational(x, "matrix entries") for x in row) for row in m)
             if not mat_is_symmetric(m):
                 raise ValueError("matrices must be symmetric")
+            self.matrices[order] = m
         if len(f) != d:
             raise ValueError("test vector length must match the matrix dimension")
-        self.matrices = dict(matrices)
         self._int_matrices = {order: int_matrix(m) for order, m in self.matrices.items()}
-        self.f = tuple(Fraction(x) for x in f)
-        self.w_scalars = dict(w_scalars) if w_scalars else {}
+        self.f = tuple(_rational(x, "test vector entries") for x in f)
+        self.w_scalars = {a: _rational(w, "W-scalars") for a, w in (w_scalars or {}).items()}
 
     @classmethod
     def random(cls, dim: int, max_order: int, seed: int) -> MatrixAssignment:
@@ -261,15 +302,17 @@ class MatrixAssignment:
     def dim(self) -> int:
         return len(self.f)
 
-    def m_apply(self, order: int, value: Vector) -> Vector:
-        """The matrix of ``order`` times ``value``: integer dot products over
-        one common denominator, then one Fraction per output entry."""
+    def _times(self, order: int, vec, den: int) -> tuple[tuple[int, ...], int]:
+        """The matrix of ``order`` times ``vec / den`` as (numerators, den), by
+        integer ``mat_vec``; UnboundOrderError if there is no such matrix."""
         if order not in self._int_matrices:
             raise UnboundOrderError(order)
-        rows, den = self._int_matrices[order]
-        vden = math.lcm(*[x.denominator for x in value])
-        vnum = [x.numerator * (vden // x.denominator) for x in value]
-        return tuple([Fraction(x, den * vden) for x in mat_vec(rows, vnum)])
+        rows, mden = self._int_matrices[order]
+        return mat_vec(rows, vec), den * mden
+
+    def m_apply(self, order: int, value: Vector) -> Vector:
+        """The matrix of ``order`` times ``value``, one Fraction per entry."""
+        return _fractions(*self._times(order, *_ints(value)))
 
     def w_scalar(self, a: int) -> Fraction:
         if a not in self.w_scalars:
@@ -301,22 +344,25 @@ def apply_R(k: int, lanes: list, backend) -> list:
     Returns a list one lane shorter: the lanes 0..cap-1, the ones the input
     determines exactly.  Coefficient i of the result is
     2(i+1)(k-i)*u_{i+1} plus the Mtilde part
-    sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}.  Raises UnboundOrderError if
-    a needed building block is missing from the backend.
+    sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}, on integer lanes with the
+    weight's sign in the numerators.  Raises UnboundOrderError if a needed
+    building block is missing; an all-zero lane never asks for its block.
     """
     cap = len(lanes) - 1
-    weights = [Fraction((-1) ** e, factorial(e) ** 2 * 2**e) for e in range(cap)]
+    ints = [_ints(lane) if any(lane) else None for lane in lanes]
     out = []
     for i in range(cap):
-        factor = 2 * (i + 1) * (k - i)
-        acc = [factor * x for x in lanes[i + 1]]
+        parts = []
+        if ints[i + 1] is not None:
+            vec, den = ints[i + 1]
+            parts.append(([2 * (i + 1) * (k - i) * x for x in vec], den))
         for e in range(i + 1):
-            low = lanes[i - e]
-            if any(low):
-                weight = weights[e]
-                acc = [x + weight * y for x, y in zip(acc, backend.m_apply(e + 1, low))]
-        out.append(tuple(acc))
-    return out
+            if ints[i - e] is not None:
+                vec, den = ints[i - e]
+                vec, den = backend._times(e + 1, vec, den * factorial(e) ** 2 * 2**e)
+                parts.append((vec if e % 2 == 0 else [-x for x in vec], den))
+        out.append(_lincomb(backend.dim, parts))
+    return [_fractions(vec, den) for vec, den in out]
 
 
 def _iterate_R(backend, ks: range, lanes: list):
@@ -386,37 +432,20 @@ def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict[int, Vector])
     rightmost factor first, and V_0 collects every composition of N in
     O(N^2) matrix-vector products.
 
-    Each V_s is kept as integer numerators over one denominator, reduced by
-    their gcd, and each product is an integer ``mat_vec`` on a numerator
-    matrix, as in the word evaluator.  ``m_apply`` would convert from and
-    back to Fractions at every product, which takes 2 to 4 times as long,
-    and longer than the cached word path at N <= 5.
+    Each V_s is kept as integer numerators over one denominator, with the
+    weight folded into the denominator of each product.
     """
-    ints = backend._int_matrices
     sums: dict[int, tuple[list[int], int]] = {}  # s -> V_s as (numerators, den)
     for s in range(n, -1, -1):
-        parts = []  # (numerators, den) pairs
-        if s in terminal:
-            value = terminal[s]
-            den = math.lcm(*[x.denominator for x in value])
-            parts.append(([x.numerator * (den // x.denominator) for x in value], den))
+        parts = [_ints(terminal[s])] if s in terminal else []
         for t, (vec, den) in sums.items():
-            if t - s not in ints:
-                raise UnboundOrderError(t - s)
-            rows, mden = ints[t - s]
             weight_den = (t * (n - t) if t < n else 1) * factorial(t - s - 1) ** 2
-            parts.append((mat_vec(rows, vec), den * mden * weight_den))
+            parts.append(backend._times(t - s, vec, den * weight_den))
         if parts:
-            den = math.lcm(*[d for _, d in parts])
-            acc = [0] * backend.dim
-            for vec, d in parts:
-                scale = den // d
-                acc = [x + scale * y for x, y in zip(acc, vec)]
-            g = math.gcd(den, *acc)
-            sums[s] = ([x // g for x in acc], den // g)
+            sums[s] = _lincomb(backend.dim, parts)
     vec, den = sums[0]
     scale = factorial(n - 1) ** 2
-    return tuple([Fraction(scale * x, den) for x in vec])
+    return _fractions([scale * x for x in vec], den)
 
 
 def formula_P(backend, n: int, f) -> Vector:
@@ -458,32 +487,19 @@ def _apply_words(backend: MatrixAssignment, terms, f) -> Vector:
     """The sum of coeff * M_{w_1} ... M_{w_k} f over the (word, coeff) pairs
     ``terms``, rightmost factor first.
 
-    Each word is applied with integer ``mat_vec`` steps on the integer
-    numerator matrices, under one running denominator per word; the words
-    are summed over the lcm of their denominators, and the result has one
-    Fraction per entry.  This is the package's one word evaluator: the
-    suites' operator-matrix symmetry check runs it on the standard basis
-    vectors.  Shares only ``mat_vec`` with ``m_apply``, which the
-    R-iteration uses.
+    Each word is applied with ``_times`` steps under one running
+    denominator per word, and the words are summed with ``_lincomb``.  This
+    is the package's one word evaluator: the suites' operator-matrix
+    symmetry check runs it on the standard basis vectors.
     """
-    ints = backend._int_matrices
-    fden = math.lcm(*[x.denominator for x in f])
-    fnum = [x.numerator * (fden // x.denominator) for x in f]
-    acc = [0] * len(fnum)
-    acc_den = 1
+    fvec, fden = _ints(f)
+    parts = []
     for word, coeff in terms:
-        vec, den = fnum, fden * coeff.denominator
+        vec, den = fvec, fden * coeff.denominator
         for order in reversed(word):
-            if order not in ints:
-                raise UnboundOrderError(order)
-            rows, mden = ints[order]
-            vec = mat_vec(rows, vec)
-            den *= mden
-        lcm = math.lcm(acc_den, den)
-        old_scale, new_scale = lcm // acc_den, lcm // den * coeff.numerator
-        acc = [x * old_scale + y * new_scale for x, y in zip(acc, vec)]
-        acc_den = lcm
-    return tuple([Fraction(x, acc_den) for x in acc])
+            vec, den = backend._times(order, vec, den)
+        parts.append(([coeff.numerator * x for x in vec], den))
+    return _fractions(*_lincomb(len(fvec), parts))
 
 
 def evaluate_P(expansion: NCPoly, backend: MatrixAssignment, f) -> Vector:

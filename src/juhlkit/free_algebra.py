@@ -9,15 +9,14 @@ adds the word product, and ``juhl_core.QExpansion`` stores a Q-term (I, a)
 under the word ``(*I, a)``, so the same product gives ``NCPoly *
 QExpansion``, that is P_{2I}(Q).
 
-The matrix helpers at the end (``int_matrix``, ``mat_vec``,
-``mat_transpose``, ``mat_is_symmetric``) are the ones ``backends`` needs:
-there a polynomial is evaluated in a matrix backend by applying each word to
-a vector (``backends.evaluate_P``), never by forming matrix products.
+The matrix helpers at the end (``mat_vec``, ``mat_transpose``,
+``mat_is_symmetric``) are the ones ``backends`` needs: there a polynomial is
+evaluated in a matrix backend by applying each word to a vector
+(``backends.evaluate_P``), never by forming matrix products.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .exact_core import Composition, check_positive_int
@@ -32,7 +31,6 @@ __all__ = [
     "Vector",
     "TermMap",
     "NCPoly",
-    "int_matrix",
     "mat_vec",
     "mat_transpose",
     "mat_is_symmetric",
@@ -52,6 +50,21 @@ def _as_scalar(value) -> Fraction | None:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     return None
+
+
+def _accumulate(out: dict, terms) -> None:
+    """Add the (key, coeff) pairs ``terms``, whose coefficients are nonzero,
+    into ``out``; a sum that cancels deletes its key, so no zero is stored."""
+    for k, c in terms:
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+            continue
+        s += c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
 
 
 class TermMap:
@@ -97,16 +110,7 @@ class TermMap:
             terms = tmap._terms.items()
             if scale != 1:
                 terms = [(k, c * scale) for k, c in terms]
-            for k, c in terms:
-                s = out.get(k)
-                if s is None:
-                    out[k] = c
-                    continue
-                s += c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            _accumulate(out, terms)
         return cls._raw(out)
 
     def items(self):
@@ -138,12 +142,7 @@ class TermMap:
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        _accumulate(out, other._terms.items())
         return self._raw(out)
 
     def __sub__(self, other):
@@ -189,14 +188,8 @@ class NCPoly(TermMap):
         if not isinstance(other, TermMap):
             return super().__mul__(other)
         out: dict[Word, Fraction] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                s = out.get(w, Fraction(0)) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+        right = other._terms.items()
+        _accumulate(out, ((w1 + w2, c1 * c2) for w1, c1 in self._terms.items() for w2, c2 in right))
         return other._raw(out)
 
     def __repr__(self) -> str:
@@ -224,9 +217,3 @@ def mat_transpose(a: Matrix) -> Matrix:
 def mat_is_symmetric(a: Matrix) -> bool:
     return a == mat_transpose(a)
 
-
-def int_matrix(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``a`` as ``(numerators, den)``: an integer matrix over the lcm of the
-    entry denominators, so that ``a[i][j] == numerators[i][j] / den``."""
-    den = math.lcm(*[x.denominator for row in a for x in row])
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a), den

@@ -1,5 +1,6 @@
 """Backend oracles: direct operator iteration against the closed forms."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -525,3 +526,151 @@ def test_formula_rejects_a_bad_order(bad):
                  lambda: formula_P_partial(backend, bad, 1, f)):
         with pytest.raises(ValueError, match=re.escape(f"N must be a positive integer, got {bad!r}")):
             call()
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator arithmetic the three backend paths share
+
+
+@pytest.mark.parametrize(
+    "matrices, f, w_scalars, message",
+    [
+        ({1: ((0.5,),)}, (1,), None, "matrix entries must be rational, got 0.5"),
+        ({1: ((True,),)}, (1,), None, "matrix entries must be rational, got True"),
+        ({1: ((1,),)}, (0.1,), None, "test vector entries must be rational, got 0.1"),
+        ({1: ((1,),)}, (True,), None, "test vector entries must be rational, got True"),
+        ({1: ((1,),)}, (1,), {1: 0.5}, "W-scalars must be rational, got 0.5"),
+        ({1: ((1,),)}, (1,), {1: True}, "W-scalars must be rational, got True"),
+    ],
+)
+def test_matrix_assignment_rejects_inexact_input(matrices, f, w_scalars, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MatrixAssignment(matrices, f, w_scalars)
+
+
+def test_matrix_assignment_stores_int_input_as_fractions():
+    backend = MatrixAssignment({1: ((1, 2), (2, Fraction(1, 3)))}, (3, Fraction(-1, 2)), {2: -4})
+    values = [*backend.matrices[1][0], *backend.matrices[1][1], *backend.f, *backend.w_scalars.values()]
+    assert values == [1, 2, 2, Fraction(1, 3), 3, Fraction(-1, 2), -4]
+    assert all(type(x) is Fraction for x in values)
+
+
+rational_vectors = st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.one_of(
+        st.tuples(*[wide_entries] * d),
+        st.just((Fraction(0),) * d),
+        st.tuples(*[st.integers(min_value=-9, max_value=9)] * d),
+    )
+)
+
+
+@given(v=rational_vectors)
+@settings(max_examples=80, deadline=None)
+def test_ints_is_the_vector_over_the_lcm_of_its_denominators(v):
+    vec, den = backends._ints(v)
+    assert all(type(x) is int for x in vec)
+    assert den == math.lcm(*[Fraction(x).denominator for x in v])
+    assert [Fraction(x, den) for x in vec] == list(v)
+    assert backends._fractions(vec, den) == tuple(Fraction(x) for x in v)
+
+
+@st.composite
+def scaled_parts(draw):
+    # (vector, integer scale) pairs of one dimension; scales may be negative
+    # or zero, and a vector may be zero
+    d = draw(st.integers(min_value=1, max_value=4))
+    vectors = st.one_of(st.tuples(*[wide_entries] * d), st.just((Fraction(0),) * d))
+    scales = st.integers(min_value=-6, max_value=6)
+    return d, draw(st.lists(st.tuples(vectors, scales), max_size=5))
+
+
+@given(case=scaled_parts())
+@settings(max_examples=80, deadline=None)
+def test_lincomb_is_the_fraction_sum(case):
+    d, pairs = case
+    parts = []
+    for v, scale in pairs:
+        vec, den = backends._ints(v)
+        parts.append(([scale * x for x in vec], den))
+    vec, den = backends._lincomb(d, parts)
+    want = [sum((scale * v[i] for v, scale in pairs), Fraction(0)) for i in range(d)]
+    assert [Fraction(x, den) for x in vec] == want
+    assert den > 0 and math.gcd(den, *vec) == 1  # reduced
+    if not pairs:
+        assert (vec, den) == ([0] * d, 1)
+
+
+@given(case=matrix_and_vector(), den=st.integers(min_value=1, max_value=50))
+@settings(max_examples=80, deadline=None)
+def test_times_is_mat_vec_on_the_fraction_matrix(case, den):
+    matrix, v = case
+    backend = MatrixAssignment({1: matrix}, (0,) * len(v))
+    vec = [Fraction(x).numerator for x in v]  # any integers, over den
+    got, got_den = backend._times(1, vec, den)
+    assert [Fraction(x, got_den) for x in got] == list(mat_vec(matrix, [Fraction(x, den) for x in vec]))
+    with pytest.raises(UnboundOrderError):
+        backend._times(2, vec, den)
+
+
+def _apply_R_by_formula(k, lanes, backend):
+    # 2(i+1)(k-i) u_{i+1} + sum_e (-1)^e/(e!^2 2^e) M_{2(e+1)} u_{i-e},
+    # on the Fraction matrices and with every lane applied, zero or not
+    out = []
+    for i in range(len(lanes) - 1):
+        acc = [2 * (i + 1) * (k - i) * Fraction(x) for x in lanes[i + 1]]
+        for e in range(i + 1):
+            weight = Fraction((-1) ** e, factorial(e) ** 2 * 2**e)
+            low = mat_vec(backend.matrices[e + 1], lanes[i - e])
+            acc = [x + weight * y for x, y in zip(acc, low)]
+        out.append(tuple(acc))
+    return out
+
+
+@st.composite
+def backend_and_lanes(draw):
+    d = draw(st.sampled_from([2, 3]))
+    backend = MatrixAssignment.random(d, 6, seed=draw(st.integers(min_value=0, max_value=10**6)))
+    lane = st.one_of(st.tuples(*[entries] * d), st.just((Fraction(0),) * d))
+    return backend, draw(st.lists(lane, min_size=2, max_size=7))
+
+
+@given(case=backend_and_lanes(), k=st.integers(min_value=-7, max_value=7))
+@settings(max_examples=80, deadline=None)
+def test_apply_R_matches_the_fraction_formula(case, k):
+    backend, lanes = case
+    got = apply_R(k, lanes, backend)
+    assert got == _apply_R_by_formula(k, lanes, backend)
+    assert all(type(x) is Fraction for lane in got for x in lane)
+
+
+def test_apply_R_asks_no_block_for_a_zero_lane():
+    # output lane 2 reaches M_6 only through u_0: with u_0 = 0 a backend
+    # without M_6 gives the same lanes as one with it
+    backend = MatrixAssignment.random(2, 2, seed=3)
+    zero, v = backend.zero_value(), (Fraction(1), Fraction(-2, 3))
+    lanes = [zero, v, v, zero]
+    assert apply_R(4, lanes, backend) == _apply_R_by_formula(4, lanes, MatrixAssignment.random(2, 3, seed=3))
+    with pytest.raises(UnboundOrderError):
+        apply_R(4, [v, zero, zero, zero], backend)
+
+
+def test_the_R_iteration_uses_no_prefix_sum_and_no_word(monkeypatch):
+    backend = MatrixAssignment.random(3, 6, seed=4)
+    f = backend.f
+    want = (
+        formula_P(backend, 6, f),
+        [formula_P_partial(backend, 6, a, f) for a in range(1, 7)],
+        formula_Q(backend, 6),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the R-iteration reached a path it must not use")
+
+    for name in ("_prefix_sums", "_apply_words"):
+        monkeypatch.setattr(backends, name, refuse)
+    got = (
+        oracle_P(backend, 6, f),
+        [oracle_P_partial(backend, 6, a, f) for a in range(1, 7)],
+        oracle_Q(backend, 6),
+    )
+    assert got == want

@@ -228,3 +228,21 @@ def test_eval_matches_naive_fraction_path(entry_kind):
             }
         )
         assert _eval_matrix(p, assign, d) == _naive_eval(p, assign, d)
+
+
+@given(p=polys, q=polys)
+@settings(max_examples=60, deadline=None)
+def test_mul_is_the_sum_over_word_pairs(p, q):
+    # equality compares the stored dicts, so a stored zero would fail it
+    want: dict = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            want[w1 + w2] = want.get(w1 + w2, Fraction(0)) + c1 * c2
+    assert p * q == NCPoly(want)
+
+
+def test_mul_drops_a_cancelled_word():
+    # x1 * x2x3 and x1x2 * (-x3) are the same word with opposite signs
+    p = NCPoly({(1,): 1, (1, 2): 1}) * NCPoly({(2, 3): 1, (3,): -1})
+    assert p == NCPoly({(1, 3): -1, (1, 2, 2, 3): 1})
+    assert (1, 2, 3) not in dict(p.items())
