@@ -39,7 +39,10 @@ dimension n may itself be a rational parameter.  Anchors: c = 0 is the flat
 model (all invariants vanish); c = 1/2 reproduces the hyperbolic normal
 form h_r = (1 - r^2/4)^2 g, i.e. the round unit sphere at conformal
 infinity.  The model yields Q_2 = n*c, which at c = 1/2 matches the round
-sphere value Q_2 = n/2 = R/(2(n-1)) with R = n(n-1).
+sphere value Q_2 = n/2 = R/(2(n-1)) with R = n(n-1).  Every series of the
+family is a binomial series (1 + x*t)^alpha, and a quotient is a product
+with a negative power.  The conjugation identity compares the raw
+Laplacian conjugated by w with ``apply_R`` itself on the Einstein backend.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ class UnboundOrderError(KeyError):
 
 
 def _ser_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """a*b through the length of ``a``; ``b`` is at least as long."""
     n = len(a)
     out = [Fraction(0)] * n
     for i, ai in enumerate(a):
@@ -91,42 +95,6 @@ def _ser_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         for j in range(n - i):
             if b[j]:
                 out[i + j] += ai * b[j]
-    return out
-
-
-def _ser_div(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    if not den[0]:
-        raise ZeroDivisionError("series division needs a unit constant term")
-    n = len(num)
-    out: list[Fraction] = []
-    for i in range(n):
-        acc = num[i]
-        for j in range(1, i + 1):
-            if j < len(den) and den[j]:
-                acc -= den[j] * out[i - j]
-        out.append(acc / den[0])
-    return out
-
-
-def _ser_deriv(a: list[Fraction]) -> list[Fraction]:
-    # top lane is unknown after differentiating; callers keep slack lanes
-    return [(i + 1) * a[i + 1] for i in range(len(a) - 1)] + [Fraction(0)]
-
-
-def _ser_shift(a: list[Fraction]) -> list[Fraction]:
-    # multiply by the series variable
-    return [Fraction(0)] + a[:-1]
-
-
-def _ser_scale(c: Fraction, a: list[Fraction]) -> list[Fraction]:
-    return [c * x for x in a]
-
-
-def _ser_add(*series: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * len(series[0])
-    for s in series:
-        for i, x in enumerate(s):
-            out[i] += x
     return out
 
 
@@ -140,20 +108,26 @@ def general_binomial(x: Fraction, k: int) -> Fraction:
     return num / factorial(k)
 
 
+def _power(alpha: Fraction, x: Fraction, length: int) -> list[Fraction]:
+    """(1 + x*t)^alpha through t^(length-1), by the generalized binomial."""
+    return [general_binomial(alpha, j) * x**j for j in range(length)]
+
+
 # ---------------------------------------------------------------------------
 # the Einstein family
 
 
 @dataclass(frozen=True)
 class EinsteinModel:
-    """The family g_rho = (1 + c*rho)^2 g in (possibly rational) dimension n."""
+    """The family g_rho = (1 + c*rho)^2 g in (possibly rational) dimension n.
+    n and c must be ``int`` or ``Fraction`` and are stored as Fractions."""
 
     n: Fraction
     c: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "n", Fraction(self.n))
-        object.__setattr__(self, "c", Fraction(self.c))
+        object.__setattr__(self, "n", _rational(self.n, "n"))
+        object.__setattr__(self, "c", _rational(self.c, "c"))
 
 
 def einstein_invariants(model: EinsteinModel, max_order: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
@@ -167,16 +141,18 @@ def einstein_invariants(model: EinsteinModel, max_order: int) -> tuple[dict[int,
 
     (the divergence term annihilates the spatially constant W), matched
     against the generating normalization M_{2N}/(N-1)!^2 * (r^2/4)^(N-1).
+    The division is the product with the binomial series
+    1/W = (1 - c*r^2/2)^(-n/2).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     n, c = model.n, model.c
     # even series in r: index a holds the r^(2a) coefficient
-    w_even = [general_binomial(n / 2, a) * (-c / 2) ** a for a in range(max_order + 1)]
+    w_even = _power(n / 2, -c / 2, max_order + 1)
     w_scalars = {a: w_even[a] for a in range(1, max_order + 1)}
     # [d2/dr2 - (n-1)/r d/dr] r^(2a) = 2a(2a-n) r^(2a-2)
     num = [2 * a * (2 * a - n) * w_even[a] for a in range(1, max_order + 1)]
-    u_even = _ser_div(num, w_even[:max_order])
+    u_even = _ser_mul(num, _power(-n / 2, -c / 2, max_order))
     m_consts = {
         e + 1: -u_even[e] * factorial(e) ** 2 * 4**e for e in range(max_order)
     }
@@ -337,25 +313,28 @@ class EinsteinBackend(MatrixAssignment):
 # the R-iteration
 
 
-def apply_R(k: int, lanes: list, backend) -> list:
+def apply_R(k: int | Fraction, lanes: list, backend) -> list:
     """Apply R_k = -2*rho*d2 + 2k*d + Mtilde(rho) to the rho-polynomial u
-    whose coefficients u_0..u_cap, backend values, are the list ``lanes``.
+    whose coefficients u_0..u_cap, backend values, are the list ``lanes``;
+    k is an integer in the oracles and rational in ``verify_dv_identity``.
 
     Returns a list one lane shorter: the lanes 0..cap-1, the ones the input
     determines exactly.  Coefficient i of the result is
     2(i+1)(k-i)*u_{i+1} plus the Mtilde part
     sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}, on integer lanes with the
-    weight's sign in the numerators.  Raises UnboundOrderError if a needed
-    building block is missing; an all-zero lane never asks for its block.
+    weight's sign in the numerators and k's denominator folded into the
+    derivative part's.  Raises UnboundOrderError if a needed building block
+    is missing; an all-zero lane never asks for its block.
     """
     cap = len(lanes) - 1
+    kn, kd = k.numerator, k.denominator
     ints = [_ints(lane) if any(lane) else None for lane in lanes]
     out = []
     for i in range(cap):
         parts = []
         if ints[i + 1] is not None:
             vec, den = ints[i + 1]
-            parts.append(([2 * (i + 1) * (k - i) * x for x in vec], den))
+            parts.append(([2 * (i + 1) * (kn - i * kd) * x for x in vec], den * kd))
         for e in range(i + 1):
             if ints[i - e] is not None:
                 vec, den = ints[i - e]
@@ -520,54 +499,34 @@ def evaluate_Q(expansion: QExpansion, backend: MatrixAssignment) -> Vector:
 
 
 def verify_dv_identity(model: EinsteinModel, gamma, kmax: int = 4, cap: int = 8) -> list[tuple[list, list]]:
-    """One (lhs, rhs) pair per input psi = rho^k, k = 0..kmax: both sides,
+    """One (lhs, rhs) pair per input psi = rho^j, j = 0..kmax: both sides,
     through rho^cap, of
 
         w * [ -2*rho*phi'' + (2*gamma+n-2-2*rho*v'/v)*phi' + gamma*(v'/v)*phi ]
-        = -2*rho*psi'' + (2*gamma+n-2)*psi' - Utilde*psi,
+        = R_k psi,  k = gamma + n/2 - 1,
 
-    where phi = psi/w, v = (1+c*rho)^n, w = sqrt(v), and
-    Utilde = [-2*rho*w'' + (n-2)*w']/w.  The left side is the raw
-    warped-product Laplacian conjugated by w (the Laplacian term along the
-    boundary drops on rho-only inputs); the right side is the normal form
-    driving the R-iteration.  Both are computed with two lanes of slack.
+    where phi = psi/w, v = (1+c*rho)^n and w = sqrt(v).  The left side is
+    the raw warped-product Laplacian conjugated by w (the Laplacian term
+    along the boundary drops on rho-only inputs), regrouped as
+    w * [D phi + (v'/v)(gamma - 2*rho*d) phi] with D = -2*rho*d2 + 2k*d.
+    The right side is ``apply_R`` on the Einstein backend, whose Mtilde is
+    -Utilde = -[-2*rho*w'' + (n-2)*w']/w.  gamma must be int or Fraction.
     """
     n, c = model.n, model.c
-    gamma = Fraction(gamma)
-    length = cap + 3
-    v = [general_binomial(n, j) * c**j for j in range(length)]
-    w = [general_binomial(n / 2, j) * c**j for j in range(length)]
-    w_inv = _ser_div([Fraction(1)] + [Fraction(0)] * (length - 1), w)
-    vlog = _ser_div(_ser_deriv(v), v)  # v'/v
-    const = 2 * gamma + n - 2
-    utilde = _ser_div(
-        _ser_add(_ser_scale(Fraction(-2), _ser_shift(_ser_deriv(_ser_deriv(w)))),
-                 _ser_scale(Fraction(n - 2), _ser_deriv(w))),
-        w,
-    )
-    first_order = _ser_add(
-        [const] + [Fraction(0)] * (length - 1),
-        _ser_scale(Fraction(-2), _ser_shift(vlog)),
-    )
+    gamma = _rational(gamma, "gamma")
+    k = gamma + n / 2 - 1
+    length = cap + 2  # D reads one lane above the ones compared
+    w = _power(n / 2, c, length)
+    w_inv = _power(-n / 2, c, length)
+    vlog = [n * c * x for x in _power(Fraction(-1), c, length)]  # v'/v = n*c/(1+c*rho)
+    backend = EinsteinBackend(model, cap + 1)
     sides = []
-    for k in range(kmax + 1):
-        psi = [Fraction(0)] * length
-        psi[k] = Fraction(1)
-        phi = _ser_mul(w_inv, psi)
-        phi1 = _ser_deriv(phi)
-        phi2 = _ser_deriv(phi1)
-        bracket = _ser_add(
-            _ser_scale(Fraction(-2), _ser_shift(phi2)),
-            _ser_mul(first_order, phi1),
-            _ser_scale(gamma, _ser_mul(vlog, phi)),
-        )
-        lhs = _ser_mul(w, bracket)
-        psi1 = _ser_deriv(psi)
-        psi2 = _ser_deriv(psi1)
-        rhs = _ser_add(
-            _ser_scale(Fraction(-2), _ser_shift(psi2)),
-            _ser_scale(const, psi1),
-            _ser_scale(Fraction(-1), _ser_mul(utilde, psi)),
-        )
-        sides.append((lhs[: cap + 1], rhs[: cap + 1]))
+    for j in range(kmax + 1):
+        phi = [Fraction(0)] * j + w_inv[: length - j]
+        d_phi = [2 * (i + 1) * (k - i) * phi[i + 1] for i in range(cap + 1)]
+        twist = _ser_mul(vlog, [(gamma - 2 * i) * x for i, x in enumerate(phi)])
+        lhs = _ser_mul([x + y for x, y in zip(d_phi, twist)], w)
+        lanes = [(Fraction(int(i == j)),) for i in range(length)]
+        rhs = [lane[0] for lane in apply_R(k, lanes, backend)]
+        sides.append((lhs, rhs))
     return sides

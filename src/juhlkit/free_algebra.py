@@ -17,6 +17,7 @@ evaluated in a matrix backend by applying each word to a vector
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .exact_core import Composition, check_positive_int
@@ -207,7 +208,7 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
         raise ValueError("matrix dimension mismatch")
     # a list first: tuple(<generator>) over-allocates, and the shrunk
     # copies fill the tuple free lists, raising peak memory
-    return tuple([sum(x * y for x, y in zip(row, v)) for row in a])
+    return tuple([sum(map(operator.mul, row, v)) for row in a])
 
 
 def mat_transpose(a: Matrix) -> Matrix:

@@ -64,6 +64,20 @@ def test_checks_report_both_sides_on_failure(monkeypatch, module, attr, fake, ch
     assert check(*args) == detail
 
 
+def test_conjugation_check_reads_every_m_constant(monkeypatch):
+    # psi = 1 reaches M_{2(e+1)} at rho^e, so a fault in any constant up to
+    # rho^cap (cap = 8) must fail the instance
+    plain = backends.einstein_invariants
+    for order in range(1, 10):
+        def perturbed(model, max_order, order=order):
+            w_scalars, m_consts = plain(model, max_order)
+            return w_scalars, {**m_consts, order: m_consts[order] + 1}
+
+        monkeypatch.setattr(backends, "einstein_invariants", perturbed)
+        detail = suites._ck_dv_identity(Fraction(3), Fraction(1, 2), Fraction(0))
+        assert detail is not None and detail.startswith("n=3, c=1/2, gamma=0: k=0: "), order
+
+
 @pytest.mark.parametrize("max_order", [0, -1, True])
 def test_a_bad_max_order_raises_before_any_instance_runs(monkeypatch, max_order):
     ran = []
