@@ -4,20 +4,25 @@ Subcommands: ``constants`` (coefficient tables), ``expand`` (operator and
 Q-curvature expansions), ``verify`` (identity suites), ``einstein`` (exact
 table for the one-parameter Einstein family, with the explicit formula
 cross-checked against the direct operator iteration).  Each table prints as
-one JSON document or, with ``--format tsv``, as that document's rows.
+one indented JSON document or, with ``--format tsv``, as that document's
+rows.  ``_emit`` writes a table row by row as its rows are produced, so
+``constants`` and ``expand`` never hold the whole 2^(N-1)-row document;
+``einstein`` checks every row before it prints the first.
 
 All rationals are serialized as exact strings "p/q", never floats.  Stdout
 is byte-deterministic for identical invocations; wall-clock timing goes to
-stderr.  Exit codes: 0 success, 1 identity failure, 2 usage error.
+stderr.  Exit codes: 0 success (also when the reader closes stdout before a
+table ends, as ``| head`` does), 1 identity failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from . import backends, exact_core, juhl_core, suites
 
@@ -106,51 +111,83 @@ def _tsv_field(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
-def _emit(doc: dict, rows_key: str, fmt: str) -> int:
-    """Print ``doc`` as indented JSON, or its ``doc[rows_key]`` rows as TSV:
-    a header of the row keys, then one line per row, a list value
-    comma-joined and any other value through ``str``."""
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
+def _json_field(value) -> str:
+    """A row value as ``json.dumps(indent=2)`` writes it at the depth of a
+    row's fields: a ``str``, an ``int`` or a list of ``int``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, list):
+        return "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]" if value else "[]"
+    return str(value)
+
+
+def _emit(head: dict, rows_key: str, rows, fmt: str) -> int:
+    """Write a table to stdout one row at a time, as the iterable ``rows``
+    yields them.
+
+    JSON is the document ``{**head, rows_key: [*rows]}``, byte-identical to
+    ``json.dumps(doc, indent=2)`` and a newline, for head values of ``str``
+    or ``int`` and row values of ``str``, ``int`` or lists of ``int``.  TSV
+    is a header of the first row's keys, then one line per row, a list value
+    comma-joined and any other value through ``str``.
+    """
+    write = sys.stdout.write  # at call time: callers swap sys.stdout
+    if fmt == "tsv":
+        first = True
+        for row in rows:
+            if first:
+                write("\t".join(row) + "\n")
+                first = False
+            write("\t".join(map(_tsv_field, row.values())) + "\n")
         return 0
-    rows = doc[rows_key]
-    print("\t".join(rows[0]))
+    write("{\n")
+    for key, value in head.items():
+        write(f"  {encode_basestring_ascii(key)}: {_json_field(value)},\n")
+    write(f"  {encode_basestring_ascii(rows_key)}: [")
+    sep = "\n"
     for row in rows:
-        print("\t".join(map(_tsv_field, row.values())))
+        fields = ",\n".join(f"      {encode_basestring_ascii(k)}: {_json_field(v)}" for k, v in row.items())
+        write(f"{sep}    {{\n{fields}\n    }}")
+        sep = ",\n"
+    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
     return 0
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, without the Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
 def cmd_constants(order: int, fmt: str) -> int:
     # compositions_of yields valid compositions, so the unchecked ratios serve
-    rows = [
+    rows = (
         {
             "composition": list(comp),
-            "n": str(Fraction(*exact_core.n_ratio(comp))),
-            "m": str(Fraction(*exact_core.m_ratio(comp))),
-            "nbar": str(Fraction(*exact_core.nbar_ratio(comp))),
+            "n": _ratio_text(*exact_core.n_ratio(comp)),
+            "m": _ratio_text(*exact_core.m_ratio(comp)),
+            "nbar": _ratio_text(*exact_core.nbar_ratio(comp)),
         }
         for comp in exact_core.compositions_of(order)
-    ]
-    return _emit({"schema": SCHEMA, "N": order, "rows": rows}, "rows", fmt)
+    )
+    return _emit({"schema": SCHEMA, "N": order}, "rows", rows, fmt)
 
 
 def cmd_expand(target: str, order: int, form: str, fmt: str) -> int:
     # by name at call time, so a juhl_core function a tracer or test replaced is used
     expansion = getattr(juhl_core, f"expand_{target}_{form}")(order)
-    doc = {"schema": SCHEMA, "target": target, "N": order, "form": form}
+    head = {"schema": SCHEMA, "target": target, "N": order, "form": form}
     if target == "P":
-        doc["basis"] = "M"
-        doc["terms"] = [
-            {"word": list(word), "coeff": str(coeff)} for word, coeff in expansion.sorted_terms()
-        ]
+        head["basis"] = "M"
+        terms = ({"word": list(word), "coeff": str(coeff)} for word, coeff in expansion.sorted_terms())
     else:
-        doc["basis"] = "MW"
-        doc["sign_convention"] = "(-1)^N Q"
-        doc["terms"] = [
+        head["basis"] = "MW"
+        head["sign_convention"] = "(-1)^N Q"
+        terms = (
             {"word": list(word), "a": a, "coeff": str(coeff)}
             for (word, a), coeff in expansion.sorted_terms()
-        ]
-    return _emit(doc, "terms", fmt)
+        )
+    return _emit(head, "terms", terms, fmt)
 
 
 def cmd_verify(names: list[str], max_order: int | None, seed: int, jobs: int) -> int:
@@ -193,25 +230,35 @@ def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
             return 1
         regime = "extension" if extension_start is not None and order > extension_start else "standard"
         rows.append({"N": order, "W": str(backend.w_scalars[order]), "Q": str(q_value), "regime": regime})
-    doc = {"schema": SCHEMA, "n": str(dim), "c": str(c), "max_order": max_order, "rows": rows}
-    return _emit(doc, "rows", fmt)
+    # every row is checked before the first is printed: a mismatch leaves stdout empty
+    return _emit({"schema": SCHEMA, "n": str(dim), "c": str(c), "max_order": max_order}, "rows", rows, fmt)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "constants":
-        return cmd_constants(args.order, args.format)
-    if args.command == "expand":
-        return cmd_expand(args.target, args.order, args.form, args.format)
     if args.command == "verify":
         max_order = args.max_order if args.max_order is not None else _env_max_order(parser)
         return cmd_verify(args.suites, max_order, args.seed, args.jobs)
-    if args.command == "einstein":
-        max_order = args.max_order
-        if max_order is None:
-            max_order = _env_max_order(parser) or 6
-        return cmd_einstein(args.dim, args.c, max_order, args.format)
+    # verify stays outside: a line it has not printed yet may report a failure
+    try:
+        if args.command == "constants":
+            return cmd_constants(args.order, args.format)
+        if args.command == "expand":
+            return cmd_expand(args.target, args.order, args.form, args.format)
+        if args.command == "einstein":
+            max_order = args.max_order
+            if max_order is None:
+                max_order = _env_max_order(parser) or 6
+            return cmd_einstein(args.dim, args.c, max_order, args.format)
+    except BrokenPipeError:
+        # the reader closed stdout before the table ended (``| head``); every
+        # row written had passed its checks.  Point stdout at os.devnull so
+        # that the flush at exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

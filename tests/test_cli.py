@@ -25,6 +25,17 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def tsv_of(rows):
+    """The TSV of ``rows``: a header of the row keys, then one line per row,
+    lists comma-joined."""
+
+    def field(value):
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    lines = ["\t".join(rows[0])] + ["\t".join(map(field, row.values())) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
 def test_constants_tsv_order_two(capsys):
     code, out, _ = run_cli(capsys, ["constants", "--N", "2"])
     assert code == 0
@@ -116,12 +127,101 @@ def test_tsv_is_the_json_rows(capsys, argv):
     assert code == 0
     _, out, _ = run_cli(capsys, [*argv, "--format", "json"])
     rows = json.loads(out)["terms" if argv[0] == "expand" else "rows"]
+    assert tsv == tsv_of(rows)
 
-    def field(value):
-        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
-    lines = ["\t".join(rows[0])] + ["\t".join(map(field, row.values())) for row in rows]
-    assert tsv == "".join(line + "\n" for line in lines)
+@pytest.mark.parametrize("order", range(1, 11))
+def test_constants_is_the_fraction_path_document(capsys, order):
+    # the rows print from integer ratio pairs; the public coefficients are Fractions
+    rows = [
+        {
+            "composition": list(comp),
+            "n": str(exact_core.n_coeff(comp)),
+            "m": str(exact_core.m_coeff(comp)),
+            "nbar": str(exact_core.nbar_coeff(comp)),
+        }
+        for comp in exact_core.compositions_of(order)
+    ]
+    doc = {"schema": "juhl-kit/1", "N": order, "rows": rows}
+    code, out, _ = run_cli(capsys, ["constants", "--N", str(order), "--format", "json"])
+    assert code == 0
+    assert out == json.dumps(doc, indent=2) + "\n"
+    code, tsv, _ = run_cli(capsys, ["constants", "--N", str(order)])
+    assert code == 0
+    assert tsv == tsv_of(rows)
+
+
+def test_constants_order_thirteen_stdout_is_pinned(capsys):
+    # the digest the benchmark's expand-deep workload checks, recorded while
+    # the document went through json.dumps
+    code, out, _ = run_cli(capsys, ["constants", "--N", "13", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3467851dbcabb4d285f8a0e83429926232230ebe14d568992f6ecc440b6a2668"
+    )
+
+
+def emit(head, key, rows, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli._emit(head, key, rows, fmt) == 0
+    return out.getvalue()
+
+
+strings = st.one_of(st.text(), st.text(alphabet='ab"\\/\n\t\x00\x7fé€\U0001f600'))
+row_values = st.one_of(strings, st.integers(), st.lists(st.integers(min_value=-(10**30), max_value=10**30)))
+rows_lists = st.lists(st.dictionaries(strings, row_values, min_size=1, max_size=4), max_size=4)
+
+
+@given(head=st.dictionaries(strings, st.one_of(strings, st.integers()), max_size=4), key=strings, rows=rows_lists)
+@settings(max_examples=200, deadline=None)
+def test_emit_json_is_json_dumps(head, key, rows):
+    head.pop(key, None)
+    assert emit(head, key, iter(rows), "json") == json.dumps({**head, key: rows}, indent=2) + "\n"
+
+
+@given(rows=rows_lists.filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_emit_tsv_is_the_header_and_field_lines(rows):
+    expected = ["\t".join(rows[0])] + ["\t".join(map(cli._tsv_field, row.values())) for row in rows]
+    assert emit({"schema": "s"}, "rows", iter(rows), "tsv") == "".join(line + "\n" for line in expected)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_emit_writes_each_row_before_pulling_the_next(fmt):
+    out = io.StringIO()
+    pulled = []
+
+    def rows():
+        for i in range(4):
+            # "tag" is the last field, so its text ends the previous row
+            assert not pulled or f"row{pulled[-1]}" in out.getvalue()
+            pulled.append(i)
+            yield {"word": [i], "tag": f"row{i}"}
+
+    with contextlib.redirect_stdout(out):
+        cli._emit({"schema": "s"}, "rows", rows(), fmt)
+    assert pulled == [0, 1, 2, 3]
+    assert "row3" in out.getvalue()
+
+
+def test_closed_stdout_ends_the_table_quietly():
+    # the reader stops after one line, as ``| head -n 1`` does; the table at
+    # N = 14 is far larger than a pipe buffer, so a later write meets the
+    # closed pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "juhlkit", "constants", "--N", "14"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert first == b"composition\tn\tm\tnbar\n"
+    assert err == b""
 
 
 def test_output_is_byte_deterministic(capsys):
@@ -283,8 +383,9 @@ def test_einstein_mismatch_exits_one(capsys, monkeypatch):
         return (value[0] + 1,) if order == 2 else value
 
     monkeypatch.setattr(backends, "oracle_Q", corrupted)
-    code, _, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
+    code, out, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
     assert code == 1
+    assert out == ""
     assert "mismatch at N=2" in err
 
 
