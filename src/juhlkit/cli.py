@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, prod
 
 from . import backends, exact_core, juhl_core, suites
 
@@ -160,17 +160,29 @@ def _ratio_text(num: int, den: int) -> str:
 
 
 def cmd_constants(order: int, fmt: str) -> int:
-    # compositions_of yields valid compositions, so the unchecked ratios serve
-    rows = (
-        {
+    # exact_core's n_ratio, m_ratio and nbar_ratio in one pass over the
+    # parts: with F = prod_j (I_j-1)!^2, n_I has the denominator of nbar_I
+    # times F, and m_I = (-1)^(r+1) N (N-1)!^2 / (prod_j I_j * F * prod_{j<r} (I_j+I_{j+1}))
+    fact = [exact_core.factorial(i) for i in range(order)]
+    nbar_num = fact[order - 1] ** 2
+
+    def row(comp: tuple[int, ...]) -> dict:
+        heads = adjacent = 1
+        head = 0
+        for a, b in zip(comp, comp[1:]):
+            head += a
+            heads *= head * (order - head)
+            adjacent *= a + b
+        facts = prod([fact[e - 1] for e in comp]) ** 2
+        sign = 1 if len(comp) % 2 else -1
+        return {
             "composition": list(comp),
-            "n": _ratio_text(*exact_core.n_ratio(comp)),
-            "m": _ratio_text(*exact_core.m_ratio(comp)),
-            "nbar": _ratio_text(*exact_core.nbar_ratio(comp)),
+            "n": _ratio_text(nbar_num, heads * facts),
+            "m": _ratio_text(sign * order * nbar_num, prod(comp) * facts * adjacent),
+            "nbar": _ratio_text(nbar_num, heads),
         }
-        for comp in exact_core.compositions_of(order)
-    )
-    return _emit({"schema": SCHEMA, "N": order}, "rows", rows, fmt)
+
+    return _emit({"schema": SCHEMA, "N": order}, "rows", map(row, exact_core.compositions_of(order)), fmt)
 
 
 def cmd_expand(target: str, order: int, form: str, fmt: str) -> int:

@@ -99,21 +99,6 @@ class TermMap:
     def zero(cls):
         return cls._raw({})
 
-    @classmethod
-    def linear_combination(cls, pairs):
-        """The sum of scale * tmap over the (tmap, scale) pairs, each added
-        into one dict as it arrives; a chain of ``+`` would copy its left
-        operand at every step."""
-        out: dict = {}
-        for tmap, scale in pairs:
-            if not scale:
-                continue
-            terms = tmap._terms.items()
-            if scale != 1:
-                terms = [(k, c * scale) for k, c in terms]
-            _accumulate(out, terms)
-        return cls._raw(out)
-
     def items(self):
         return self._terms.items()
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 
 from .exact_core import (
     check_composition,
@@ -36,7 +35,7 @@ from .exact_core import (
     n_ratio,
     partial_sums,
 )
-from .free_algebra import NCPoly, TermMap, Word, _check_word
+from .free_algebra import NCPoly, TermMap, Word, _accumulate, _check_word
 
 QKey = tuple[Word, int]
 
@@ -96,6 +95,12 @@ def apply_operator_expansion(p: NCPoly, q: QExpansion) -> QExpansion:
     return p * q
 
 
+def _int_terms(tmap: TermMap) -> tuple[dict, int]:
+    """A term map as integer numerators over the lcm of its denominators."""
+    den = math.lcm(*[c.denominator for c in tmap._terms.values()])
+    return {w: c.numerator * (den // c.denominator) for w, c in tmap._terms.items()}, den
+
+
 def _m_recursion(n: int, top, head, last):
     """``top`` minus the sum over compositions I of n with r >= 2 parts of
     m_I * head(I_1)...head(I_{r-1}) * last(I_r), multiplied left to right.
@@ -119,25 +124,57 @@ def _m_recursion(n: int, top, head, last):
     * f(b) last(b).  Rows 1..n-1 take O(n^2) polynomial products in all,
     against about 3^(n-1) word products for the composition-by-composition
     sum.
+
+    The table runs on integers.  Each head(b) is converted once to integer
+    numerators over one denominator, and every entry A(k, b) is such a
+    pair: a row sum scales the numerators to the lcm of the denominators, a
+    word product multiplies numerators and denominators, and each result is
+    reduced by the gcd of its denominator and numerators.  The closing
+    products are added one at a time into an integer accumulator, which is
+    rescaled when its denominator grows, and the result holds one
+    ``Fraction`` per nonzero word, in a term map of the type of ``top``.
     """
 
-    def chained(row: dict, b: int, scale: Fraction) -> NCPoly:
-        # sum over a of -row[a] * scale / (a + b)
-        return NCPoly.linear_combination((poly, -scale / (a + b)) for a, poly in row.items())
+    def chained(row: dict, b: int, num: int, den: int) -> tuple[dict, int]:
+        # sum over a of -row[a] * num / (den * (a + b))
+        parts = [(nums, d * (a + b)) for a, (nums, d) in row.items()]
+        lcm = math.lcm(*[d for _, d in parts])
+        out: dict = {}
+        for nums, d in parts:
+            scale = -num * (lcm // d)
+            _accumulate(out, [(w, c * scale) for w, c in nums.items()])
+        return out, lcm * den
 
-    def f(b: int) -> Fraction:
-        return Fraction(1, factorial(b) * factorial(b - 1))
+    def times(left: tuple[dict, int], right: tuple[dict, int]) -> tuple[dict, int]:
+        (lnums, lden), (rnums, rden) = left, right
+        rterms = rnums.items()
+        out: dict = {}
+        _accumulate(out, ((w1 + w2, c1 * c2) for w1, c1 in lnums.items() for w2, c2 in rterms))
+        den = lden * rden
+        g = math.gcd(den, *out.values())
+        return ({w: c // g for w, c in out.items()}, den // g) if g != 1 else (out, den)
 
-    rows = [{}]  # rows[k] is A(k, .), a dict last part -> NCPoly
+    def f_den(b: int) -> int:
+        return factorial(b) * factorial(b - 1)
+
+    heads = [None, *(_int_terms(head(b)) for b in range(1, n))]
+    rows = [{}]  # rows[k] is A(k, .), a dict last part -> (numerators, den)
     for k in range(1, n):
-        row = {b: chained(rows[k - b], b, f(b)) * head(b) for b in range(1, k)}
-        row[k] = head(k) * f(k)
+        row = {b: times(chained(rows[k - b], b, 1, f_den(b)), heads[b]) for b in range(1, k)}
+        row[k] = heads[k][0], heads[k][1] * f_den(k)
         rows.append(row)
-    # a generator, so that the closing products are not all held at once
-    closing = (
-        (chained(rows[n - b], b, -factorial(n) * factorial(n - 1) * f(b)) * last(b), 1) for b in range(1, n)
-    )
-    return type(top).linear_combination(chain([(top, 1)], closing))
+    acc, acc_den = _int_terms(top)
+    for b in range(1, n):
+        # one closing product at a time, so that they are not all held at once
+        nums, den = times(chained(rows[n - b], b, -f_den(n), f_den(b)), _int_terms(last(b)))
+        lcm = math.lcm(acc_den, den)
+        if lcm != acc_den:
+            scale = lcm // acc_den
+            acc = {w: c * scale for w, c in acc.items()}
+            acc_den = lcm
+        scale = lcm // den
+        _accumulate(acc, [(w, c * scale) for w, c in nums.items()])
+    return type(top)._raw({w: Fraction(c, acc_den) for w, c in acc.items()})
 
 
 @cache
@@ -161,10 +198,12 @@ def expand_P_recursive(n: int) -> NCPoly:
 def expand_Q_explicit(n: int) -> QExpansion:
     """(-1)^N Q_{2N} as the sum of n_{(I,a)} a!(a-1)! 2^{2a} M_{2I}(W_{2a})."""
     check_positive_int(n, "N must be a positive integer")
-    return QExpansion._raw({
-        comp: Fraction(*n_ratio(comp)) * factorial(comp[-1]) * factorial(comp[-1] - 1) * 4 ** comp[-1]
-        for comp in compositions_of(n)
-    })
+    terms = {}
+    for comp in compositions_of(n):
+        num, den = n_ratio(comp)
+        a = comp[-1]
+        terms[comp] = Fraction(num * factorial(a) * factorial(a - 1) * 4**a, den)
+    return QExpansion._raw(terms)
 
 
 @cache

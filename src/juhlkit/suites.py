@@ -140,7 +140,7 @@ def _ck_q_inversion(n: int) -> str | None:
 
 
 def suite_inversion(max_order: int | None, seed: int) -> tuple[str, list[Instance]]:
-    p_order, q_order = (max_order, max_order) if max_order else (11, 10)
+    p_order, q_order = (max_order, max_order) if max_order else (12, 12)
     out: list[Instance] = []
     for n in range(1, p_order + 1):
         out.append((f"P inversion N={n}", _ck_p_inversion, (n,)))

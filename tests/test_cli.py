@@ -108,6 +108,27 @@ def test_expand_P_recursive_order_twelve_stdout_is_pinned(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["expand", "--target", "P", "--N", "10", "--form", "recursive"],
+            "822ad38e5e908b4bdad904726f962ae248a2954d8b6951fd80ccda10e8c521be",
+        ),
+        (
+            ["expand", "--target", "Q", "--N", "9", "--form", "recursive"],
+            "178e202f5933bf2d7ee2a2d7ec63bfb11671cabffae75675d505bc2322566b1b",
+        ),
+    ],
+    ids=["P 10", "Q 9"],
+)
+def test_expand_deep_recursive_stdout_is_pinned(capsys, argv, digest):
+    # the digests the benchmark's expand-deep workload checks
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["constants", "--N", "4"],

@@ -96,28 +96,6 @@ def test_mul_associative_add_distributive(p, q, r):
     assert (p + q) * r == p * r + q * r
 
 
-scales = st.one_of(st.sampled_from([0, 1, -1]), coeffs)
-
-
-@given(pairs=st.lists(st.tuples(polys, scales), max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_linear_combination_is_the_chain_of_sums(pairs):
-    # equality compares the stored dicts, so a stored zero would fail it
-    chained = NCPoly.zero()
-    for p, scale in pairs:
-        chained = chained + p * scale
-    assert NCPoly.linear_combination(pairs) == chained
-
-
-def test_linear_combination_keeps_its_class_and_leaves_operands_alone():
-    q = QExpansion({((1,), 2): 3})
-    combined = QExpansion.linear_combination([(q, 1), (q, Fraction(-1, 3))])
-    assert type(combined) is QExpansion
-    assert combined == QExpansion({((1,), 2): 2})
-    assert q == QExpansion({((1,), 2): 3})
-    assert QExpansion.linear_combination([(q, 1), (q, -1)]) == QExpansion.zero()
-
-
 def _random_symmetric(rng, d):
     raw = [[Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3])) for _ in range(d)] for _ in range(d)]
     return tuple(tuple((raw[i][j] + raw[j][i]) / 2 for j in range(d)) for i in range(d))

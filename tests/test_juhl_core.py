@@ -130,6 +130,39 @@ def test_m_recursion_on_free_letters_gives_every_m_coeff(n):
     assert juhl_core._m_recursion(n, NCPoly.zero(), letter, last_letter) == expected
 
 
+_AWKWARD = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 4))
+
+
+def _awkward(k):
+    # coprime denominators on words that overlap under concatenation:
+    # (1,) + (1, 1) and (1, 1) + (1,) are one word
+    return NCPoly({(1,): _AWKWARD[k % 3], (1, 1): _AWKWARD[(k + 1) % 3], (k + 1,): _AWKWARD[(k + 2) % 3]})
+
+
+def _awkward_last(k):
+    return _awkward(k) * Fraction(-3, 7)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_m_recursion_on_awkward_heads_equals_composition_sum(n):
+    top = NCPoly({(n,): Fraction(5, 6), (1, 1): Fraction(-1, 9)})
+    got = juhl_core._m_recursion(n, top, _awkward, _awkward_last)
+    assert got == _m_recursion_reference(n, top, _awkward, _awkward_last)
+    assert all(type(c) is Fraction and c for _, c in got.items())
+    # a top that cancels every term of the sum leaves nothing stored
+    assert juhl_core._m_recursion(n, top - got, _awkward, _awkward_last) == NCPoly.zero()
+
+
+def test_m_recursion_at_order_one_returns_top():
+    def forbidden(_):
+        raise AssertionError("order one has no composition with two parts")
+
+    top = QExpansion({((2,), 1): Fraction(-2, 5), ((), 3): Fraction(7, 4)})
+    got = juhl_core._m_recursion(1, top, forbidden, forbidden)
+    assert type(got) is QExpansion
+    assert got == top
+
+
 def test_P_recursive_uses_no_n_coefficient(monkeypatch):
     def forbidden(*_):
         raise AssertionError("the recursive P expansion reached an n-coefficient")
