@@ -25,11 +25,14 @@ sums, and sum over cut points in O(N^2) matrix-vector products, with no
 expansion, no n_I table and no R-iteration; the ``einstein`` command and the
 Einstein cross-path checks take their formula values from them.
 
-The R-iteration, the prefix sums and the word evaluator share one exact
-arithmetic and nothing else: integer numerators over one denominator, made
-by ``_ints``, summed by ``_lincomb``, multiplied by ``MatrixAssignment._times``
-and turned back into Fractions by ``_fractions``.  The tests pin each of
-these helpers to plain ``Fraction`` arithmetic.
+The R-iteration, the prefix sums, the word evaluator and the Einstein
+family's series share one exact arithmetic and nothing else: integer
+numerators over one denominator, made by ``_ints``, summed by ``_lincomb``,
+multiplied by ``MatrixAssignment._times`` (vectors) or ``_ser_mul``
+(series), and turned back into Fractions by ``_fractions``.  ``_power``
+builds a binomial series on these pairs directly.  The tests pin each of
+these helpers to plain ``Fraction`` arithmetic, ``_power`` to
+``general_binomial``.
 
 Einstein family.  With g_rho = (1+c*rho)^2 g the volume ratio is
 v(rho) = (1+c*rho)^n and w = sqrt(v) = (1+c*rho)^(n/2); in the r variable
@@ -82,20 +85,20 @@ class UnboundOrderError(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# truncated series over Fraction (plain coefficient lists)
+# truncated series as (numerators, den): coefficient i is numerators[i] / den
 
 
-def _ser_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """a*b through the length of ``a``; ``b`` is at least as long."""
-    n = len(a)
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(n - i):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
+def _ser_mul(a: tuple[list[int], int], b: tuple[list[int], int]) -> tuple[list[int], int]:
+    """a*b through the length of ``a``, by integer convolution over the
+    product of the denominators; ``b`` is at least as long."""
+    (a_nums, a_den), (b_nums, b_den) = a, b
+    n = len(a_nums)
+    out = [0] * n
+    for i, x in enumerate(a_nums):
+        if x:
+            for j in range(n - i):
+                out[i + j] += x * b_nums[j]
+    return out, a_den * b_den
 
 
 def general_binomial(x: Fraction, k: int) -> Fraction:
@@ -108,9 +111,21 @@ def general_binomial(x: Fraction, k: int) -> Fraction:
     return num / factorial(k)
 
 
-def _power(alpha: Fraction, x: Fraction, length: int) -> list[Fraction]:
-    """(1 + x*t)^alpha through t^(length-1), by the generalized binomial."""
-    return [general_binomial(alpha, j) * x**j for j in range(length)]
+def _power(alpha: Fraction, x: Fraction, length: int) -> tuple[list[int], int]:
+    """(1 + x*t)^alpha through t^(length-1), as (numerators, den).
+
+    Term j+1 is term j times (alpha-j)*x/(j+1).  With alpha = a/b and
+    x = p/q, numerator j over den = (b*q)^(length-1) * (length-1)! is
+    prod_{i<j}(a - i*b) * p^j * (b*q)^(length-1-j) * (length-1)!/j!, so
+    every step divides exactly.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    p, q = x.numerator, x.denominator
+    den = (b * q) ** (length - 1) * factorial(length - 1)
+    nums = [den]
+    for j in range(length - 1):
+        nums.append(nums[-1] * (a - j * b) * p // (b * q * (j + 1)))
+    return nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +159,17 @@ def einstein_invariants(model: EinsteinModel, max_order: int) -> tuple[dict[int,
     The division is the product with the binomial series
     1/W = (1 - c*r^2/2)^(-n/2).
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    check_positive_int(max_order, "max_order must be a positive integer")
     n, c = model.n, model.c
     # even series in r: index a holds the r^(2a) coefficient
-    w_even = _power(n / 2, -c / 2, max_order + 1)
-    w_scalars = {a: w_even[a] for a in range(1, max_order + 1)}
-    # [d2/dr2 - (n-1)/r d/dr] r^(2a) = 2a(2a-n) r^(2a-2)
-    num = [2 * a * (2 * a - n) * w_even[a] for a in range(1, max_order + 1)]
-    u_even = _ser_mul(num, _power(-n / 2, -c / 2, max_order))
+    w_nums, w_den = _power(n / 2, -c / 2, max_order + 1)
+    w_scalars = {a: Fraction(w_nums[a], w_den) for a in range(1, max_order + 1)}
+    # [d2/dr2 - (n-1)/r d/dr] r^(2a) = 2a(2a-n) r^(2a-2); with n = nn/nd, nd joins the denominator
+    nn, nd = n.numerator, n.denominator
+    num = [2 * a * (2 * a * nd - nn) * w_nums[a] for a in range(1, max_order + 1)]
+    u_nums, u_den = _ser_mul((num, nd * w_den), _power(-n / 2, -c / 2, max_order))
     m_consts = {
-        e + 1: -u_even[e] * factorial(e) ** 2 * 4**e for e in range(max_order)
+        e + 1: Fraction(-u_nums[e] * factorial(e) ** 2 * 4**e, u_den) for e in range(max_order)
     }
     return w_scalars, m_consts
 
@@ -510,22 +525,32 @@ def verify_dv_identity(model: EinsteinModel, gamma, kmax: int = 4, cap: int = 8)
     along the boundary drops on rho-only inputs), regrouped as
     w * [D phi + (v'/v)(gamma - 2*rho*d) phi] with D = -2*rho*d2 + 2k*d.
     The right side is ``apply_R`` on the Einstein backend, whose Mtilde is
-    -Utilde = -[-2*rho*w'' + (n-2)*w']/w.  gamma must be int or Fraction.
+    -Utilde = -[-2*rho*w'' + (n-2)*w']/w.  gamma must be int or Fraction,
+    cap an int >= 0 and kmax an int in 0..cap+1, so that every input's 1
+    lies inside the window.  The left side is built on integer numerators
+    over one denominator and becomes Fractions once per input.
     """
+    check_int_range(cap, 0, math.inf, "cap must be a non-negative integer")
+    check_int_range(kmax, 0, cap + 1, "kmax must lie in 0..cap+1")
     n, c = model.n, model.c
     gamma = _rational(gamma, "gamma")
     k = gamma + n / 2 - 1
     length = cap + 2  # D reads one lane above the ones compared
     w = _power(n / 2, c, length)
-    w_inv = _power(-n / 2, c, length)
-    vlog = [n * c * x for x in _power(Fraction(-1), c, length)]  # v'/v = n*c/(1+c*rho)
+    w_inv, inv_den = _power(-n / 2, c, length)
+    nc = n * c
+    p_nums, p_den = _power(Fraction(-1), c, length)
+    vlog = ([nc.numerator * x for x in p_nums], nc.denominator * p_den)  # v'/v = n*c/(1+c*rho)
+    kn, kd = k.numerator, k.denominator
+    gn, gd = gamma.numerator, gamma.denominator
     backend = EinsteinBackend(model, cap + 1)
     sides = []
     for j in range(kmax + 1):
-        phi = [Fraction(0)] * j + w_inv[: length - j]
-        d_phi = [2 * (i + 1) * (k - i) * phi[i + 1] for i in range(cap + 1)]
-        twist = _ser_mul(vlog, [(gamma - 2 * i) * x for i, x in enumerate(phi)])
-        lhs = _ser_mul([x + y for x, y in zip(d_phi, twist)], w)
+        phi = [0] * j + w_inv[: length - j]  # over inv_den
+        d_phi = [2 * (i + 1) * (kn - i * kd) * phi[i + 1] for i in range(cap + 1)]
+        twisted = [(gn - 2 * i * gd) * x for i, x in enumerate(phi[: cap + 1])]
+        twist = _ser_mul((twisted, gd * inv_den), vlog)
+        lhs = list(_fractions(*_ser_mul(_lincomb(cap + 1, [(d_phi, kd * inv_den), twist]), w)))
         lanes = [(Fraction(int(i == j)),) for i in range(length)]
         rhs = [lane[0] for lane in apply_R(k, lanes, backend)]
         sides.append((lhs, rhs))

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from juhlkit import backends, exact_core, juhl_core
 from juhlkit.backends import (
@@ -13,6 +13,8 @@ from juhlkit.backends import (
     EinsteinModel,
     MatrixAssignment,
     UnboundOrderError,
+    _fractions,
+    _ints,
     _power,
     _ser_mul,
     apply_R,
@@ -61,9 +63,9 @@ def test_einstein_w_squared_is_v():
     # w(rho) = sum_a W_{2a} (-2 rho)^a must square to v(rho) = (1+c rho)^n
     n, c, cap = Fraction(5), Fraction(1, 2), 8
     w_scalars, _ = einstein_invariants(EinsteinModel(n, c), cap)
-    w = [Fraction(1)] + [w_scalars[a] * (-2) ** a for a in range(1, cap + 1)]
-    v = [general_binomial(n, j) * c**j for j in range(cap + 1)]
-    assert _ser_mul(w, w) == v
+    w = _ints([Fraction(1)] + [w_scalars[a] * (-2) ** a for a in range(1, cap + 1)])
+    v = tuple(general_binomial(n, j) * c**j for j in range(cap + 1))
+    assert _fractions(*_ser_mul(w, w)) == v
 
 
 def test_einstein_m_constants_match_rho_route():
@@ -300,7 +302,33 @@ small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 @given(alpha=small_rationals, x=small_rationals, length=st.integers(min_value=1, max_value=8))
 @settings(max_examples=60, deadline=None)
 def test_binomial_series_times_its_negative_power_is_one(alpha, x, length):
-    assert _ser_mul(_power(alpha, x, length), _power(-alpha, x, length)) == [1] + [0] * (length - 1)
+    product = _ser_mul(_power(alpha, x, length), _power(-alpha, x, length))
+    assert _fractions(*product) == (1,) + (0,) * (length - 1)
+
+
+@given(alpha=small_rationals, x=small_rationals, length=st.integers(min_value=1, max_value=12))
+@example(alpha=Fraction(-5, 2), x=Fraction(2, 3), length=8)
+@example(alpha=Fraction(3), x=Fraction(-4, 5), length=8)  # terminating series
+@example(alpha=Fraction(0), x=Fraction(7, 2), length=5)
+@example(alpha=Fraction(5, 3), x=Fraction(0), length=5)
+@example(alpha=Fraction(5, 3), x=Fraction(-3, 4), length=1)
+@settings(max_examples=60, deadline=None)
+def test_binomial_series_matches_general_binomial(alpha, x, length):
+    series = _fractions(*_power(alpha, x, length))
+    assert series == tuple(general_binomial(alpha, j) * x**j for j in range(length))
+
+
+def _fraction_convolution(a: list, b: list) -> list:
+    return [sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0)) for m in range(len(a))]
+
+
+@given(
+    a=st.lists(small_rationals, min_size=1, max_size=8),
+    b=st.lists(small_rationals, min_size=8, max_size=10),
+)
+@settings(max_examples=60, deadline=None)
+def test_ser_mul_matches_fraction_convolution(a, b):
+    assert _fractions(*_ser_mul(_ints(a), _ints(b))) == tuple(_fraction_convolution(a, b))
 
 
 @given(
@@ -308,6 +336,8 @@ def test_binomial_series_times_its_negative_power_is_one(alpha, x, length):
     c=small_rationals,
     gamma=st.one_of(st.integers(min_value=-4, max_value=4), small_rationals),
 )
+@example(n=Fraction(7, 2), c=Fraction(-1, 3), gamma=Fraction(1, 3))  # k = 13/12
+@example(n=Fraction(7, 2), c=Fraction(5, 4), gamma=Fraction(-2, 5))  # k = 7/20
 @settings(max_examples=30, deadline=None)
 def test_dv_identity_holds_at_rational_parameters(n, c, gamma):
     # the suite reaches only integer n; the identity holds for every rational n, c, gamma
@@ -587,6 +617,33 @@ def test_matrix_assignment_rejects_inexact_input(matrices, f, w_scalars, message
 def test_einstein_inputs_reject_inexact_values(n, c, gamma, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         verify_dv_identity(EinsteinModel(n, c), gamma, kmax=0, cap=1)
+
+
+@pytest.mark.parametrize("cap", [-1, -5, 1.5, True, "8", None])
+def test_dv_identity_rejects_a_bad_cap(cap):
+    with pytest.raises(ValueError, match=re.escape(f"cap must be a non-negative integer, got {cap!r}")):
+        verify_dv_identity(EinsteinModel(5, 1), 0, kmax=0, cap=cap)
+
+
+@pytest.mark.parametrize("kmax", [-1, 4, 1.5, True, "0", None])
+def test_dv_identity_rejects_a_bad_kmax(kmax):
+    # cap = 2 compares lanes 0..2, so rho^3 is the highest input inside the window
+    with pytest.raises(ValueError, match=re.escape(f"kmax must lie in 0..cap+1, got {kmax!r}")):
+        verify_dv_identity(EinsteinModel(5, 1), 0, kmax=kmax, cap=2)
+
+
+def test_dv_identity_compares_the_top_input_in_the_window():
+    sides = verify_dv_identity(EinsteinModel(Fraction(7, 2), Fraction(-1, 3)), Fraction(1, 3), kmax=3, cap=2)
+    assert len(sides) == 4
+    assert sides[3][1] == [0, 0, 2 * 3 * (Fraction(13, 12) - 2)]
+    assert all(lhs == rhs for lhs, rhs in sides)
+
+
+@pytest.mark.parametrize("build", [einstein_invariants, EinsteinBackend])
+@pytest.mark.parametrize("max_order", [0, -2, 1.5, True, "3", None])
+def test_einstein_helpers_reject_a_bad_max_order(build, max_order):
+    with pytest.raises(ValueError, match=re.escape(f"max_order must be a positive integer, got {max_order!r}")):
+        build(EinsteinModel(5, 1), max_order)
 
 
 def test_matrix_assignment_stores_int_input_as_fractions():
