@@ -477,9 +477,9 @@ def formula_Q(backend, n: int) -> Vector:
 # evaluating closed-form expansions in a backend
 
 
-def _apply_words(backend: MatrixAssignment, terms, f) -> Vector:
-    """The sum of coeff * M_{w_1} ... M_{w_k} f over the (word, coeff) pairs
-    ``terms``, rightmost factor first.
+def _apply_words(backend: MatrixAssignment, terms, den: int, f) -> Vector:
+    """The sum of num/den * M_{w_1} ... M_{w_k} f over the (word, num)
+    pairs ``terms`` of integer numerators, rightmost factor first.
 
     Each word is applied with ``_times`` steps under one running
     denominator per word, and the words are summed with ``_lincomb``.  This
@@ -488,25 +488,29 @@ def _apply_words(backend: MatrixAssignment, terms, f) -> Vector:
     """
     fvec, fden = _ints(f)
     parts = []
-    for word, coeff in terms:
-        vec, den = fvec, fden * coeff.denominator
+    for word, num in terms:
+        vec, d = fvec, fden
         for order in reversed(word):
-            vec, den = backend._times(order, vec, den)
-        parts.append(([coeff.numerator * x for x in vec], den))
-    return _fractions(*_lincomb(len(fvec), parts))
+            vec, d = backend._times(order, vec, d)
+        parts.append(([num * x for x in vec], d))
+    vec, d = _lincomb(len(fvec), parts)
+    return _fractions(vec, d * den)
 
 
 def evaluate_P(expansion: NCPoly, backend: MatrixAssignment, f) -> Vector:
     """Apply an operator expansion to a backend value (rightmost factor first)."""
-    return _apply_words(backend, expansion.items(), f)
+    return _apply_words(backend, expansion._terms.items(), expansion._den, f)
 
 
 def evaluate_Q(expansion: QExpansion, backend: MatrixAssignment) -> Vector:
     """Evaluate a Q-expansion: each (I, a) term is M_{2I} applied to
     W_{2a} times the backend's test vector f, W_{2a} folded into the term's
-    coefficient."""
-    terms = [(word, coeff * backend.w_scalar(a)) for (word, a), coeff in expansion.items()]
-    return _apply_words(backend, terms, backend.f)
+    numerator over the lcm of the W-scalars' denominators."""
+    orders = sorted({key[-1] for key in expansion._terms})
+    w_nums, w_den = _ints([backend.w_scalar(a) for a in orders])
+    scaled = dict(zip(orders, w_nums))
+    terms = [(key[:-1], num * scaled[key[-1]]) for key, num in expansion._terms.items()]
+    return _apply_words(backend, terms, expansion._den * w_den, backend.f)
 
 
 # ---------------------------------------------------------------------------

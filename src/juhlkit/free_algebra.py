@@ -2,12 +2,14 @@
 
 Words are tuples of positive generator indices; the empty word is the
 multiplicative identity, and multiplication of words is concatenation
-(modelling composition of operators).  Coefficients are ``Fraction``;
-zero coefficients are never stored.  ``TermMap`` is that sparse map with its
-sums, scalar multiples and length-then-lexicographic term order; ``NCPoly``
-adds the word product, and ``juhl_core.QExpansion`` stores a Q-term (I, a)
-under the word ``(*I, a)``, so the same product gives ``NCPoly *
-QExpansion``, that is P_{2I}(Q).
+(modelling composition of operators).  Coefficients are exact rationals,
+stored as nonzero integer numerators over one positive denominator per map,
+always reduced; every read (``items``, ``coeff``, ``sorted_terms``, ``repr``)
+gives them as ``Fraction``.  ``TermMap`` is that sparse map with its one
+streaming sum (``combination``, behind ``+``, ``-`` and scalar multiples) and
+length-then-lexicographic term order; ``NCPoly`` adds the word product, and
+``juhl_core.QExpansion`` stores a Q-term (I, a) under the word ``(*I, a)``,
+so the same product gives ``NCPoly * QExpansion``, that is P_{2I}(Q).
 
 The matrix helpers at the end (``mat_vec``, ``mat_transpose``,
 ``mat_is_symmetric``) are the ones ``backends`` needs: there a polynomial is
@@ -17,6 +19,7 @@ evaluated in a matrix backend by applying each word to a vector
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -69,42 +72,78 @@ def _accumulate(out: dict, terms) -> None:
 
 
 class TermMap:
-    """Sparse finite map word -> Fraction with zero values never stored.
+    """Sparse finite map word -> rational: ``_terms`` maps each stored word
+    to a nonzero int over the one denominator ``_den`` > 0, always reduced,
+    so equal maps store equal dicts.
 
     A subclass turns the keys its constructor is given into stored words
     with ``_check_key``.  Sums, differences and equality are defined between
     maps of the same type only; scalars multiply every value.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = _as_scalar(coeff)
-                if c is None:
-                    raise ValueError(f"coefficients must be rational, got {coeff!r}")
-                if c:
-                    clean[self._check_key(key)] = c
-        self._terms = clean
+        ratios = {}
+        for key, coeff in (terms or {}).items():
+            c = _as_scalar(coeff)
+            if c is None:
+                raise ValueError(f"coefficients must be rational, got {coeff!r}")
+            if c:
+                ratios[self._check_key(key)] = c.numerator, c.denominator
+        built = self._from_ratios(ratios)
+        self._terms, self._den = built._terms, built._den
 
     @classmethod
-    def _raw(cls, terms: dict):
+    def _raw(cls, terms: dict, den: int = 1):
+        """The map key -> terms[key] / den (nonzero ints, den > 0), reduced;
+        ``terms`` is kept, not copied, when nothing divides out."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: c // g for k, c in terms.items()}
+                den //= g
         obj = cls.__new__(cls)
-        obj._terms = terms
+        obj._terms, obj._den = terms, den
         return obj
+
+    @classmethod
+    def _from_ratios(cls, ratios: dict):
+        """The map key -> num / den from pairs (num != 0, den > 0), over their lcm."""
+        den = math.lcm(*[d for _, d in ratios.values()])
+        return cls._raw({k: num * (den // d) for k, (num, d) in ratios.items()}, den)
 
     @classmethod
     def zero(cls):
         return cls._raw({})
 
-    def items(self):
-        return self._terms.items()
+    @classmethod
+    def combination(cls, pairs):
+        """The sum of scale * map over the (scale, map) pairs (int or
+        ``Fraction`` scales, maps of this type), read one at a time into a new
+        integer accumulator that is rescaled when its denominator grows."""
+        acc, den = {}, 1
+        for scale, tmap in pairs:
+            num = scale.numerator
+            if not num or not tmap._terms:
+                continue
+            d = tmap._den * scale.denominator
+            lcm = math.lcm(den, d)
+            if lcm != den:
+                up = lcm // den
+                acc = {k: c * up for k, c in acc.items()}
+                den = lcm
+            num *= lcm // d
+            _accumulate(acc, [(k, c * num) for k, c in tmap._terms.items()])
+        return cls._raw(acc, den)
+
+    def items(self) -> list[tuple[Word, Fraction]]:
+        return [(k, Fraction(c, self._den)) for k, c in self._terms.items()]
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms ordered by word length, then lexicographically."""
-        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        ordered = sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return [(k, Fraction(c, self._den)) for k, c in ordered]
 
     def weights(self) -> set[int]:
         """Entry-sums of the support words (the empty word has weight 0)."""
@@ -118,37 +157,33 @@ class TermMap:
 
     def __eq__(self, other) -> bool:
         if type(other) is type(self):
-            return self._terms == other._terms
+            return self._den == other._den and self._terms == other._terms
         return NotImplemented
 
     def __neg__(self):
-        return self._raw({k: -c for k, c in self._terms.items()})
+        return self * -1
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self._terms)
-        _accumulate(out, other._terms.items())
-        return self._raw(out)
+        return self.combination([(1, self), (1, other)])
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        return self.combination([(1, self), (-1, other)])
 
     def __mul__(self, other):
         scalar = _as_scalar(other)
         if scalar is None:
             return NotImplemented
-        if not scalar:
-            return self.zero()
-        return self._raw({k: c * scalar for k, c in self._terms.items()})
+        return self.combination([(scalar, self)])
 
     __rmul__ = __mul__
 
 
 class NCPoly(TermMap):
-    """Sparse noncommutative polynomial: a finite map word -> Fraction."""
+    """Sparse noncommutative polynomial: a finite map word -> rational."""
 
     __slots__ = ()
 
@@ -156,27 +191,25 @@ class NCPoly(TermMap):
 
     @classmethod
     def one(cls) -> NCPoly:
-        return cls._raw({(): Fraction(1)})
+        return cls._raw({(): 1})
 
     @classmethod
     def from_word(cls, word, coeff=1) -> NCPoly:
-        c = _as_scalar(coeff)
-        if c is None:
-            raise ValueError(f"coefficients must be rational, got {coeff!r}")
-        return cls._raw({_check_word(word): c}) if c else cls.zero()
+        return cls({_check_word(word): coeff})
 
     def coeff(self, word) -> Fraction:
-        return self._terms.get(tuple(word), Fraction(0))
+        return Fraction(self._terms.get(tuple(word), 0), self._den)
 
     def __mul__(self, other):
         """Scalar multiple, or the bilinear extension of word concatenation
-        onto any term map, whose type the product keeps."""
+        onto any term map, whose type the product keeps; the numerators and
+        the denominators multiply, and the product is reduced once."""
         if not isinstance(other, TermMap):
             return super().__mul__(other)
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, int] = {}
         right = other._terms.items()
         _accumulate(out, ((w1 + w2, c1 * c2) for w1, c1 in self._terms.items() for w2, c2 in right))
-        return other._raw(out)
+        return other._raw(out, self._den * other._den)
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from .exact_core import (
     check_composition,
@@ -35,7 +36,7 @@ from .exact_core import (
     n_ratio,
     partial_sums,
 )
-from .free_algebra import NCPoly, TermMap, Word, _accumulate, _check_word
+from .free_algebra import NCPoly, TermMap, Word, _check_word
 
 QKey = tuple[Word, int]
 
@@ -71,11 +72,11 @@ class QExpansion(TermMap):
     _check_key = staticmethod(_check_qkey)
 
     def items(self) -> list[tuple[QKey, Fraction]]:
-        return [((w[:-1], w[-1]), c) for w, c in self._terms.items()]
+        return [((w[:-1], w[-1]), c) for w, c in super().items()]
 
     def coeff(self, key) -> Fraction:
         word, a = key
-        return self._terms.get((*word, a), Fraction(0))
+        return Fraction(self._terms.get((*word, a), 0), self._den)
 
     def sorted_terms(self) -> list[tuple[QKey, Fraction]]:
         return [((w[:-1], w[-1]), c) for w, c in super().sorted_terms()]
@@ -93,12 +94,6 @@ class QExpansion(TermMap):
 def apply_operator_expansion(p: NCPoly, q: QExpansion) -> QExpansion:
     """Compose an operator expansion with a Q-expansion: P_{2I}(Q)."""
     return p * q
-
-
-def _int_terms(tmap: TermMap) -> tuple[dict, int]:
-    """A term map as integer numerators over the lcm of its denominators."""
-    den = math.lcm(*[c.denominator for c in tmap._terms.values()])
-    return {w: c.numerator * (den // c.denominator) for w, c in tmap._terms.items()}, den
 
 
 def _m_recursion(n: int, top, head, last):
@@ -125,63 +120,34 @@ def _m_recursion(n: int, top, head, last):
     against about 3^(n-1) word products for the composition-by-composition
     sum.
 
-    The table runs on integers.  Each head(b) is converted once to integer
-    numerators over one denominator, and every entry A(k, b) is such a
-    pair: a row sum scales the numerators to the lcm of the denominators, a
-    word product multiplies numerators and denominators, and each result is
-    reduced by the gcd of its denominator and numerators.  The closing
-    products are added one at a time into an integer accumulator, which is
-    rescaled when its denominator grows, and the result holds one
-    ``Fraction`` per nonzero word, in a term map of the type of ``top``.
+    Every entry is an ``NCPoly``, integer numerators over one denominator: a
+    row sum is ``NCPoly.combination``, a word product reduces once, and the
+    closing products are summed by the ``combination`` of ``top``'s type.
     """
-
-    def chained(row: dict, b: int, num: int, den: int) -> tuple[dict, int]:
-        # sum over a of -row[a] * num / (den * (a + b))
-        parts = [(nums, d * (a + b)) for a, (nums, d) in row.items()]
-        lcm = math.lcm(*[d for _, d in parts])
-        out: dict = {}
-        for nums, d in parts:
-            scale = -num * (lcm // d)
-            _accumulate(out, [(w, c * scale) for w, c in nums.items()])
-        return out, lcm * den
-
-    def times(left: tuple[dict, int], right: tuple[dict, int]) -> tuple[dict, int]:
-        (lnums, lden), (rnums, rden) = left, right
-        rterms = rnums.items()
-        out: dict = {}
-        _accumulate(out, ((w1 + w2, c1 * c2) for w1, c1 in lnums.items() for w2, c2 in rterms))
-        den = lden * rden
-        g = math.gcd(den, *out.values())
-        return ({w: c // g for w, c in out.items()}, den // g) if g != 1 else (out, den)
 
     def f_den(b: int) -> int:
         return factorial(b) * factorial(b - 1)
 
-    heads = [None, *(_int_terms(head(b)) for b in range(1, n))]
-    rows = [{}]  # rows[k] is A(k, .), a dict last part -> (numerators, den)
+    def chained(k: int, b: int, num: int) -> NCPoly:
+        # sum over a of num * A(k, a) * f(b) / (a + b)
+        return NCPoly.combination((Fraction(num, (a + b) * f_den(b)), entry) for a, entry in rows[k].items())
+
+    heads = [None, *map(head, range(1, n))]
+    rows: list[dict] = [{}]  # rows[k] is A(k, .), a dict last part -> NCPoly
     for k in range(1, n):
-        row = {b: times(chained(rows[k - b], b, 1, f_den(b)), heads[b]) for b in range(1, k)}
-        row[k] = heads[k][0], heads[k][1] * f_den(k)
+        row = {b: chained(k - b, b, -1) * heads[b] for b in range(1, k)}
+        row[k] = heads[k] * Fraction(1, f_den(k))
         rows.append(row)
-    acc, acc_den = _int_terms(top)
-    for b in range(1, n):
-        # one closing product at a time, so that they are not all held at once
-        nums, den = times(chained(rows[n - b], b, -f_den(n), f_den(b)), _int_terms(last(b)))
-        lcm = math.lcm(acc_den, den)
-        if lcm != acc_den:
-            scale = lcm // acc_den
-            acc = {w: c * scale for w, c in acc.items()}
-            acc_den = lcm
-        scale = lcm // den
-        _accumulate(acc, [(w, c * scale) for w, c in nums.items()])
-    return type(top)._raw({w: Fraction(c, acc_den) for w, c in acc.items()})
+    # one closing product at a time, so that they are not all held at once
+    closing = ((1, chained(n - b, b, f_den(n)) * last(b)) for b in range(1, n))
+    return type(top).combination(chain([(1, top)], closing))
 
 
 @cache
 def expand_P_explicit(n: int) -> NCPoly:
     """P_{2N} as the sum of n_I * M_{2I} over all compositions I of N."""
     check_positive_int(n, "N must be a positive integer")
-    return NCPoly._raw({comp: Fraction(*n_ratio(comp)) for comp in compositions_of(n)})
+    return NCPoly._from_ratios({comp: n_ratio(comp) for comp in compositions_of(n)})
 
 
 @cache
@@ -198,12 +164,12 @@ def expand_P_recursive(n: int) -> NCPoly:
 def expand_Q_explicit(n: int) -> QExpansion:
     """(-1)^N Q_{2N} as the sum of n_{(I,a)} a!(a-1)! 2^{2a} M_{2I}(W_{2a})."""
     check_positive_int(n, "N must be a positive integer")
-    terms = {}
+    ratios = {}
     for comp in compositions_of(n):
         num, den = n_ratio(comp)
         a = comp[-1]
-        terms[comp] = Fraction(num * factorial(a) * factorial(a - 1) * 4**a, den)
-    return QExpansion._raw(terms)
+        ratios[comp] = num * factorial(a) * factorial(a - 1) * 4**a, den
+    return QExpansion._from_ratios(ratios)
 
 
 @cache

@@ -17,13 +17,13 @@ L_k u needs those of u up to i+1, so ``apply_L`` returns the window
 0..cap-1: every coefficient it stores is exact, and the window shrinks by
 one lane per operator.  The iterations start at cap = number of factors,
 so exactly the s^0 lane is left at the end.  The coefficients of L_k and
-X(s) are integers, so the lanes hold integer-coefficient words, converted
-to ``Fraction`` once at the s^0 read-out.
+X(s) are integers, so from an integer start every lane is an ``NCPoly``
+over denominator 1, and the s^0 lane is the result as it stands.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .exact_core import check_int_range, check_positive_int
 from .free_algebra import NCPoly
@@ -81,7 +81,8 @@ def apply_L(k: int, u: NCSeries) -> NCSeries:
     Coefficient i of the result is (i+1)(i-k)*u_{i+1} + sum_e x_{e+1}*u_{i-e},
     for i in 0..u.cap-1 (the lanes that u determines exactly).
     """
-    lanes = u.coeffs
+    den = math.lcm(*[lane._den for lane in u.coeffs])  # 1 in the iterations
+    lanes = [lane._terms if den == 1 else (lane * den)._terms for lane in u.coeffs]
     out: list[NCPoly] = []
     for i in range(u.cap):
         factor = (i + 1) * (i - k)
@@ -98,7 +99,7 @@ def apply_L(k: int, u: NCSeries) -> NCSeries:
                     acc[key] = total + coeff
                 else:
                     del acc[key]
-        out.append(NCPoly._raw(acc))
+        out.append(NCPoly._raw(acc, den))
     return NCSeries(out, u.cap - 1)
 
 
@@ -108,7 +109,7 @@ def _constant_term(u: NCSeries, weight: int) -> NCPoly:
     head = u.coeffs[0]
     if head.weights() - {weight}:
         raise RuntimeError(f"expected words of weight {weight}, got {sorted(head.weights())}")
-    return NCPoly._raw({word: Fraction(coeff) for word, coeff in head.items()})
+    return head
 
 
 def iterate_L_full(n: int) -> NCPoly:

@@ -1,11 +1,12 @@
 """Noncommutative polynomial arithmetic, and its evaluation in matrices
 (``backends.evaluate_P`` on the standard basis vectors)."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from juhlkit.backends import MatrixAssignment, UnboundOrderError, evaluate_P
 from juhlkit.free_algebra import NCPoly, mat_is_symmetric
@@ -224,3 +225,85 @@ def test_mul_drops_a_cancelled_word():
     p = NCPoly({(1,): 1, (1, 2): 1}) * NCPoly({(2, 3): 1, (3,): -1})
     assert p == NCPoly({(1, 3): -1, (1, 2, 2, 3): 1})
     assert (1, 2, 3) not in dict(p.items())
+
+
+# coefficients that are zero, negative, or over large and coprime denominators
+wide_coeffs = st.builds(
+    Fraction,
+    st.integers(min_value=-60, max_value=60),
+    st.sampled_from([1, 2, 3, 7, 12, 2**40, 3**25, 10**15 + 37]),
+)
+wide_dicts = st.dictionaries(words, wide_coeffs, max_size=5)
+q_dicts = st.dictionaries(st.tuples(words, st.integers(min_value=1, max_value=3)), wide_coeffs, max_size=4)
+scales = st.one_of(st.integers(min_value=-3, max_value=3), wide_coeffs)
+
+
+def _reduced(tmap):
+    # the stored format: nonzero int numerators over one positive int
+    # denominator that shares no factor with all of them
+    nums = list(tmap._terms.values())
+    return (
+        type(tmap._den) is int
+        and tmap._den > 0
+        and all(type(c) is int and c for c in nums)
+        and math.gcd(tmap._den, *nums) == 1
+    )
+
+
+def _ref_sum(pairs):
+    # (scale, dict word -> Fraction) pairs summed in plain Fractions
+    acc: dict = {}
+    for scale, terms in pairs:
+        for w, c in terms.items():
+            acc[w] = acc.get(w, Fraction(0)) + scale * c
+    return {w: c for w, c in acc.items() if c}
+
+
+def _agrees(tmap, ref):
+    return _reduced(tmap) and dict(tmap.items()) == ref and all(type(c) is Fraction for _, c in tmap.items())
+
+
+@given(a=wide_dicts, b=wide_dicts, s=scales, q=q_dicts)
+@settings(max_examples=120, deadline=None)
+def test_every_result_is_reduced_and_equals_the_fraction_reference(a, b, s, q):
+    p, r = NCPoly(a), NCPoly(b)
+    assert _agrees(p, _ref_sum([(1, a)]))
+    assert _agrees(p + r, _ref_sum([(1, a), (1, b)]))
+    assert _agrees(p - r, _ref_sum([(1, a), (-1, b)]))
+    assert _agrees(-p, _ref_sum([(-1, a)]))
+    for scale in (s, 0, Fraction(s)):
+        assert _agrees(p * scale, _ref_sum([(scale, a)]))
+        assert _agrees(scale * p, _ref_sum([(scale, a)]))
+    product: dict = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            product[w1 + w2] = product.get(w1 + w2, Fraction(0)) + c1 * c2
+    assert _agrees(p * r, _ref_sum([(1, product)]))
+    qmap = QExpansion(q)
+    applied: dict = {}
+    for w1, c1 in a.items():
+        for (w2, x), c2 in q.items():
+            key = (w1 + w2, x)
+            applied[key] = applied.get(key, Fraction(0)) + c1 * c2
+    got = p * qmap
+    assert type(got) is QExpansion and _reduced(got) and dict(got.items()) == _ref_sum([(1, applied)])
+
+
+@given(pairs=st.lists(st.tuples(scales, wide_dicts), max_size=5))
+@example(pairs=[(1, {(1,): Fraction(1, 2)}), (1, {(1,): Fraction(1, 3), (2,): Fraction(-1, 2)})])
+@settings(max_examples=120, deadline=None)
+def test_combination_is_the_chain_of_sums(pairs):
+    maps = [(s, NCPoly(d)) for s, d in pairs]
+    before = [(dict(m._terms), m._den) for _, m in maps]
+    chained = NCPoly.zero()
+    for s, m in maps:
+        chained = chained + m * s
+    # read as a generator, one pair at a time
+    got = NCPoly.combination((s, m) for s, m in maps)
+    assert got == chained
+    assert _agrees(got, _ref_sum(pairs))
+    assert [(dict(m._terms), m._den) for _, m in maps] == before
+    # a pair list that cancels completely, and no pairs at all
+    cancelled = NCPoly.combination([*maps, *((-s, m) for s, m in maps)])
+    assert cancelled == NCPoly.zero() and cancelled._den == 1
+    assert NCPoly.combination([]) == NCPoly.zero()

@@ -178,6 +178,31 @@ def test_P_recursive_uses_no_n_coefficient(monkeypatch):
         expand_P_recursive.cache_clear()
 
 
+def test_cached_expansions_are_never_mutated():
+    # a term map keeps the dict it is built from, and the recursions read
+    # the cached lower orders: no sum or product may write into them
+    cached = (expand_P_explicit, expand_Q_explicit, expand_P_recursive, expand_Q_recursive)
+
+    def clear():
+        for f in cached:
+            f.cache_clear()
+
+    clear()
+    for n in range(1, 10):
+        expand_P_recursive(n)
+        expand_Q_recursive(n)
+    held = [(f, b, f(b)) for f in cached[:3] for b in range(1, 10)]
+    for _, _, tmap in held:
+        # the same arithmetic on a cached map as its first operand
+        _ = (tmap + tmap - tmap, -tmap * 3, NCPoly.one() * tmap)
+    try:
+        for f, b, tmap in held:
+            clear()
+            assert tmap == f(b), (f.__name__, b)
+    finally:
+        clear()
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_Q_expansion_homogeneous(n):
     assert expand_Q_explicit(n).weights() == {n}

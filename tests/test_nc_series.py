@@ -68,6 +68,25 @@ def test_apply_L_lanes_do_not_depend_on_padding(k, lanes, padding):
     assert short.coeffs == long.coeffs[:cap]
 
 
+rational_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+rational_polys = st.dictionaries(words, rational_coeffs, max_size=3).map(NCPoly)
+
+
+@given(k=st.integers(min_value=-6, max_value=6), lanes=st.lists(rational_polys, min_size=2, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_apply_L_on_rational_lanes_is_its_formula(k, lanes):
+    # lanes over different denominators are brought to one before the
+    # integer loop; the reference spells out coefficient i with term-map sums
+    got = apply_L(k, NCSeries(lanes, len(lanes) - 1))
+    want = [
+        NCPoly.combination(
+            [((i + 1) * (i - k), lanes[i + 1]), *((1, NCPoly.from_word((e + 1,)) * lanes[i - e]) for e in range(i + 1))]
+        )
+        for i in range(len(lanes) - 1)
+    ]
+    assert got.coeffs == want
+
+
 def test_iterate_full_hand_values():
     assert iterate_L_full(1) == NCPoly.from_word((1,))
     assert iterate_L_full(2) == NCPoly({(2,): 1, (1, 1): 1})

@@ -45,8 +45,8 @@ def test_generating_chain_check_builds_each_chain_once(monkeypatch):
          "K=(1, 1): lhs 1 != rhs 2"),
         (frobenius, "top_coefficient", lambda seq: Fraction(1, 2), suites._ck_frob_recusolve, (1,),
          "seq=(1,): degree 1 (want 1), top 1 (want 1/2)"),
-        (backends, "verify_dv_identity", lambda model, gamma: [([0], [0]), ([0], [1]), ([0], [2])],
-         suites._ck_dv_identity, (Fraction(3), Fraction(0), Fraction(0)),
+        (backends, "verify_dv_identity", lambda model, gamma, cap: [([0], [0]), ([0], [1]), ([0], [2])],
+         suites._ck_dv_identity, (Fraction(3), Fraction(0), Fraction(0), 8),
          "n=3, c=0, gamma=0: k=1: lhs=[0] rhs=[1]"),
         (backends, "einstein_q_closed_form", lambda model, order: Fraction(7), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: oracle -3/2 != closed form -7"),
@@ -66,16 +66,18 @@ def test_checks_report_both_sides_on_failure(monkeypatch, module, attr, fake, ch
 
 def test_conjugation_check_reads_every_m_constant(monkeypatch):
     # psi = 1 reaches M_{2(e+1)} at rho^e, so a fault in any constant up to
-    # rho^cap (cap = 8) must fail the instance
+    # rho^cap (cap = max(8, suite order - 1)) must fail the instance: M_2..M_18
+    # at the default suite order 8, M_2..M_24 at suite order 12
     plain = backends.einstein_invariants
-    for order in range(1, 10):
-        def perturbed(model, max_order, order=order):
-            w_scalars, m_consts = plain(model, max_order)
-            return w_scalars, {**m_consts, order: m_consts[order] + 1}
+    for suite_order, top in ((8, 9), (12, 12)):
+        for order in range(1, top + 1):
+            def perturbed(model, max_order, order=order):
+                w_scalars, m_consts = plain(model, max_order)
+                return w_scalars, {**m_consts, order: m_consts[order] + 1}
 
-        monkeypatch.setattr(backends, "einstein_invariants", perturbed)
-        detail = suites._ck_dv_identity(Fraction(3), Fraction(1, 2), Fraction(0))
-        assert detail is not None and detail.startswith("n=3, c=1/2, gamma=0: k=0: "), order
+            monkeypatch.setattr(backends, "einstein_invariants", perturbed)
+            detail = suites._ck_dv_identity(Fraction(3), Fraction(1, 2), Fraction(0), suite_order)
+            assert detail is not None and detail.startswith("n=3, c=1/2, gamma=0: k=0: "), (suite_order, order)
 
 
 @pytest.mark.parametrize("max_order", [0, -1, True])
