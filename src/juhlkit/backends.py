@@ -3,7 +3,7 @@
 There is one backend type and one value type.  A matrix backend
 (``MatrixAssignment``, usually drawn at random) assigns a symmetric rational
 matrix to each second-order building block, so operator compositions become
-matrix products acting on a test vector; every backend value is a tuple of
+matrix products acting on a test vector; every result is a tuple of
 Fractions.  The Einstein backend models the one-parameter metric family
 g_rho = (1+c*rho)^2 g, in which every invariant collapses to exact rational
 series arithmetic; it is the 1x1 case, with M_{2N} the matrix
@@ -27,12 +27,12 @@ Einstein cross-path checks take their formula values from them.
 
 The R-iteration, the prefix sums, the word evaluator and the Einstein
 family's series share one exact arithmetic and nothing else: integer
-numerators over one denominator, made by ``_ints``, summed by ``_lincomb``,
-multiplied by ``MatrixAssignment._times`` (vectors) or ``_ser_mul``
-(series), and turned back into Fractions by ``_fractions``.  ``_power``
-builds a binomial series on these pairs directly.  The tests pin each of
-these helpers to plain ``Fraction`` arithmetic, ``_power`` to
-``general_binomial``.
+numerators over one denominator, summed by ``_lincomb`` and multiplied by
+``MatrixAssignment._times`` (vectors) or ``_ser_mul`` (series).  These
+(numerators, den) pairs are ``apply_R``'s lanes; backend values are
+Fractions only at the public edges.  ``_power`` builds a binomial series on
+these pairs directly.  The tests pin each of these helpers to plain
+``Fraction`` arithmetic, ``_power`` to ``general_binomial``.
 
 Einstein family.  With g_rho = (1+c*rho)^2 g the volume ratio is
 v(rho) = (1+c*rho)^n and w = sqrt(v) = (1+c*rho)^(n/2); in the r variable
@@ -223,6 +223,20 @@ def _fractions(vec, den: int) -> Vector:
     return tuple([Fraction(x, den) for x in vec])
 
 
+def _test_vector(f, dim: int) -> tuple[list[int], int]:
+    """``f`` as (numerators, den): a tuple or list of ``dim`` ints or Fractions, or ValueError."""
+    if not isinstance(f, (tuple, list)) or len(f) != dim:
+        raise ValueError(f"test vector length must match the matrix dimension {dim}, got {f!r}")
+    return _ints([_rational(x, "test vector entries") for x in f])
+
+
+def _w_and_f(backend, orders) -> tuple[dict[int, int], list[int], int]:
+    """W_{2a} f for the a in ``orders``, on integers: [w[a] * x for x in fvec] / den."""
+    w_nums, w_den = _ints([backend.w_scalar(a) for a in orders])
+    fvec, fden = _ints(backend.f)
+    return dict(zip(orders, w_nums)), fvec, w_den * fden
+
+
 def _rational(value, what: str) -> Fraction:
     c = _as_scalar(value)
     if c is None:
@@ -237,9 +251,9 @@ def _rational(value, what: str) -> Fraction:
 class MatrixAssignment:
     """Matrix backend: symmetric rational matrices stand in for the building
     blocks, scalars for the W-coefficients, and a test vector for the
-    function being acted on.  Entries and W-scalars must be ``int`` or
-    ``Fraction`` and are stored as Fractions; every backend value is a tuple
-    of Fractions, one entry per matrix row.
+    function being acted on.  Entries, f and W-scalars must be ``int`` or
+    ``Fraction`` and are stored as Fractions; every result is a tuple of
+    Fractions, one entry per matrix row.
 
     Each matrix is also kept as an integer numerator matrix over the lcm of
     its entry denominators, read only by ``_times``.
@@ -263,10 +277,8 @@ class MatrixAssignment:
             if not mat_is_symmetric(m):
                 raise ValueError("matrices must be symmetric")
             self.matrices[order] = m
-        if len(f) != d:
-            raise ValueError("test vector length must match the matrix dimension")
         self._int_matrices = {order: int_matrix(m) for order, m in self.matrices.items()}
-        self.f = tuple(_rational(x, "test vector entries") for x in f)
+        self.f = _fractions(*_test_vector(f, d))
         self.w_scalars = {a: _rational(w, "W-scalars") for a, w in (w_scalars or {}).items()}
 
     @classmethod
@@ -310,9 +322,6 @@ class MatrixAssignment:
             raise UnboundOrderError(a)
         return self.w_scalars[a]
 
-    def zero_value(self) -> Vector:
-        return (Fraction(0),) * self.dim
-
 
 class EinsteinBackend(MatrixAssignment):
     """The Einstein family as a 1x1 matrix backend: M_{2N} is the matrix
@@ -330,56 +339,54 @@ class EinsteinBackend(MatrixAssignment):
 
 def apply_R(k: int | Fraction, lanes: list, backend) -> list:
     """Apply R_k = -2*rho*d2 + 2k*d + Mtilde(rho) to the rho-polynomial u
-    whose coefficients u_0..u_cap, backend values, are the list ``lanes``;
+    whose coefficients u_0..u_cap are the (numerators, den) pairs ``lanes``;
     k is an integer in the oracles and rational in ``verify_dv_identity``.
 
-    Returns a list one lane shorter: the lanes 0..cap-1, the ones the input
-    determines exactly.  Coefficient i of the result is
-    2(i+1)(k-i)*u_{i+1} plus the Mtilde part
-    sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}, on integer lanes with the
+    Returns a list of pairs one shorter: the lanes 0..cap-1, the ones the
+    input determines exactly.  Coefficient i of the result is 2(i+1)(k-i)*u_{i+1}
+    plus the Mtilde part sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}, with the
     weight's sign in the numerators and k's denominator folded into the
     derivative part's.  Raises UnboundOrderError if a needed building block
     is missing; an all-zero lane never asks for its block.
     """
-    cap = len(lanes) - 1
     kn, kd = k.numerator, k.denominator
-    ints = [_ints(lane) if any(lane) else None for lane in lanes]
     out = []
-    for i in range(cap):
+    for i in range(len(lanes) - 1):
         parts = []
-        if ints[i + 1] is not None:
-            vec, den = ints[i + 1]
+        vec, den = lanes[i + 1]
+        if any(vec):
             parts.append(([2 * (i + 1) * (kn - i * kd) * x for x in vec], den * kd))
         for e in range(i + 1):
-            if ints[i - e] is not None:
-                vec, den = ints[i - e]
+            vec, den = lanes[i - e]
+            if any(vec):
                 vec, den = backend._times(e + 1, vec, den * factorial(e) ** 2 * 2**e)
                 parts.append((vec if e % 2 == 0 else [-x for x in vec], den))
         out.append(_lincomb(backend.dim, parts))
-    return [_fractions(vec, den) for vec, den in out]
+    return out
 
 
-def _iterate_R(backend, ks: range, lanes: list):
-    """rho=0 value of R_{ks[-1]} ... R_{ks[0]} applied to ``lanes``, which
-    is one lane longer than the number of factors."""
+def _iterate_R(backend, ks: range, lanes: list) -> Vector:
+    """rho=0 value of R_{ks[-1]} ... R_{ks[0]} applied to the pair ``lanes``,
+    which is one lane longer than the number of factors, as Fractions."""
     for k in ks:
         lanes = apply_R(k, lanes, backend)
     if len(lanes) != 1:
         raise RuntimeError(f"expected a one-lane window after the iteration, got {len(lanes)} lanes")
-    return lanes[0]
+    return _fractions(*lanes[0])
 
 
-def oracle_P(backend, n: int, f):
+def oracle_P(backend, n: int, f) -> Vector:
     """rho=0 value of R_{1-N} R_{3-N} ... R_{N-1} applied to the constant f.
 
     Agrees exactly with the explicit expansion of P_{2N} evaluated in the
     backend and applied to f.
     """
     check_positive_int(n, "N must be a positive integer")
-    return _iterate_R(backend, range(n - 1, -n, -2), [f] + [backend.zero_value()] * n)
+    lanes = [_test_vector(f, backend.dim)] + [([0] * backend.dim, 1)] * n
+    return _iterate_R(backend, range(n - 1, -n, -2), lanes)
 
 
-def oracle_P_partial(backend, n: int, a: int, f):
+def oracle_P_partial(backend, n: int, a: int, f) -> Vector:
     """rho=0 value of R_{1-N} ... R_{N-3} applied to f * rho^(a-1).
 
     Equals sum over |I| = N-a of n_{(I,a)} (a-1)!^2 (-2)^(a-1) M_{2I}(f),
@@ -387,32 +394,30 @@ def oracle_P_partial(backend, n: int, a: int, f):
     """
     check_positive_int(n, "N must be a positive integer")
     check_int_range(a, 1, n, "a must lie in 1..N")
-    lanes = [backend.zero_value()] * n
-    lanes[a - 1] = f
+    lanes = [([0] * backend.dim, 1)] * n
+    lanes[a - 1] = _test_vector(f, backend.dim)
     return _iterate_R(backend, range(n - 3, -n, -2), lanes)
 
 
-def oracle_Q(backend, n: int):
+def oracle_Q(backend, n: int) -> Vector:
     """(-1)^N Q_{2N} as -2 times the rho=0 value of R_{1-N}...R_{N-3}(w').
 
     Here w' = sum_a a(-2)^a W_{2a} rho^(a-1) is built from the backend's
-    W-scalars (applied to the backend's test vector f).  Agrees exactly
-    with the explicit Q-expansion evaluated in the backend.
+    W-scalars applied to the backend's test vector f, the -2 taken into the
+    lanes.  Agrees exactly with the explicit Q-expansion evaluated in the backend.
     """
     check_positive_int(n, "N must be a positive integer")
-    lanes = []
-    for a in range(1, n + 1):
-        scale = a * (-2) ** a * backend.w_scalar(a)
-        lanes.append(tuple([scale * x for x in backend.f]))
-    return tuple([-2 * x for x in _iterate_R(backend, range(n - 3, -n, -2), lanes)])
+    w, fvec, den = _w_and_f(backend, range(1, n + 1))
+    lanes = [([a * (-2) ** (a + 1) * w[a] * x for x in fvec], den) for a in range(1, n + 1)]
+    return _iterate_R(backend, range(n - 3, -n, -2), lanes)
 
 
 # ---------------------------------------------------------------------------
 # the explicit formulae by prefix sums
 
 
-def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict[int, Vector]) -> Vector:
-    """(N-1)!^2 V_0, where V_s, for s = N down to 0, is
+def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict) -> tuple[list[int], int]:
+    """(N-1)!^2 V_0 as (numerators, den), where V_s, for s = N down to 0, is
 
         V_s = terminal[s] + sum_{t=s+1}^{N} w_t/(t-s-1)!^2 * M_{2(t-s)} V_t,
 
@@ -426,12 +431,11 @@ def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict[int, Vector])
     rightmost factor first, and V_0 collects every composition of N in
     O(N^2) matrix-vector products.
 
-    Each V_s is kept as integer numerators over one denominator, with the
-    weight folded into the denominator of each product.
+    Each V_s, like each terminal term, is a (numerators, den) pair.
     """
     sums: dict[int, tuple[list[int], int]] = {}  # s -> V_s as (numerators, den)
     for s in range(n, -1, -1):
-        parts = [_ints(terminal[s])] if s in terminal else []
+        parts = [terminal[s]] if s in terminal else []
         for t, (vec, den) in sums.items():
             weight_den = (t * (n - t) if t < n else 1) * factorial(t - s - 1) ** 2
             parts.append(backend._times(t - s, vec, den * weight_den))
@@ -439,7 +443,7 @@ def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict[int, Vector])
             sums[s] = _lincomb(backend.dim, parts)
     vec, den = sums[0]
     scale = factorial(n - 1) ** 2
-    return _fractions([scale * x for x in vec], den)
+    return [scale * x for x in vec], den
 
 
 def formula_P(backend, n: int, f) -> Vector:
@@ -447,7 +451,7 @@ def formula_P(backend, n: int, f) -> Vector:
     ``evaluate_P(expand_P_explicit(N), backend, f)`` and ``oracle_P``,
     in O(N^2) matrix-vector products instead of 2^(N-1) words."""
     check_positive_int(n, "N must be a positive integer")
-    return _prefix_sums(backend, n, {n: f})
+    return _fractions(*_prefix_sums(backend, n, {n: _test_vector(f, backend.dim)}))
 
 
 def formula_P_partial(backend, n: int, a: int, f) -> Vector:
@@ -456,8 +460,8 @@ def formula_P_partial(backend, n: int, a: int, f) -> Vector:
     1/(a-1)!^2 cancels (a-1)!^2, leaving one terminal term at s = N-a."""
     check_positive_int(n, "N must be a positive integer")
     check_int_range(a, 1, n, "a must lie in 1..N")
-    scale = (-2) ** (a - 1)
-    return _prefix_sums(backend, n, {n - a: tuple([scale * x for x in f])})
+    vec, den = _test_vector(f, backend.dim)
+    return _fractions(*_prefix_sums(backend, n, {n - a: ([(-2) ** (a - 1) * x for x in vec], den)}))
 
 
 def formula_Q(backend, n: int) -> Vector:
@@ -466,18 +470,16 @@ def formula_Q(backend, n: int) -> Vector:
     term (I, a) ends in the terminal term at s = N-a,
     a!(a-1)! 4^a/(a-1)!^2 * W_{2a} f = a 4^a W_{2a} f."""
     check_positive_int(n, "N must be a positive integer")
-    terminal = {}
-    for a in range(1, n + 1):
-        scale = a * 4**a * backend.w_scalar(a)
-        terminal[n - a] = tuple([scale * x for x in backend.f])
-    return _prefix_sums(backend, n, terminal)
+    w, fvec, den = _w_and_f(backend, range(1, n + 1))
+    terminal = {n - a: ([a * 4**a * w[a] * x for x in fvec], den) for a in range(1, n + 1)}
+    return _fractions(*_prefix_sums(backend, n, terminal))
 
 
 # ---------------------------------------------------------------------------
 # evaluating closed-form expansions in a backend
 
 
-def _apply_words(backend: MatrixAssignment, terms, den: int, f) -> Vector:
+def _apply_words(backend: MatrixAssignment, terms, den: int, f: tuple[list[int], int]) -> Vector:
     """The sum of num/den * M_{w_1} ... M_{w_k} f over the (word, num)
     pairs ``terms`` of integer numerators, rightmost factor first.
 
@@ -486,7 +488,7 @@ def _apply_words(backend: MatrixAssignment, terms, den: int, f) -> Vector:
     is the package's one word evaluator: the suites' operator-matrix
     symmetry check runs it on the standard basis vectors.
     """
-    fvec, fden = _ints(f)
+    fvec, fden = f
     parts = []
     for word, num in terms:
         vec, d = fvec, fden
@@ -499,18 +501,16 @@ def _apply_words(backend: MatrixAssignment, terms, den: int, f) -> Vector:
 
 def evaluate_P(expansion: NCPoly, backend: MatrixAssignment, f) -> Vector:
     """Apply an operator expansion to a backend value (rightmost factor first)."""
-    return _apply_words(backend, expansion._terms.items(), expansion._den, f)
+    return _apply_words(backend, expansion._terms.items(), expansion._den, _test_vector(f, backend.dim))
 
 
 def evaluate_Q(expansion: QExpansion, backend: MatrixAssignment) -> Vector:
     """Evaluate a Q-expansion: each (I, a) term is M_{2I} applied to
-    W_{2a} times the backend's test vector f, W_{2a} folded into the term's
-    numerator over the lcm of the W-scalars' denominators."""
-    orders = sorted({key[-1] for key in expansion._terms})
-    w_nums, w_den = _ints([backend.w_scalar(a) for a in orders])
-    scaled = dict(zip(orders, w_nums))
-    terms = [(key[:-1], num * scaled[key[-1]]) for key, num in expansion._terms.items()]
-    return _apply_words(backend, terms, expansion._den * w_den, backend.f)
+    W_{2a} times the backend's test vector f, W_{2a}'s numerator folded
+    into the term's and its denominator into f's."""
+    w, fvec, den = _w_and_f(backend, sorted({key[-1] for key in expansion._terms}))
+    terms = [(key[:-1], num * w[key[-1]]) for key, num in expansion._terms.items()]
+    return _apply_words(backend, terms, expansion._den, (fvec, den))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +555,7 @@ def verify_dv_identity(model: EinsteinModel, gamma, kmax: int = 4, cap: int = 8)
         twisted = [(gn - 2 * i * gd) * x for i, x in enumerate(phi[: cap + 1])]
         twist = _ser_mul((twisted, gd * inv_den), vlog)
         lhs = list(_fractions(*_ser_mul(_lincomb(cap + 1, [(d_phi, kd * inv_den), twist]), w)))
-        lanes = [(Fraction(int(i == j)),) for i in range(length)]
-        rhs = [lane[0] for lane in apply_R(k, lanes, backend)]
+        lanes = [([int(i == j)], 1) for i in range(length)]
+        rhs = [Fraction(num, den) for (num,), den in apply_R(k, lanes, backend)]
         sides.append((lhs, rhs))
     return sides

@@ -118,9 +118,11 @@ def _ck_p_inversion(n: int) -> str | None:
     recursive = juhl_core.expand_P_recursive(n)
     if explicit != recursive:
         return f"P expansions differ at N={n}: explicit {explicit!r}, recursive {recursive!r}"
-    for word, coeff in explicit.items():
-        mirrored = explicit.coeff(tuple(reversed(word)))
-        if coeff != mirrored:
+    # one denominator per map: a word and its mirror agree iff their stored numerators do
+    terms = explicit._terms
+    for word, num in terms.items():
+        if num != terms.get(word[::-1], 0):
+            coeff, mirrored = explicit.coeff(word), explicit.coeff(word[::-1])
             return f"N={n}: coeff({word}) = {coeff} != coeff(reversed) = {mirrored}"
     return None
 

@@ -83,19 +83,24 @@ def test_einstein_m_constants_match_rho_route():
         assert m_consts[e + 1] == -utilde[e] * factorial(e) ** 2 * (-2) ** e
 
 
+def _apply_R_on_fractions(k, lanes, backend):
+    # apply_R's lanes are (numerators, den) pairs; these tests state them as Fractions
+    return [_fractions(*lane) for lane in apply_R(k, [_ints(lane) for lane in lanes], backend)]
+
+
 def test_apply_R_on_constant_flat_model_is_zero():
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 3)
-    out = apply_R(5, [(Fraction(1),), (Fraction(0),), (Fraction(0),)], backend)
-    assert out == [(0,), (0,)]
+    out = apply_R(5, [([1], 1), ([0], 1), ([0], 1)], backend)
+    assert [_fractions(*lane) for lane in out] == [(0,), (0,)]
 
 
 def test_apply_R_linear_input_constant_term():
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 3)
-    lanes = [(Fraction(0),), (Fraction(1),), (Fraction(0),)]
+    lanes = [([0], 1), ([1], 1), ([0], 1)]
     for k in (-2, 0, 3):
         out = apply_R(k, lanes, backend)
         assert len(out) == 2
-        assert out[0] == (2 * k,)
+        assert _fractions(*out[0]) == (2 * k,)
 
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -112,8 +117,8 @@ vectors = st.tuples(entries, entries)
 def test_apply_R_lanes_do_not_depend_on_padding(seed, k, lanes, padding):
     # every lane apply_R returns is exact: extra input lanes never reach it
     backend = MatrixAssignment.random(2, 8, seed=seed)
-    short = apply_R(k, lanes, backend)
-    long = apply_R(k, lanes + padding, backend)
+    short = _apply_R_on_fractions(k, lanes, backend)
+    long = _apply_R_on_fractions(k, lanes + padding, backend)
     assert len(short) == len(lanes) - 1
     assert short == long[: len(short)]
 
@@ -136,7 +141,7 @@ def test_oracle_P_order_two_hand_value():
 
 def test_oracle_P_zero_input():
     backend = MatrixAssignment.random(3, 3, seed=1)
-    zero = backend.zero_value()
+    zero = (Fraction(0),) * backend.dim
     assert oracle_P(backend, 3, zero) == zero
 
 
@@ -398,6 +403,19 @@ def _naive_sum(vectors, d):
     return acc
 
 
+def _fraction_P(backend, p, v):
+    # every word of p applied to v on the Fraction matrices
+    return _naive_sum((tuple(c * x for x in _naive_apply(backend.matrices, w, v)) for w, c in p.items()), len(v))
+
+
+def _fraction_Q(backend, q):
+    # every (I, a) term of q as c * W_{2a} * M_{2I} f on the Fraction matrices and W-scalars
+    parts = []
+    for (word, a), c in q.items():
+        parts.append(tuple(c * backend.w_scalars[a] * x for x in _naive_apply(backend.matrices, word, backend.f)))
+    return _naive_sum(parts, backend.dim)
+
+
 small_words = st.lists(st.integers(min_value=1, max_value=3), max_size=4).map(tuple)
 term_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 
@@ -428,22 +446,12 @@ def test_evaluate_kernel_matches_naive_fraction_chain(case, p_terms, q_terms):
     # evaluate_P/evaluate_Q run integer mat_vec steps over one denominator
     # per word; the reference applies mat_vec on the Fraction matrices
     backend, v = case
-    matrices, d = backend.matrices, len(v)
     p = NCPoly(p_terms)
     got = evaluate_P(p, backend, v)
-    want = _naive_sum((tuple(c * x for x in _naive_apply(matrices, w, v)) for w, c in p.items()), d)
-    assert got == want
+    assert got == _fraction_P(backend, p, v)
     assert all(isinstance(x, Fraction) for x in got)
-
     q = QExpansion(q_terms)
-    want_q = _naive_sum(
-        (
-            tuple(c * backend.w_scalars[a] * x for x in _naive_apply(matrices, w, backend.f))
-            for (w, a), c in q.items()
-        ),
-        d,
-    )
-    assert evaluate_Q(q, backend) == want_q
+    assert evaluate_Q(q, backend) == _fraction_Q(backend, q)
 
 
 polys = st.dictionaries(small_words, term_coeffs, max_size=4).map(NCPoly)
@@ -740,20 +748,22 @@ def backend_and_lanes(draw):
 def test_apply_R_matches_the_fraction_formula(case, k):
     # integer k in the oracles, rational k in the conjugation identity
     backend, lanes = case
-    got = apply_R(k, lanes, backend)
-    assert got == _apply_R_by_formula(k, lanes, backend)
-    assert all(type(x) is Fraction for lane in got for x in lane)
+    got = apply_R(k, [_ints(lane) for lane in lanes], backend)
+    assert [_fractions(*lane) for lane in got] == _apply_R_by_formula(k, lanes, backend)
+    assert all(type(x) is int for vec, _ in got for x in vec)
+    assert all(type(den) is int and den > 0 for _, den in got)
 
 
 def test_apply_R_asks_no_block_for_a_zero_lane():
     # output lane 2 reaches M_6 only through u_0: with u_0 = 0 a backend
     # without M_6 gives the same lanes as one with it
     backend = MatrixAssignment.random(2, 2, seed=3)
-    zero, v = backend.zero_value(), (Fraction(1), Fraction(-2, 3))
+    zero, v = (Fraction(0),) * 2, (Fraction(1), Fraction(-2, 3))
     lanes = [zero, v, v, zero]
-    assert apply_R(4, lanes, backend) == _apply_R_by_formula(4, lanes, MatrixAssignment.random(2, 3, seed=3))
+    want = _apply_R_by_formula(4, lanes, MatrixAssignment.random(2, 3, seed=3))
+    assert _apply_R_on_fractions(4, lanes, backend) == want
     with pytest.raises(UnboundOrderError):
-        apply_R(4, [v, zero, zero, zero], backend)
+        _apply_R_on_fractions(4, [v, zero, zero, zero], backend)
 
 
 def test_the_R_iteration_uses_no_prefix_sum_and_no_word(monkeypatch):
@@ -776,3 +786,72 @@ def test_the_R_iteration_uses_no_prefix_sum_and_no_word(monkeypatch):
         oracle_Q(backend, 6),
     )
     assert got == want
+
+
+def test_the_R_iteration_makes_fractions_once(monkeypatch):
+    # the lanes stay (numerators, den) pairs from the first R factor to the
+    # last: every _ints comes before the first apply_R, no conversion runs
+    # inside an R step or the prefix sums, and one _fractions ends the call
+    backend = MatrixAssignment.random(3, 6, seed=4)
+    f = backend.f
+    calls = []
+    for name in ("_ints", "_fractions", "apply_R", "_prefix_sums"):
+        real = getattr(backends, name)
+        monkeypatch.setattr(backends, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    entries = {
+        "oracle_P": (lambda: oracle_P(backend, 6, f), ["apply_R"] * 6),
+        "oracle_P_partial": (lambda: oracle_P_partial(backend, 6, 3, f), ["apply_R"] * 5),
+        "oracle_Q": (lambda: oracle_Q(backend, 6), ["apply_R"] * 5),
+        "formula_Q": (lambda: formula_Q(backend, 6), ["_prefix_sums"]),
+    }
+    for name, (call, steps) in entries.items():
+        calls.clear()
+        call()
+        edge = calls.count("_ints")
+        assert edge >= 1 and calls[:edge] == ["_ints"] * edge, name
+        assert calls[edge:] == steps + ["_fractions"], name
+
+
+@given(case=backend_and_vector(), n=st.integers(min_value=1, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_integer_lanes_match_a_fraction_reference(case, n):
+    # f, the W-scalars, the matrices and v have mixed denominators; the
+    # reference applies the explicit expansions on the Fraction values, with
+    # none of the integer helpers the R-iteration and the prefix sums share
+    backend, v = case
+    assert oracle_Q(backend, n) == formula_Q(backend, n) == _fraction_Q(backend, expand_Q_explicit(n))
+    assert oracle_P(backend, n, v) == formula_P(backend, n, v) == _fraction_P(backend, expand_P_explicit(n), v)
+
+
+TEST_VECTOR_ENTRIES = {
+    "oracle_P": lambda backend, f: oracle_P(backend, 2, f),
+    "oracle_P_partial": lambda backend, f: oracle_P_partial(backend, 2, 2, f),
+    "formula_P": lambda backend, f: formula_P(backend, 2, f),
+    "formula_P_partial": lambda backend, f: formula_P_partial(backend, 2, 2, f),
+    "evaluate_P": lambda backend, f: evaluate_P(expand_P_explicit(2), backend, f),
+}
+
+
+@pytest.mark.parametrize("entry", TEST_VECTOR_ENTRIES.values(), ids=TEST_VECTOR_ENTRIES)
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ((1, 2, 3), "test vector length must match the matrix dimension 2, got (1, 2, 3)"),
+        ((1,), "test vector length must match the matrix dimension 2, got (1,)"),
+        ((True, 0), "test vector entries must be rational, got True"),
+        ((0.5, 0), "test vector entries must be rational, got 0.5"),
+        (("1", 0), "test vector entries must be rational, got '1'"),
+        ("12", "test vector length must match the matrix dimension 2, got '12'"),
+        (None, "test vector length must match the matrix dimension 2, got None"),
+    ],
+    ids=["long", "short", "bool", "float", "str-entry", "str", "none"],
+)
+def test_public_entries_reject_a_bad_test_vector(entry, f, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(MatrixAssignment.random(2, 3, 0), f)
+
+
+@pytest.mark.parametrize("entry", TEST_VECTOR_ENTRIES.values(), ids=TEST_VECTOR_ENTRIES)
+def test_public_entries_read_a_list_of_ints_as_the_tuple_of_fractions(entry):
+    backend = MatrixAssignment.random(2, 3, 0)
+    assert entry(backend, [1, -2]) == entry(backend, (Fraction(1), Fraction(-2)))

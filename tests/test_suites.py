@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from juhlkit import backends, cli, exact_core, frobenius, juhl_core, suites
+from juhlkit.free_algebra import NCPoly
 
 
 @pytest.mark.parametrize("name", suites.SUITE_NAMES)
@@ -62,6 +63,22 @@ def test_generating_chain_check_builds_each_chain_once(monkeypatch):
 def test_checks_report_both_sides_on_failure(monkeypatch, module, attr, fake, check, args, detail):
     monkeypatch.setattr(module, attr, fake)
     assert check(*args) == detail
+
+
+@pytest.mark.parametrize(
+    "terms, detail",
+    [
+        ({(2, 1): Fraction(3, 4), (1, 2): Fraction(1, 4)}, "N=3: coeff((2, 1)) = 3/4 != coeff(reversed) = 1/4"),
+        ({(1, 3): 2, (3, 1): 2, (1, 1, 2): Fraction(1, 3)}, "N=3: coeff((1, 1, 2)) = 1/3 != coeff(reversed) = 0"),
+        ({(1, 3): Fraction(5, 6), (3, 1): Fraction(5, 6), (2,): -1}, None),
+    ],
+    ids=["mirror-differs", "mirror-missing", "symmetric"],
+)
+def test_mirror_check_reads_the_stored_numerators(monkeypatch, terms, detail):
+    # both expansions return the same map, so only the mirror check can fail
+    for name in ("expand_P_explicit", "expand_P_recursive"):
+        monkeypatch.setattr(juhl_core, name, lambda n: NCPoly(terms))
+    assert suites._ck_p_inversion(3) == detail
 
 
 def test_conjugation_check_reads_every_m_constant(monkeypatch):
