@@ -314,8 +314,9 @@ class MatrixAssignment:
         return mat_vec(rows, vec), den * mden
 
     def m_apply(self, order: int, value: Vector) -> Vector:
-        """The matrix of ``order`` times ``value``, one Fraction per entry."""
-        return _fractions(*self._times(order, *_ints(value)))
+        """The matrix of ``order`` times the test vector ``value``, one
+        Fraction per entry; ValueError for a bad vector, as for ``f``."""
+        return _fractions(*self._times(order, *_test_vector(value, self.dim)))
 
     def w_scalar(self, a: int) -> Fraction:
         if a not in self.w_scalars:

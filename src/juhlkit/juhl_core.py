@@ -15,7 +15,9 @@ N.  Both recursions are then one m-weighted sum over compositions.
 The Krattenthaler two-variable summation lemma, its single-variable X = Y
 form, the coefficient-vanishing double sum, and the final telescoping
 identity are provided as exact evaluations of both sides so the inversion
-argument can be verified instance by instance.
+argument can be verified instance by instance.  The subset sums take their
+whole parameter set (the points (X, Y), or the values of b) and walk the
+subsets of the composition once per call.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .exact_core import (
     check_composition,
     check_positive_int,
     compositions_of,
-    cut_bounds,
     factorial,
-    m_coeff,
     m_ratio,
     n_ratio,
     partial_sums,
@@ -184,17 +184,64 @@ def expand_Q_recursive(n: int) -> QExpansion:
     return _m_recursion(n, top, expand_P_explicit, expand_Q_explicit)
 
 
-def _ratio_sum(terms: list[tuple[int, int]]) -> Fraction:
-    """The sum of the (numerator, denominator) pairs ``terms``, over the lcm
-    of their denominators."""
-    # lists, not tuple(<generator>): CPython over-allocates such tuples and
-    # their shrunk copies fill the tuple free lists, raising peak memory
-    den = math.lcm(*[d for _, d in terms])
-    return Fraction(sum(n * (den // d) for n, d in terms), den)
+# The subset sums below build lists, not tuple(<generator>): CPython
+# over-allocates such tuples and their shrunk copies fill the tuple free
+# lists, raising peak memory.
+def _lcm_sum(nums: list[int], dens: list[int]) -> tuple[int, int]:
+    """The sum of the fractions nums[i] / dens[i] as one unreduced integer
+    pair over the lcm of the denominators."""
+    den = math.lcm(*dens)
+    return sum([n * (den // d) for n, d in zip(nums, dens)]), den
 
 
-def krattenthaler_identity(entries, x, y) -> tuple[Fraction, Fraction]:
-    """Both sides of the two-variable subset-sum lemma for a composition K.
+def _subset_products(factors: list[int], s: int) -> list[int]:
+    """The product of factors[a] over a in A, for every subset A of
+    {1..s-1}; A sits at index sum_{a in A} 2^(a-1).  So the complement of
+    A sits at the mirrored index, the product of all the factors comes
+    last, and the subsets of {p+1..s-1} are the entries [::2^p]."""
+    out = [1]
+    for a in range(1, s):
+        f = factors[a]
+        out += [x * f for x in out]
+    return out
+
+
+def _complement_sum(nums: list[int], products: list[int]) -> tuple[int, int]:
+    """The sum of nums[i] / products[i] over the subsets of
+    ``_subset_products``, as one unreduced pair over the product of all the
+    factors: each numerator is scaled by the product over the complement."""
+    return sum([n * c for n, c in zip(nums, reversed(products))]), products[-1]
+
+
+def _closed_blocks(heads, pairs: list[int]) -> tuple[list[int], list[int]]:
+    """Per subset A of {1..s-1}, s = len(pairs), in the order of
+    ``_subset_products``: (-1)^r I_1...I_{r-1} prod_{a in A} pairs[a] for
+    the blocks I of K cut at A (heads[a] = K_1 + ... + K_a), and the top
+    cut max(0, *A), where the last block I_r starts."""
+    closed, tops = [-1], [0]
+    for a in range(1, len(pairs)):
+        h, c = heads[a], -pairs[a]
+        closed += [n * c * (h - heads[t]) for n, t in zip(closed, tops)]
+        tops += [a] * len(tops)
+    return closed, tops
+
+
+def _fraction(value) -> Fraction:
+    # Fraction(value) for a Fraction runs the slow numbers.Rational checks
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _check_bs(bs) -> list[int]:
+    """The b values ``bs`` as a list: at least one, each a positive int."""
+    out = [check_positive_int(b, "b must be a positive integer") for b in bs]
+    if not out:
+        raise ValueError("need at least one b value, got none")
+    return out
+
+
+def krattenthaler_identity(entries, points) -> list[tuple[Fraction, Fraction]]:
+    """Both sides of the two-variable subset-sum lemma for a composition K,
+    one (lhs, rhs) pair per point (X, Y) of ``points``, in their order.
 
     Left side: sum over subsets A of {1..s-1}, with blocks J_1..J_r of K cut
     at A and I = (|J_1|,...,|J_r|), of
@@ -205,130 +252,166 @@ def krattenthaler_identity(entries, x, y) -> tuple[Fraction, Fraction]:
 
     Right side: (X(|K|-K_s) + Y(K_s+X)) / (|K|-K_1).  The identity is affine
     in X and Y, so grid evaluation is conclusive.  Each left-side term is
-    built as an integer pair, with X and Y entering through their numerators
-    and denominators.
+    affine in X and in Y too: one walk over the subsets sums the integer
+    coefficients of 1, X, Y and XY of the terms over one denominator, and
+    each point then costs one Fraction per side.
     """
     comp = check_composition(entries)
     s = len(comp)
     if s < 2:
         raise ValueError("the two-variable identity requires a composition of length > 1")
-    x = Fraction(x)
-    y = Fraction(y)
-    xn, xd = x.numerator, x.denominator
-    yn, yd = y.numerator, y.denominator
+    points = [(_fraction(x), _fraction(y)) for x, y in points]
+    if not points:
+        raise ValueError("need at least one (X, Y) point, got none")
     heads = (0, *partial_sums(comp))
     total = heads[-1]
-    terms = []
-    for bounds in cut_bounds(0, s):
-        r = len(bounds) - 1
-        num = -1 if r % 2 else 1
-        den = xd
-        for i in range(1, r):
-            num *= heads[bounds[i]] - heads[bounds[i - 1]]
-        num *= (total - heads[bounds[-2]]) * xd + xn
-        for a in bounds[1:-1]:
-            if a == s - 1:
-                num *= (comp[a - 1] + comp[a]) * yd + yn
-                den *= yd
-            else:
-                num *= comp[a - 1] + comp[a]
-            den *= heads[a] * (total - heads[a])
-        terms.append((num, den))
-    lhs = _ratio_sum(terms)
-    rhs = (x * (total - comp[-1]) + y * (comp[-1] + x)) / (total - comp[0])
-    return lhs, rhs
+    # K_{s-1} + K_s enters with Y, below
+    closed, tops = _closed_blocks(heads, [0, *[comp[a - 1] + comp[a] for a in range(1, s - 1)], 1])
+    # one denominator, the product of every head factor; each term is
+    # scaled by the head factors of the cuts it lacks
+    scales = _subset_products([h * (total - h) for h in heads], s)
+    den = scales[-1]
+    nums = [n * c for n, c in zip(closed, reversed(scales))]
+    weighted = [n * (total - heads[t]) for n, t in zip(nums, tops)]  # times I_r
+    # the second half holds the subsets with the cut s-1, whose terms are
+    # (I_r + X)(K_{s-1} + K_s + Y) where the others have I_r + X
+    half = len(nums) // 2
+    pair = comp[-2] + comp[-1]
+    c2, c3 = sum(weighted[half:]), sum(nums[half:])  # of Y and XY
+    c0 = sum(weighted[:half]) + pair * c2
+    c1 = sum(nums[:half]) + pair * c3
+    out = []
+    for x, y in points:
+        xn, xd = x.numerator, x.denominator
+        yn, yd = y.numerator, y.denominator
+        lhs = Fraction(c0 * xd * yd + c1 * xn * yd + c2 * xd * yn + c3 * xn * yn, den * xd * yd)
+        rhs = Fraction(xn * yd * (total - comp[-1]) + yn * xd * comp[-1] + xn * yn, xd * yd * (total - comp[0]))
+        out.append((lhs, rhs))
+    return out
 
 
-def verify_kidenb(entries, b: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the X = Y form of the subset-sum lemma, holding for any length s >= 1:
+def verify_kidenb(entries, bs) -> list[tuple[Fraction, Fraction]]:
+    """Both sides of the X = Y form of the subset-sum lemma, holding for any
+    length s >= 1, one (lhs, rhs) pair per b of ``bs``, in their order:
 
         sum over A of (-1)^r I_1...I_r * prod_{a in A}(K_a + K_{a+1})
           / prod_{i<r} (I_1+...+I_i)(I_{i+1}+...+I_r+b)
         = -b|K| / (|K| - K_1 + b).
 
-    Each left-side term is built as an integer pair.
+    One walk over the subsets builds each term's b-free integer numerator;
+    each b then builds the products of the factors (I_1+...+I_i)(I_{i+1}
+    +...+I_r+b) and sums the terms over the product of all of them.
     """
     comp = check_composition(entries)
-    check_positive_int(b, "b must be a positive integer")
+    bs = _check_bs(bs)
     s = len(comp)
     heads = (0, *partial_sums(comp))
     total = heads[-1]
-    terms = []
-    for bounds in cut_bounds(0, s):
-        r = len(bounds) - 1
-        num = -1 if r % 2 else 1
-        den = 1
-        for i in range(1, r + 1):
-            num *= heads[bounds[i]] - heads[bounds[i - 1]]
-        for a in bounds[1:-1]:
-            num *= comp[a - 1] + comp[a]
-            den *= heads[a] * (total - heads[a] + b)
-        terms.append((num, den))
-    lhs = _ratio_sum(terms)
-    rhs = Fraction(-b * total, total - comp[0] + b)
-    return lhs, rhs
+    closed, tops = _closed_blocks(heads, [0, *[comp[a - 1] + comp[a] for a in range(1, s)]])
+    nums = [n * (total - heads[t]) for n, t in zip(closed, tops)]  # times I_r
+    out = []
+    for b in bs:
+        products = _subset_products([h * (total - h + b) for h in heads], s)
+        lhs = Fraction(*_complement_sum(nums, products))
+        out.append((lhs, Fraction(-b * total, total - comp[0] + b)))
+    return out
 
 
-def kcoeff(entries, b: int) -> Fraction:
+def kcoeff(entries, bs) -> list[Fraction]:
     """Literal evaluation of the coefficient of P_{2K_1}...P_{2K_s} in the
-    substituted Q-recursion:
+    substituted Q-recursion, one Fraction per b of ``bs``, in their order:
 
         m_{(K,b)} + sum_{p=0}^{s-1} m_{(K_1..K_p, |K|-|L|+b)}
                     * sum over A of n_{(I,b)} m_{J_1}...m_{J_r},
 
-    where the J's cut the tail (K_{p+1},...,K_s).  Vanishes identically.
-    Every term is an integer pair; the m-coefficient of each contiguous
-    block of K is computed once.
+    where the J's cut the tail L = (K_{p+1},...,K_s).  Vanishes identically.
+    Every term is an integer pair.  One walk per p builds the b-free part
+    of each term, m_{J_1}...m_{J_r} and the (I_j-1)!^2 and heads
+    I_1+...+I_j of n_{(I,b)}, and sums these over their lcm; the
+    m-coefficient of each contiguous block of K is computed once.  Each b
+    then brings the factors I_{j+1}+...+I_r+b of each subset, the outer m
+    and (|L|+b-1)!^2/(b-1)!^2, and sums the p-sums over their lcm.
     """
     comp = check_composition(entries)
-    check_positive_int(b, "b must be a positive integer")
+    bs = _check_bs(bs)
     s = len(comp)
     heads = (0, *partial_sums(comp))
-    block_m = {(i, j): m_ratio(comp[i:j]) for i in range(s) for j in range(i + 1, s + 1)}
-    terms = [m_ratio(comp + (b,))]
+    total = heads[-1]
+    # block_num[lo][hi] / block_den[lo][hi]: m_J of the block J = K_{lo+1..hi},
+    # with its (|J|-1)!^2 from n_{(I,b)} in the denominator
+    block_num = [[0] * (s + 1) for _ in range(s)]
+    block_den = [[0] * (s + 1) for _ in range(s)]
+    for lo in range(s):
+        for hi in range(lo + 1, s + 1):
+            num, den = m_ratio(comp[lo:hi])
+            block_num[lo][hi] = num
+            block_den[lo][hi] = den * factorial(heads[hi] - heads[lo] - 1) ** 2
+    walks = []  # per p: the b-free numerators and denominators per subset of the tail
     for p in range(s):
-        outer_num, outer_den = m_ratio(comp[:p] + (heads[-1] - heads[p] + b,))
-        for bounds in cut_bounds(p, s):
-            weights = [heads[hi] - heads[lo] for lo, hi in zip(bounds, bounds[1:])]
-            num, den = n_ratio((*weights, b))
-            num *= outer_num
-            den *= outer_den
-            for block in zip(bounds, bounds[1:]):
-                block_num, block_den = block_m[block]
-                num *= block_num
-                den *= block_den
-            terms.append((num, den))
-    return _ratio_sum(terms)
+        nums, dens, tops = [1], [1], [p]
+        for a in range(p + 1, s):
+            h = heads[a] - heads[p]
+            nums += [n * block_num[t][a] for n, t in zip(nums, tops)]
+            dens += [d * block_den[t][a] * h for d, t in zip(dens, tops)]
+            tops += [a] * len(tops)
+        # the last block, from the top cut to s, and its head |L|; then all
+        # over the lcm of the denominators
+        dens = [d * block_den[t][s] * (total - heads[p]) for d, t in zip(dens, tops)]
+        den = math.lcm(*dens)
+        nums = [n * block_num[t][s] * (den // d) for n, t, d in zip(nums, tops, dens)]
+        walks.append((nums, den))
+    out = []
+    for b in bs:
+        m_num, m_den = m_ratio(comp + (b,))
+        nums, dens = [m_num], [m_den]
+        tails = [total - h + b for h in heads]  # I_{j+1}+...+I_r+b at the cut a
+        products = _subset_products(tails, s)
+        # n_{(I,b)}: (|L|+b-1)!^2 over (b-1)!^2 and the last head factor b
+        b_den = factorial(b - 1) ** 2 * b
+        for p, (p_nums, p_den) in enumerate(walks):
+            inner_num, inner_den = _complement_sum(p_nums, products[:: 1 << p])
+            outer_num, outer_den = m_ratio(comp[:p] + (tails[p],))
+            nums.append(outer_num * factorial(tails[p] - 1) ** 2 * inner_num)
+            dens.append(outer_den * b_den * p_den * inner_den)
+        out.append(Fraction(*_lcm_sum(nums, dens)))
+    return out
 
 
-def kcoeff_closed_form(entries, b: int) -> Fraction:
-    """Second path to the same coefficient: the inner subset sums are
-    replaced by their closed forms, leaving
+def kcoeff_closed_form(entries, bs) -> list[Fraction]:
+    """Second path to the same coefficient, one Fraction per b of ``bs``, in
+    their order: the inner subset sums are replaced by their closed forms,
+    leaving
 
         m_{(K,b)} + (-1)^{s+1} C * sum_{p=0}^{s-1} R_p
 
     with C = (|K|+b)!(|K|+b-1)!/(b-1)!^2 * prod 1/(K_j!(K_j-1)!)
     * prod 1/(K_j+K_{j+1}) and R_p the telescoping kernel built from the
-    tail sums K_p + ... + K_s + b.  Vanishes identically.
+    tail sums K_p + ... + K_s + b.  Vanishes identically.  Each b is summed
+    as integer pairs, with one Fraction at the end.
     """
     comp = check_composition(entries)
-    check_positive_int(b, "b must be a positive integer")
+    bs = _check_bs(bs)
     s = len(comp)
     total = sum(comp)
-    prefactor = Fraction(factorial(total + b) * factorial(total + b - 1), factorial(b - 1) ** 2)
+    sign = 1 if s % 2 else -1  # (-1)^(s+1)
+    c_den = 1
     for e in comp:
-        prefactor /= factorial(e) * factorial(e - 1)
+        c_den *= factorial(e) * factorial(e - 1)
     for u, v in zip(comp, comp[1:]):
-        prefactor /= u + v
-
-    def tail_sum(p: int) -> int:
-        # sum_{i=p}^{s} K_i + b with 1-based p; empty sum is 0
-        return sum(comp[p - 1 :]) + b if p <= s else b
-
-    rsum = Fraction(1, tail_sum(1) * tail_sum(2))
-    for p in range(1, s):
-        rsum += Fraction(comp[p - 1] + comp[p], tail_sum(p) * tail_sum(p + 1) * tail_sum(p + 2))
-    return m_coeff(comp + (b,)) + Fraction((-1) ** (s + 1)) * prefactor * rsum
+        c_den *= u + v
+    pairs = [1, *[comp[p - 1] + comp[p] for p in range(1, s)]]
+    suffix = [sum(comp[p:]) for p in range(s)]
+    out = []
+    for b in bs:
+        # tail[p - 1] = K_p + ... + K_s + b with 1-based p; the empty sum is 0
+        tail = [t + b for t in suffix] + [b]
+        kernels = [tail[0] * tail[1], *[tail[p - 1] * tail[p] * tail[p + 1] for p in range(1, s)]]
+        r_num, r_den = _lcm_sum(pairs, kernels)
+        c_num = sign * factorial(total + b) * factorial(total + b - 1) * r_num
+        r_den *= factorial(b - 1) ** 2 * c_den
+        m_num, m_den = m_ratio(comp + (b,))
+        out.append(Fraction(m_num * r_den + c_num * m_den, m_den * r_den))
+    return out
 
 
 def telescope_check(entries) -> tuple[Fraction, Fraction]:

@@ -158,28 +158,28 @@ _GRID = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(5, 3))
 
 
 def _ck_k_grid(comp: tuple[int, ...]) -> str | None:
-    for x in _GRID:
-        for y in _GRID:
-            lhs, rhs = juhl_core.krattenthaler_identity(comp, x, y)
-            if lhs != rhs:
-                return f"K={comp}, X={x}, Y={y}: lhs {lhs} != rhs {rhs}"
+    points = [(x, y) for x in _GRID for y in _GRID]
+    for (x, y), (lhs, rhs) in zip(points, juhl_core.krattenthaler_identity(comp, points), strict=True):
+        if lhs != rhs:
+            return f"K={comp}, X={x}, Y={y}: lhs {lhs} != rhs {rhs}"
     return None
 
 
 def _ck_kidenb(comp: tuple[int, ...], bmax: int) -> str | None:
-    for b in range(1, bmax + 1):
-        lhs, rhs = juhl_core.verify_kidenb(comp, b)
+    bs = range(1, bmax + 1)
+    for b, (lhs, rhs) in zip(bs, juhl_core.verify_kidenb(comp, bs), strict=True):
         if lhs != rhs:
             return f"K={comp}, b={b}: lhs {lhs} != rhs {rhs}"
     return None
 
 
 def _ck_kcoeff(comp: tuple[int, ...], bmax: int) -> str | None:
-    for b in range(1, bmax + 1):
-        literal = juhl_core.kcoeff(comp, b)
+    bs = range(1, bmax + 1)
+    literals = juhl_core.kcoeff(comp, bs)
+    closed_forms = juhl_core.kcoeff_closed_form(comp, bs)
+    for b, literal, closed in zip(bs, literals, closed_forms, strict=True):
         if literal:
             return f"K={comp}, b={b}: literal double sum = {literal} != 0"
-        closed = juhl_core.kcoeff_closed_form(comp, b)
         if closed:
             return f"K={comp}, b={b}: closed-form path = {closed} != 0"
     return None
@@ -197,7 +197,7 @@ def _ck_telescope(seed: int, count: int, smax: int, entry_max: int) -> str | Non
 
 
 def suite_krattenthaler(max_order: int | None, seed: int) -> tuple[str, list[Instance]]:
-    order = max_order or 9
+    order = max_order or 10
     out: list[Instance] = []
     for total in range(2, order):
         for comp in exact_core.compositions_of(total):

@@ -829,6 +829,7 @@ TEST_VECTOR_ENTRIES = {
     "formula_P": lambda backend, f: formula_P(backend, 2, f),
     "formula_P_partial": lambda backend, f: formula_P_partial(backend, 2, 2, f),
     "evaluate_P": lambda backend, f: evaluate_P(expand_P_explicit(2), backend, f),
+    "m_apply": lambda backend, f: backend.m_apply(1, f),
 }
 
 

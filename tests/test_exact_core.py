@@ -85,9 +85,9 @@ def test_positive_int_guards_keep_their_messages():
         (lambda: NCPoly({(1, -1): 1}), "generator indices must be positive integers, got -1"),
         (lambda: juhl_core.QExpansion({((1,), 0): 1}), "the W-order of a Q-term must be a positive integer, got 0"),
         (lambda: juhl_core.expand_P_explicit(-2), "N must be a positive integer, got -2"),
-        (lambda: juhl_core.verify_kidenb((1,), 0), "b must be a positive integer, got 0"),
-        (lambda: juhl_core.kcoeff((1,), 1.0), "b must be a positive integer, got 1.0"),
-        (lambda: juhl_core.kcoeff_closed_form((1,), -1), "b must be a positive integer, got -1"),
+        (lambda: juhl_core.verify_kidenb((1,), [0]), "b must be a positive integer, got 0"),
+        (lambda: juhl_core.kcoeff((1,), [1.0]), "b must be a positive integer, got 1.0"),
+        (lambda: juhl_core.kcoeff_closed_form((1,), [-1]), "b must be a positive integer, got -1"),
         (lambda: nc_series.iterate_L_full(0), "N must be a positive integer, got 0"),
         (lambda: nc_series.iterate_L_partial(False, 1), "N must be a positive integer, got False"),
         (lambda: backends.oracle_Q(backends.MatrixAssignment.random(2, 2, 0), 0), "N must be a positive integer, got 0"),

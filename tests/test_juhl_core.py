@@ -241,8 +241,8 @@ def test_qexpansion_rejects_bad_keys():
 
 
 def test_krattenthaler_identity_hand_values():
-    assert krattenthaler_identity((1, 1), 0, 0) == (0, 0)
-    assert krattenthaler_identity((2, 1), 1, 2) == (6, 6)
+    assert krattenthaler_identity((1, 1), [(0, 0)]) == [(0, 0)]
+    assert krattenthaler_identity((2, 1), [(1, 2)]) == [(6, 6)]
 
 
 def test_krattenthaler_identity_grid():
@@ -253,24 +253,24 @@ def test_krattenthaler_identity_grid():
                 continue
             for x in grid:
                 for y in grid:
-                    lhs, rhs = krattenthaler_identity(comp, x, y)
+                    [(lhs, rhs)] = krattenthaler_identity(comp, [(x, y)])
                     assert lhs == rhs, (comp, x, y)
 
 
 def test_krattenthaler_identity_needs_length_two():
     with pytest.raises(ValueError):
-        krattenthaler_identity((3,), 0, 0)
+        krattenthaler_identity((3,), [(0, 0)])
 
 
 def test_kidenb_single_entry_is_minus_K1():
     for k1 in range(1, 6):
         for b in range(1, 5):
-            lhs, rhs = verify_kidenb((k1,), b)
+            [(lhs, rhs)] = verify_kidenb((k1,), [b])
             assert lhs == rhs == -k1
 
 
 def test_kidenb_hand_value():
-    lhs, rhs = verify_kidenb((1, 1), 1)
+    [(lhs, rhs)] = verify_kidenb((1, 1), [1])
     assert lhs == rhs == -1
 
 
@@ -278,23 +278,23 @@ def test_kidenb_exhaustive_small():
     for total in range(1, 7):
         for comp in compositions_of(total):
             for b in range(1, 7):
-                lhs, rhs = verify_kidenb(comp, b)
+                [(lhs, rhs)] = verify_kidenb(comp, [b])
                 assert lhs == rhs, (comp, b)
 
 
 def test_kcoeff_smallest_instances():
-    assert kcoeff((1,), 1) == 0
-    assert kcoeff((1, 1), 1) == 0
-    assert kcoeff_closed_form((1,), 1) == 0
-    assert kcoeff_closed_form((1, 1), 1) == 0
+    assert kcoeff((1,), [1]) == [0]
+    assert kcoeff((1, 1), [1]) == [0]
+    assert kcoeff_closed_form((1,), [1]) == [0]
+    assert kcoeff_closed_form((1, 1), [1]) == [0]
 
 
 def test_kcoeff_vanishes_both_paths():
     for total in range(1, 6):
         for comp in compositions_of(total):
             for b in range(1, 4):
-                assert kcoeff(comp, b) == 0, (comp, b)
-                assert kcoeff_closed_form(comp, b) == 0, (comp, b)
+                assert kcoeff(comp, [b]) == [0], (comp, b)
+                assert kcoeff_closed_form(comp, [b]) == [0], (comp, b)
 
 
 def test_telescope_empty_sum_case():
@@ -381,6 +381,30 @@ def _kcoeff_reference(comp, b, m=m_coeff, n=n_coeff):
     return total
 
 
+def _kcoeff_closed_form_reference(comp, b, m=m_coeff):
+    s, total = len(comp), sum(comp)
+    prefactor = Fraction(factorial(total + b) * factorial(total + b - 1), factorial(b - 1) ** 2)
+    for e in comp:
+        prefactor /= factorial(e) * factorial(e - 1)
+    for u, v in zip(comp, comp[1:]):
+        prefactor /= u + v
+    tail = [Fraction(sum(comp[p:]) + b) for p in range(s)] + [Fraction(b)]
+    rsum = 1 / (tail[0] * tail[1])
+    for p in range(1, s):
+        rsum += (comp[p - 1] + comp[p]) / (tail[p - 1] * tail[p] * tail[p + 1])
+    return m(comp + (b,)) + (-1) ** (s + 1) * prefactor * rsum
+
+
+def _weighted_m_ratio(c):
+    # m_J reweighted by (len J + J_1): the sums then no longer vanish
+    num, den = exact_core.m_ratio(c)
+    return num * (len(c) + c[0]), den
+
+
+def _weighted_m_coeff(c):
+    return m_coeff(c) * (len(c) + c[0])
+
+
 small_comps = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=6).map(tuple)
 grid_values = st.fractions(min_value=-6, max_value=6, max_denominator=9)
 
@@ -388,7 +412,7 @@ grid_values = st.fractions(min_value=-6, max_value=6, max_denominator=9)
 @given(comp=small_comps.filter(lambda c: len(c) > 1), x=grid_values, y=grid_values)
 @settings(max_examples=80, deadline=None)
 def test_krattenthaler_identity_matches_fraction_reference(comp, x, y):
-    lhs, rhs = krattenthaler_identity(comp, x, y)
+    [(lhs, rhs)] = krattenthaler_identity(comp, [(x, y)])
     assert lhs == _krattenthaler_lhs_reference(comp, x, y)
     assert lhs == rhs
 
@@ -396,7 +420,7 @@ def test_krattenthaler_identity_matches_fraction_reference(comp, x, y):
 @given(comp=small_comps, b=st.integers(min_value=1, max_value=12))
 @settings(max_examples=80, deadline=None)
 def test_verify_kidenb_matches_fraction_reference(comp, b):
-    lhs, rhs = verify_kidenb(comp, b)
+    [(lhs, rhs)] = verify_kidenb(comp, [b])
     assert lhs == _kidenb_lhs_reference(comp, b)
     assert lhs == rhs
 
@@ -404,14 +428,67 @@ def test_verify_kidenb_matches_fraction_reference(comp, b):
 @given(comp=small_comps, b=st.integers(min_value=1, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_kcoeff_matches_fraction_reference(comp, b):
-    assert kcoeff(comp, b) == _kcoeff_reference(comp, b) == 0
-    # kcoeff vanishes, so also compare a literal double sum that does not:
-    # each m_J reweighted by (len J + J_1)
-    def weighted_m_ratio(c):
-        num, den = exact_core.m_ratio(c)
-        return num * (len(c) + c[0]), den
-
+    assert kcoeff(comp, [b]) == [_kcoeff_reference(comp, b)] == [0]
+    # kcoeff vanishes, so also compare a literal double sum that does not
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(juhl_core, "m_ratio", weighted_m_ratio)
-        weighted = kcoeff(comp, b)
-    assert weighted == _kcoeff_reference(comp, b, m=lambda c: m_coeff(c) * (len(c) + c[0]))
+        mp.setattr(juhl_core, "m_ratio", _weighted_m_ratio)
+        weighted = kcoeff(comp, [b])
+    assert weighted == [_kcoeff_reference(comp, b, m=_weighted_m_coeff)]
+
+
+@st.composite
+def with_repeats(draw, values):
+    # a list drawn from a small pool, so that values repeat
+    pool = draw(st.lists(values, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@given(comp=small_comps.filter(lambda c: len(c) > 1), points=with_repeats(st.tuples(grid_values, grid_values)))
+@settings(max_examples=60, deadline=None)
+def test_krattenthaler_identity_batch_matches_fraction_reference(comp, points):
+    sides = krattenthaler_identity(comp, points)
+    assert len(sides) == len(points)
+    for (x, y), (lhs, rhs) in zip(points, sides):
+        assert lhs == _krattenthaler_lhs_reference(comp, x, y) == rhs
+        assert krattenthaler_identity(comp, [(x, y)]) == [(lhs, rhs)]
+
+
+@given(comp=small_comps, bs=with_repeats(st.integers(min_value=1, max_value=12)))
+@settings(max_examples=60, deadline=None)
+def test_verify_kidenb_batch_matches_fraction_reference(comp, bs):
+    sides = verify_kidenb(comp, bs)
+    assert len(sides) == len(bs)
+    for b, (lhs, rhs) in zip(bs, sides):
+        assert lhs == _kidenb_lhs_reference(comp, b) == rhs
+        assert verify_kidenb(comp, [b]) == [(lhs, rhs)]
+
+
+@given(comp=small_comps, bs=with_repeats(st.integers(min_value=1, max_value=6)))
+@settings(max_examples=40, deadline=None)
+def test_kcoeff_batch_matches_fraction_reference(comp, bs):
+    assert kcoeff(comp, bs) == [_kcoeff_reference(comp, b) for b in bs] == [0] * len(bs)
+    assert kcoeff_closed_form(comp, bs) == [_kcoeff_closed_form_reference(comp, b) for b in bs] == [0] * len(bs)
+    # both paths go through m_ratio, so reweighting it compares sums that do not vanish
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(juhl_core, "m_ratio", _weighted_m_ratio)
+        weighted = kcoeff(comp, bs)
+        weighted_closed = kcoeff_closed_form(comp, bs)
+    assert weighted == [_kcoeff_reference(comp, b, m=_weighted_m_coeff) for b in bs]
+    assert weighted_closed == [_kcoeff_closed_form_reference(comp, b, m=_weighted_m_coeff) for b in bs]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda empty: krattenthaler_identity((1, 2), empty),
+        lambda empty: verify_kidenb((1, 2), empty),
+        lambda empty: kcoeff((1, 2), empty),
+        lambda empty: kcoeff_closed_form((1, 2), empty),
+    ],
+    ids=["krattenthaler_identity", "verify_kidenb", "kcoeff", "kcoeff_closed_form"],
+)
+@pytest.mark.parametrize("empty", [[], (), range(0)], ids=["list", "tuple", "range"])
+def test_identities_reject_an_empty_parameter_sequence(call, empty):
+    # an empty list of sides would let a check pass without comparing anything
+    with pytest.raises(ValueError, match="need at least one"):
+        call(empty)

@@ -39,8 +39,15 @@ def test_generating_chain_check_builds_each_chain_once(monkeypatch):
 @pytest.mark.parametrize(
     "module, attr, fake, check, args, detail",
     [
-        (juhl_core, "verify_kidenb", lambda comp, b: (1, 2), suites._ck_kidenb, ((1,), 1),
+        (juhl_core, "verify_kidenb", lambda comp, bs: [(1, 2)], suites._ck_kidenb, ((1,), 1),
          "K=(1,), b=1: lhs 1 != rhs 2"),
+        # each side reads the point back: the first point (0, 0) passes, the second (0, 1) fails
+        (juhl_core, "krattenthaler_identity", lambda comp, points: list(points), suites._ck_k_grid, ((1, 1),),
+         "K=(1, 1), X=0, Y=1: lhs 0 != rhs 1"),
+        (juhl_core, "kcoeff", lambda comp, bs: [b - 1 for b in bs], suites._ck_kcoeff, ((1, 2), 3),
+         "K=(1, 2), b=2: literal double sum = 1 != 0"),
+        (juhl_core, "kcoeff_closed_form", lambda comp, bs: [Fraction(b, 3) for b in bs], suites._ck_kcoeff,
+         ((1, 2), 3), "K=(1, 2), b=1: closed-form path = 1/3 != 0"),
         # s <= 1 and entries <= 1 leave K = (1, 1) as the only draw
         (juhl_core, "telescope_check", lambda comp: (1, 2), suites._ck_telescope, (0, 1, 1, 1),
          "K=(1, 1): lhs 1 != rhs 2"),
@@ -57,12 +64,52 @@ def test_generating_chain_check_builds_each_chain_once(monkeypatch):
         (suites, "_gover_product", lambda model, order: Fraction(7), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) 3/4 != Gover product 7"),
     ],
-    ids=["kidenb", "telescope", "generating-chain", "conjugation", "einstein-closed-form",
-         "einstein-branson", "einstein-gover"],
+    ids=["kidenb", "k-grid", "kcoeff-literal", "kcoeff-closed-form", "telescope", "generating-chain",
+         "conjugation", "einstein-closed-form", "einstein-branson", "einstein-gover"],
 )
 def test_checks_report_both_sides_on_failure(monkeypatch, module, attr, fake, check, args, detail):
     monkeypatch.setattr(module, attr, fake)
     assert check(*args) == detail
+
+
+@pytest.mark.parametrize(
+    "literal, closed, detail",
+    [
+        ([0, 2, 0], [0, 0, 5], "K=(2,), b=2: literal double sum = 2 != 0"),
+        ([0, 0, 3], [0, 4, 0], "K=(2,), b=2: closed-form path = 4 != 0"),
+        ([0, 2, 0], [0, 4, 0], "K=(2,), b=2: literal double sum = 2 != 0"),
+    ],
+    ids=["literal-first-b", "closed-first-b", "same-b"],
+)
+def test_kcoeff_check_reports_by_b_then_literal_first(monkeypatch, literal, closed, detail):
+    monkeypatch.setattr(juhl_core, "kcoeff", lambda comp, bs: literal)
+    monkeypatch.setattr(juhl_core, "kcoeff_closed_form", lambda comp, bs: closed)
+    assert suites._ck_kcoeff((2,), 3) == detail
+
+
+def test_krattenthaler_checks_call_each_identity_once_per_instance(monkeypatch):
+    calls = []
+    for name in ("krattenthaler_identity", "verify_kidenb", "kcoeff", "kcoeff_closed_form"):
+        def counting(comp, params, name=name, plain=getattr(juhl_core, name)):
+            params = list(params)
+            calls.append((name, comp, len(params)))
+            return plain(comp, params)
+
+        monkeypatch.setattr(juhl_core, name, counting)
+    _, instances = suites.build_suite("krattenthaler", 5, 0)
+    expected = {
+        suites._ck_k_grid: [("krattenthaler_identity", 16)],
+        suites._ck_kidenb: [("verify_kidenb", 10)],
+        suites._ck_kcoeff: [("kcoeff", 5), ("kcoeff_closed_form", 5)],
+    }
+    checked = 0
+    for desc, check, args in instances:
+        if check in expected:
+            calls.clear()
+            assert check(*args) is None, desc
+            assert calls == [(name, args[0], n) for name, n in expected[check]], desc
+            checked += 1
+    assert checked == len(instances) - 1  # all but the telescoping instance
 
 
 @pytest.mark.parametrize(
