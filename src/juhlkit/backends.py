@@ -17,13 +17,17 @@ computation of the operator and Q-curvature values that is independent of
 the closed-form expansions.
 
 The explicit formulae reach a backend by two paths.  ``evaluate_P`` and
-``evaluate_Q`` apply every word of an ``NCPoly`` or ``QExpansion`` one at a
-time, 2^(N-1) words at order N; they check that the expansions themselves
-match the iteration.  ``formula_P``, ``formula_P_partial`` and
-``formula_Q`` use that n_I depends only on the parts of I and their prefix
-sums, and sum over cut points in O(N^2) matrix-vector products, with no
-expansion, no n_I table and no R-iteration; the ``einstein`` command and the
-Einstein cross-path checks take their formula values from them.
+``evaluate_Q`` apply every word of an ``NCPoly`` or ``QExpansion``, 2^(N-1)
+words at order N; they check that the expansions themselves match the
+iteration.  A word's image is its first letter applied to the image of its
+suffix, and the backend memoizes these images per start vector (keyed on
+its integer numerators), so every distinct word product is formed once per
+backend, whichever expansion, order or partial form reaches it.
+``formula_P``, ``formula_P_partial`` and ``formula_Q`` use that n_I depends
+only on the parts of I and their prefix sums, and sum over cut points in
+O(N^2) matrix-vector products, with no expansion, no n_I table and no
+R-iteration; the ``einstein`` command and the Einstein cross-path checks
+take their formula values from them.
 
 The R-iteration, the prefix sums, the word evaluator and the Einstein
 family's series share one exact arithmetic and nothing else: integer
@@ -257,6 +261,12 @@ class MatrixAssignment:
 
     Each matrix is also kept as an integer numerator matrix over the lcm of
     its entry denominators, read only by ``_times``.
+
+    ``_word_images`` is the word evaluator's memo: it maps the integer
+    numerators of a start vector, as a tuple, to ``{word: (numerators,
+    den)}``, the image M_{w_1} ... M_{w_k} of those numerators with den the
+    product of the matrices' denominators.  Only ``_apply_words`` reads and
+    fills it; the R-iteration and the prefix sums call ``_times`` directly.
     """
 
     def __init__(
@@ -280,6 +290,7 @@ class MatrixAssignment:
         self._int_matrices = {order: int_matrix(m) for order, m in self.matrices.items()}
         self.f = _fractions(*_test_vector(f, d))
         self.w_scalars = {a: _rational(w, "W-scalars") for a, w in (w_scalars or {}).items()}
+        self._word_images: dict[tuple[int, ...], dict[tuple[int, ...], tuple]] = {}
 
     @classmethod
     def random(cls, dim: int, max_order: int, seed: int) -> MatrixAssignment:
@@ -484,20 +495,30 @@ def _apply_words(backend: MatrixAssignment, terms, den: int, f: tuple[list[int],
     """The sum of num/den * M_{w_1} ... M_{w_k} f over the (word, num)
     pairs ``terms`` of integer numerators, rightmost factor first.
 
-    Each word is applied with ``_times`` steps under one running
-    denominator per word, and the words are summed with ``_lincomb``.  This
-    is the package's one word evaluator: the suites' operator-matrix
-    symmetry check runs it on the standard basis vectors.
+    A word's image is its first letter applied by ``_times`` to the image
+    of its suffix, taken from the backend's word memo for the numerators
+    of f (``MatrixAssignment._word_images``) or computed and stored there,
+    so each distinct suffix is multiplied out once per backend and vector.
+    The images are of f's numerators alone; f's denominator and ``den``
+    are applied to the sum, which ``_lincomb`` forms.  This is the
+    package's one word evaluator: the suites' operator-matrix symmetry
+    check runs it on the standard basis vectors.
     """
     fvec, fden = f
+    images = backend._word_images.setdefault(tuple(fvec), {(): (fvec, 1)})
+
+    def image(word):
+        got = images.get(word)
+        if got is None:
+            got = images[word] = backend._times(word[0], *image(word[1:]))
+        return got
+
     parts = []
     for word, num in terms:
-        vec, d = fvec, fden
-        for order in reversed(word):
-            vec, d = backend._times(order, vec, d)
+        vec, d = image(word)
         parts.append(([num * x for x in vec], d))
     vec, d = _lincomb(len(fvec), parts)
-    return _fractions(vec, d * den)
+    return _fractions(vec, d * den * fden)
 
 
 def evaluate_P(expansion: NCPoly, backend: MatrixAssignment, f) -> Vector:

@@ -253,6 +253,10 @@ def _ck_frob_ctable(n: int) -> str | None:
 
 
 def _ck_frob_recusolve(n: int) -> str | None:
+    # D_m F_l depends only on (m, F_l), which every sequence with the same
+    # first l entries shares: apply D_m once per distinct pair and compare
+    # the image with each sequence's own F_(l-1)
+    images: dict[tuple, list] = {}
     for comp in exact_core.compositions_of(n):
         seq = exact_core.partial_sums(comp)
         chain = frobenius.compute_F(seq)
@@ -263,7 +267,10 @@ def _ck_frob_recusolve(n: int) -> str | None:
             return f"seq={seq}: degree {deg} (want {n}), top {top} (want {want})"
         for l, m in enumerate(seq, start=1):
             series = chain[l]
-            if frobenius.apply_Dm(m, n, series) != chain[l - 1]:
+            key = (m, tuple(series))
+            if key not in images:
+                images[key] = frobenius.apply_Dm(m, n, series)
+            if images[key] != chain[l - 1]:
                 return f"seq={seq}: D_(m_{l}) F_{l} != F_{l - 1}"
             if frobenius.degree(series) > m:
                 return f"seq={seq}: deg F_{l} = {frobenius.degree(series)} > m_l = {m}"
@@ -331,12 +338,13 @@ def _ck_einstein_anchor(n: Fraction, nmax: int) -> str | None:
 
 def _gover_product(model: backends.EinsteinModel, order: int) -> Fraction:
     """(-1)^N P_{2N}(1) on the Einstein model by Gover's factorization
-    (arXiv:math/0506037): prod_{j=1}^{N} 2c(n/2+j-1)(n/2-j)."""
-    half = model.n / 2
-    out = Fraction(1)
+    (arXiv:math/0506037): prod_{j=1}^{N} 2c(n/2+j-1)(n/2-j), on integers
+    with n/2 = a/b, b = 2 * n.denominator, and made a Fraction once."""
+    a, b = model.n.numerator, 2 * model.n.denominator
+    num = 1
     for j in range(1, order + 1):
-        out *= 2 * model.c * (half + j - 1) * (half - j)
-    return out
+        num *= 2 * model.c.numerator * (a + (j - 1) * b) * (a - j * b)
+    return Fraction(num, (model.c.denominator * b * b) ** order)
 
 
 def _ck_einstein_paths(n: Fraction, c: Fraction, nmax: int) -> str | None:

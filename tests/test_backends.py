@@ -492,6 +492,59 @@ def test_evaluate_missing_order_raises():
         evaluate_Q(expand_Q_explicit(2), backend)
 
 
+def _memo_vectors(backend):
+    # f, f/3 (the same numerators over another denominator unless an entry
+    # cancels the 3), the zero vector and a basis vector
+    f = backend.f
+    return {"f": f, "f/3": tuple(x / 3 for x in f), "zero": (0,) * len(f), "e0": (1,) + (0,) * (len(f) - 1)}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    fill=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=4), st.sampled_from(["f", "f/3", "zero", "e0"])), max_size=4
+    ),
+    order=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_word_memo_gives_the_results_of_a_fresh_backend(seed, fill, order):
+    # a memo that other expansions, orders and vectors have filled must not
+    # change a result: each evaluation equals the one on a new backend
+    used = MatrixAssignment.random(3, 4, seed)
+    for n, name in fill:
+        evaluate_P(expand_P_explicit(n), used, _memo_vectors(used)[name])
+        evaluate_Q(expand_Q_explicit(n), used)
+    expansions = [expand_P_explicit(order)] + [_tail_closed_form(n_coeff, order, a) for a in range(1, order + 1)]
+    for name, v in _memo_vectors(used).items():
+        for expansion in expansions:
+            fresh = MatrixAssignment.random(3, 4, seed)
+            assert evaluate_P(expansion, used, v) == evaluate_P(expansion, fresh, v), name
+    fresh = MatrixAssignment.random(3, 4, seed)
+    assert evaluate_Q(expand_Q_explicit(order), used) == evaluate_Q(expand_Q_explicit(order), fresh)
+
+
+def test_a_memoized_suffix_still_needs_the_first_letters_block():
+    backend = MatrixAssignment.random(3, 2, seed=0)
+    evaluate_P(NCPoly.from_word((2, 1)), backend, backend.f)
+    assert all((2, 1) in images for images in backend._word_images.values())
+    with pytest.raises(UnboundOrderError):
+        evaluate_P(NCPoly.from_word((3, 2, 1)), backend, backend.f)
+
+
+def test_the_word_evaluator_multiplies_each_distinct_suffix_once(monkeypatch):
+    backend = MatrixAssignment.random(4, 6, seed=2)
+    plain = backend._times
+    calls = []
+    monkeypatch.setattr(backend, "_times", lambda *args: calls.append(args[0]) or plain(*args))
+    expansion = expand_P_explicit(6)
+    first = evaluate_P(expansion, backend, backend.f)
+    # every composition of 1..6 is a suffix of a composition of 6: 2^6 - 1 of them
+    assert len(calls) == 63
+    calls.clear()
+    assert evaluate_P(expansion, backend, backend.f) == first
+    assert calls == []
+
+
 FORMULA_BACKENDS = {
     "3x3-seed0": lambda order: MatrixAssignment.random(3, order, seed=0),
     "3x3-seed5": lambda order: MatrixAssignment.random(3, order, seed=5),

@@ -36,6 +36,53 @@ def test_generating_chain_check_builds_each_chain_once(monkeypatch):
     assert sorted(calls) == sorted(sequences)
 
 
+def test_generating_chain_check_fails_on_a_shared_faulty_step(monkeypatch):
+    # D_1 F_1 is the first step of every sequence that starts at 1
+    plain = frobenius.apply_Dm
+
+    def faulty(m, n, u):
+        out = plain(m, n, u)
+        return [out[0] + 1, *out[1:]] if m == 1 else out
+
+    monkeypatch.setattr(frobenius, "apply_Dm", faulty)
+    assert suites._ck_frob_recusolve(6) == "seq=(1, 6): D_(m_1) F_1 != F_0"
+
+
+def test_generating_chain_check_applies_D_m_once_per_distinct_step(monkeypatch):
+    n = 6
+    steps, total = set(), 0
+    for comp in exact_core.compositions_of(n):
+        seq = exact_core.partial_sums(comp)
+        chain = frobenius.compute_F(seq)
+        steps |= {(m, tuple(chain[l])) for l, m in enumerate(seq, start=1)}
+        total += len(seq)
+    plain = frobenius.apply_Dm
+    calls = []
+    monkeypatch.setattr(frobenius, "apply_Dm", lambda m, big_n, u: calls.append((m, tuple(u))) or plain(m, big_n, u))
+    assert suites._ck_frob_recusolve(n) is None
+    assert len(calls) == len(steps) and set(calls) == steps
+    assert len(steps) < total  # sequences share steps
+
+
+@pytest.mark.parametrize("n", [Fraction(3), Fraction(7, 2), Fraction(4), Fraction(5), Fraction(8)])
+def test_einstein_closed_forms_match_their_fraction_products(n):
+    # both closed forms multiply integers into one Fraction; the reference
+    # multiplies the Fraction factors as written
+    for c in (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(-5, 7)):
+        model = backends.EinsteinModel(n, c)
+        half = n / 2
+        for order in range(1, 21):
+            gover = Fraction(1)
+            q = (2 * c) ** order
+            for j in range(1, order + 1):
+                gover *= 2 * c * (half + j - 1) * (half - j)
+                q *= half + j - 1
+            for j in range(1, order):
+                q *= half - j
+            assert suites._gover_product(model, order) == gover, (n, c, order)
+            assert backends.einstein_q_closed_form(model, order) == q, (n, c, order)
+
+
 @pytest.mark.parametrize(
     "module, attr, fake, check, args, detail",
     [
