@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_core import check_int_range, check_positive_int, factorial
-from .free_algebra import Matrix, NCPoly, Vector, _as_scalar, mat_is_symmetric, mat_vec
+from .free_algebra import Matrix, NCPoly, Vector, _rational, mat_is_symmetric, mat_vec
 from .juhl_core import QExpansion
 
 __all__ = [
@@ -212,12 +212,13 @@ def _ints(value) -> tuple[list[int], int]:
 
 
 def _lincomb(dim: int, parts: list) -> tuple[list[int], int]:
-    """The sum of the (numerators, den) pairs ``parts`` over the lcm of their
-    denominators, reduced by the gcd; the zero vector over 1 for no parts."""
-    den = math.lcm(*[d for _, d in parts])
+    """The sum of scale * numerators / den over the (scale, numerators, den)
+    triples ``parts``, int scales, over the lcm of their denominators,
+    reduced by the gcd; the zero vector over 1 for no parts."""
+    den = math.lcm(*[d for _, _, d in parts])
     acc = [0] * dim
-    for vec, d in parts:
-        scale = den // d
+    for scale, vec, d in parts:
+        scale *= den // d
         acc = [x + scale * y for x, y in zip(acc, vec)]
     g = math.gcd(den, *acc)
     return [x // g for x in acc], den // g
@@ -239,13 +240,6 @@ def _w_and_f(backend, orders) -> tuple[dict[int, int], list[int], int]:
     w_nums, w_den = _ints([backend.w_scalar(a) for a in orders])
     fvec, fden = _ints(backend.f)
     return dict(zip(orders, w_nums)), fvec, w_den * fden
-
-
-def _rational(value, what: str) -> Fraction:
-    c = _as_scalar(value)
-    if c is None:
-        raise ValueError(f"{what} must be rational, got {value!r}")
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +350,11 @@ def apply_R(k: int | Fraction, lanes: list, backend) -> list:
 
     Returns a list of pairs one shorter: the lanes 0..cap-1, the ones the
     input determines exactly.  Coefficient i of the result is 2(i+1)(k-i)*u_{i+1}
-    plus the Mtilde part sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}, with the
-    weight's sign in the numerators and k's denominator folded into the
-    derivative part's.  Raises UnboundOrderError if a needed building block
-    is missing; an all-zero lane never asks for its block.
+    plus the Mtilde part sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}; the
+    derivative factor and the weight's sign are the parts' ``_lincomb``
+    scales, and k's denominator is folded into the derivative part's.
+    Raises UnboundOrderError if a needed building block is missing; an
+    all-zero lane never asks for its block.
     """
     kn, kd = k.numerator, k.denominator
     out = []
@@ -367,12 +362,12 @@ def apply_R(k: int | Fraction, lanes: list, backend) -> list:
         parts = []
         vec, den = lanes[i + 1]
         if any(vec):
-            parts.append(([2 * (i + 1) * (kn - i * kd) * x for x in vec], den * kd))
+            parts.append((2 * (i + 1) * (kn - i * kd), vec, den * kd))
         for e in range(i + 1):
             vec, den = lanes[i - e]
             if any(vec):
-                vec, den = backend._times(e + 1, vec, den * factorial(e) ** 2 * 2**e)
-                parts.append((vec if e % 2 == 0 else [-x for x in vec], den))
+                image = backend._times(e + 1, vec, den * factorial(e) ** 2 * 2**e)
+                parts.append((-1 if e % 2 else 1, *image))
         out.append(_lincomb(backend.dim, parts))
     return out
 
@@ -443,14 +438,15 @@ def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict) -> tuple[lis
     rightmost factor first, and V_0 collects every composition of N in
     O(N^2) matrix-vector products.
 
-    Each V_s, like each terminal term, is a (numerators, den) pair.
+    Each V_s is a (numerators, den) pair and each terminal term a
+    (scale, numerators, den) triple, as ``_lincomb`` sums them.
     """
     sums: dict[int, tuple[list[int], int]] = {}  # s -> V_s as (numerators, den)
     for s in range(n, -1, -1):
         parts = [terminal[s]] if s in terminal else []
         for t, (vec, den) in sums.items():
             weight_den = (t * (n - t) if t < n else 1) * factorial(t - s - 1) ** 2
-            parts.append(backend._times(t - s, vec, den * weight_den))
+            parts.append((1, *backend._times(t - s, vec, den * weight_den)))
         if parts:
             sums[s] = _lincomb(backend.dim, parts)
     vec, den = sums[0]
@@ -463,7 +459,7 @@ def formula_P(backend, n: int, f) -> Vector:
     ``evaluate_P(expand_P_explicit(N), backend, f)`` and ``oracle_P``,
     in O(N^2) matrix-vector products instead of 2^(N-1) words."""
     check_positive_int(n, "N must be a positive integer")
-    return _fractions(*_prefix_sums(backend, n, {n: _test_vector(f, backend.dim)}))
+    return _fractions(*_prefix_sums(backend, n, {n: (1, *_test_vector(f, backend.dim))}))
 
 
 def formula_P_partial(backend, n: int, a: int, f) -> Vector:
@@ -472,8 +468,7 @@ def formula_P_partial(backend, n: int, a: int, f) -> Vector:
     1/(a-1)!^2 cancels (a-1)!^2, leaving one terminal term at s = N-a."""
     check_positive_int(n, "N must be a positive integer")
     check_int_range(a, 1, n, "a must lie in 1..N")
-    vec, den = _test_vector(f, backend.dim)
-    return _fractions(*_prefix_sums(backend, n, {n - a: ([(-2) ** (a - 1) * x for x in vec], den)}))
+    return _fractions(*_prefix_sums(backend, n, {n - a: ((-2) ** (a - 1), *_test_vector(f, backend.dim))}))
 
 
 def formula_Q(backend, n: int) -> Vector:
@@ -483,7 +478,7 @@ def formula_Q(backend, n: int) -> Vector:
     a!(a-1)! 4^a/(a-1)!^2 * W_{2a} f = a 4^a W_{2a} f."""
     check_positive_int(n, "N must be a positive integer")
     w, fvec, den = _w_and_f(backend, range(1, n + 1))
-    terminal = {n - a: ([a * 4**a * w[a] * x for x in fvec], den) for a in range(1, n + 1)}
+    terminal = {n - a: (a * 4**a * w[a], fvec, den) for a in range(1, n + 1)}
     return _fractions(*_prefix_sums(backend, n, terminal))
 
 
@@ -499,10 +494,11 @@ def _apply_words(backend: MatrixAssignment, terms, den: int, f: tuple[list[int],
     of its suffix, taken from the backend's word memo for the numerators
     of f (``MatrixAssignment._word_images``) or computed and stored there,
     so each distinct suffix is multiplied out once per backend and vector.
-    The images are of f's numerators alone; f's denominator and ``den``
-    are applied to the sum, which ``_lincomb`` forms.  This is the
-    package's one word evaluator: the suites' operator-matrix symmetry
-    check runs it on the standard basis vectors.
+    The images are of f's numerators alone; ``_lincomb`` sums them with
+    the terms' numerators as scales, and f's denominator and ``den`` are
+    applied to the sum.  This is the package's one word evaluator: the
+    suites' operator-matrix symmetry check runs it on the standard basis
+    vectors.
     """
     fvec, fden = f
     images = backend._word_images.setdefault(tuple(fvec), {(): (fvec, 1)})
@@ -513,11 +509,7 @@ def _apply_words(backend: MatrixAssignment, terms, den: int, f: tuple[list[int],
             got = images[word] = backend._times(word[0], *image(word[1:]))
         return got
 
-    parts = []
-    for word, num in terms:
-        vec, d = image(word)
-        parts.append(([num * x for x in vec], d))
-    vec, d = _lincomb(len(fvec), parts)
+    vec, d = _lincomb(len(fvec), [(num, *image(word)) for word, num in terms])
     return _fractions(vec, d * den * fden)
 
 
@@ -576,7 +568,7 @@ def verify_dv_identity(model: EinsteinModel, gamma, kmax: int = 4, cap: int = 8)
         d_phi = [2 * (i + 1) * (kn - i * kd) * phi[i + 1] for i in range(cap + 1)]
         twisted = [(gn - 2 * i * gd) * x for i, x in enumerate(phi[: cap + 1])]
         twist = _ser_mul((twisted, gd * inv_den), vlog)
-        lhs = list(_fractions(*_ser_mul(_lincomb(cap + 1, [(d_phi, kd * inv_den), twist]), w)))
+        lhs = list(_fractions(*_ser_mul(_lincomb(cap + 1, [(1, d_phi, kd * inv_den), (1, *twist)]), w)))
         lanes = [([int(i == j)], 1) for i in range(length)]
         rhs = [Fraction(num, den) for (num,), den in apply_R(k, lanes, backend)]
         sides.append((lhs, rhs))

@@ -56,6 +56,15 @@ def _as_scalar(value) -> Fraction | None:
     return None
 
 
+def _rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction if it is an ``int`` (a ``bool`` is not) or a
+    ``Fraction``, else a ValueError naming ``what``."""
+    c = _as_scalar(value)
+    if c is None:
+        raise ValueError(f"{what} must be rational, got {value!r}")
+    return c
+
+
 def _accumulate(out: dict, terms) -> None:
     """Add the (key, coeff) pairs ``terms``, whose coefficients are nonzero,
     into ``out``; a sum that cancels deletes its key, so no zero is stored."""
@@ -86,9 +95,7 @@ class TermMap:
     def __init__(self, terms: dict | None = None):
         ratios = {}
         for key, coeff in (terms or {}).items():
-            c = _as_scalar(coeff)
-            if c is None:
-                raise ValueError(f"coefficients must be rational, got {coeff!r}")
+            c = _rational(coeff, "coefficients")
             if c:
                 ratios[self._check_key(key)] = c.numerator, c.denominator
         built = self._from_ratios(ratios)

@@ -36,7 +36,7 @@ from .exact_core import (
     n_ratio,
     partial_sums,
 )
-from .free_algebra import NCPoly, TermMap, Word, _check_word
+from .free_algebra import NCPoly, TermMap, Word, _check_word, _rational
 
 QKey = tuple[Word, int]
 
@@ -226,11 +226,6 @@ def _closed_blocks(heads, pairs: list[int]) -> tuple[list[int], list[int]]:
     return closed, tops
 
 
-def _fraction(value) -> Fraction:
-    # Fraction(value) for a Fraction runs the slow numbers.Rational checks
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 def _check_bs(bs) -> list[int]:
     """The b values ``bs`` as a list: at least one, each a positive int."""
     out = [check_positive_int(b, "b must be a positive integer") for b in bs]
@@ -254,13 +249,14 @@ def krattenthaler_identity(entries, points) -> list[tuple[Fraction, Fraction]]:
     in X and Y, so grid evaluation is conclusive.  Each left-side term is
     affine in X and in Y too: one walk over the subsets sums the integer
     coefficients of 1, X, Y and XY of the terms over one denominator, and
-    each point then costs one Fraction per side.
+    each point then costs one Fraction per side.  X and Y must be ``int``
+    or ``Fraction`` (not ``bool``, ``float`` or ``str``), else ValueError.
     """
     comp = check_composition(entries)
     s = len(comp)
     if s < 2:
         raise ValueError("the two-variable identity requires a composition of length > 1")
-    points = [(_fraction(x), _fraction(y)) for x, y in points]
+    points = [(_rational(x, "X"), _rational(y, "Y")) for x, y in points]
     if not points:
         raise ValueError("need at least one (X, Y) point, got none")
     heads = (0, *partial_sums(comp))

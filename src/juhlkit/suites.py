@@ -11,6 +11,7 @@ computed and expected values.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
@@ -49,35 +50,33 @@ class SuiteReport:
 # combinatorial suite: brute-force operator iteration vs closed forms
 
 
-def _full_iteration_closed_form(n: int) -> NCPoly:
-    return NCPoly({comp: exact_core.nbar_coeff(comp) for comp in exact_core.compositions_of(n)})
+def _closed_form(ratio: Callable[[tuple], tuple[int, int]], n: int, tail: tuple = ()) -> NCPoly:
+    """The sum over compositions I of n-|tail| of ratio(I + tail) x_I, from
+    the integer (numerator, denominator) pairs of ``exact_core``; the empty
+    word alone, with ratio(tail), when |tail| = n."""
+    rest = n - sum(tail)
+    heads = exact_core.compositions_of(rest) if rest else [()]
+    return NCPoly._from_ratios({head: ratio(head + tail) for head in heads})
 
 
 def _ck_full_iteration(n: int) -> str | None:
     computed = nc_series.iterate_L_full(n)
-    expected = _full_iteration_closed_form(n)
+    expected = _closed_form(exact_core.nbar_ratio, n)
     if computed != expected:
         return f"iterate_L_full({n}) = {computed!r}, closed form = {expected!r}"
     return None
 
 
-def _tail_closed_form(coeff: Callable[[tuple], Fraction], n: int, a: int) -> NCPoly:
-    """The sum over compositions I of n-a of coeff(I + (a,)) x_I; the empty
-    word alone, with coeff((n,)), when a = n."""
-    if a == n:
-        return NCPoly({(): coeff((n,))})
-    return NCPoly({comp: coeff(comp + (a,)) for comp in exact_core.compositions_of(n - a)})
-
-
 def _ck_partial_iteration(n: int) -> str | None:
     full = nc_series.iterate_L_full(n)
-    recombined = NCPoly.zero()
+    shifted = []
     for a in range(1, n + 1):
         part = nc_series.iterate_L_partial(n, a)
-        expected = _tail_closed_form(exact_core.nbar_coeff, n, a)
+        expected = _closed_form(exact_core.nbar_ratio, n, (a,))
         if part != expected:
             return f"iterate_L_partial({n},{a}) = {part!r}, closed form = {expected!r}"
-        recombined = recombined + part * NCPoly.from_word((a,))
+        shifted.append((1, part * NCPoly.from_word((a,))))
+    recombined = NCPoly.combination(shifted)
     if recombined != full:
         return f"sum_a partial({n},a)*x_a = {recombined!r} != full {full!r}"
     return None
@@ -87,15 +86,17 @@ def _ck_l_bridge(n: int) -> str | None:
     # explicit M-expansion vs the s-variable iteration after x_M -> M/(M-1)!^2
     explicit = juhl_core.expand_P_explicit(n)
     full = nc_series.iterate_L_full(n)
+    bridged = NCPoly._from_ratios({
+        w[::-1]: (c, full._den * math.prod(exact_core.factorial(e - 1) for e in w) ** 2)
+        for w, c in full._terms.items()
+    })
+    if explicit == bridged:
+        return None
     for comp in exact_core.compositions_of(n):
-        denom = 1
-        for e in comp:
-            denom *= exact_core.factorial(e - 1) ** 2
-        lhs = explicit.coeff(comp)
-        rhs = full.coeff(tuple(reversed(comp))) / denom
+        lhs, rhs = explicit.coeff(comp), bridged.coeff(comp)
         if lhs != rhs:
             return f"N={n}, I={comp}: explicit {lhs} != rescaled iteration {rhs}"
-    return None
+    return f"N={n}: explicit {explicit!r} != rescaled iteration {bridged!r}"
 
 
 def suite_combinatorial(max_order: int | None, seed: int) -> tuple[str, list[Instance]]:
@@ -246,9 +247,9 @@ def _ck_frob_ctable(n: int) -> str | None:
         seq = exact_core.partial_sums(comp)
         table = frobenius.c_table(seq, n)
         got = table[n][len(seq)]
-        want = exact_core.nbar_coeff(comp)
-        if got != want:
-            return f"I={comp}: c[N][r] = {got} != nbar = {want}"
+        num, den = exact_core.nbar_ratio(comp)
+        if got * den != num:
+            return f"I={comp}: c[N][r] = {got} != nbar = {Fraction(num, den)}"
     return None
 
 
@@ -314,9 +315,8 @@ def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
             return f"seed={seed}, N={n}: evaluated operator matrix is not symmetric"
         for a in range(1, n + 1):
             direct = backends.oracle_P_partial(backend, n, a, f)
-            scale = Fraction(exact_core.factorial(a - 1) ** 2 * (-2) ** (a - 1))
-            shifted = _tail_closed_form(exact_core.n_coeff, n, a)
-            closed = tuple(scale * x for x in backends.evaluate_P(shifted, backend, f))
+            scale = exact_core.factorial(a - 1) ** 2 * (-2) ** (a - 1)
+            closed = backends.evaluate_P(_closed_form(exact_core.n_ratio, n, (a,)) * scale, backend, f)
             if direct != closed:
                 return f"seed={seed}, N={n}, a={a}: partial iteration {direct} != closed form {closed}"
     return None

@@ -31,10 +31,10 @@ from juhlkit.backends import (
     oracle_Q,
     verify_dv_identity,
 )
-from juhlkit.exact_core import compositions_of, factorial, n_coeff
+from juhlkit.exact_core import compositions_of, factorial, n_coeff, n_ratio
 from juhlkit.free_algebra import NCPoly, TermMap, mat_is_symmetric, mat_vec
 from juhlkit.juhl_core import QExpansion, expand_P_explicit, expand_Q_explicit
-from juhlkit.suites import _tail_closed_form
+from juhlkit.suites import _closed_form
 
 
 def test_general_binomial():
@@ -514,7 +514,7 @@ def test_word_memo_gives_the_results_of_a_fresh_backend(seed, fill, order):
     for n, name in fill:
         evaluate_P(expand_P_explicit(n), used, _memo_vectors(used)[name])
         evaluate_Q(expand_Q_explicit(n), used)
-    expansions = [expand_P_explicit(order)] + [_tail_closed_form(n_coeff, order, a) for a in range(1, order + 1)]
+    expansions = [expand_P_explicit(order)] + [_closed_form(n_ratio, order, (a,)) for a in range(1, order + 1)]
     for name, v in _memo_vectors(used).items():
         for expansion in expansions:
             fresh = MatrixAssignment.random(3, 4, seed)
@@ -566,9 +566,9 @@ def test_formula_kernel_matches_the_word_path(make):
         assert formula_P(backend, n, f) == evaluate_P(expand_P_explicit(n), backend, f), n
         assert formula_Q(backend, n) == evaluate_Q(expand_Q_explicit(n), backend), n
         for a in range(1, n + 1):
-            scale = Fraction(factorial(a - 1) ** 2 * (-2) ** (a - 1))
-            words = evaluate_P(_tail_closed_form(n_coeff, n, a), backend, f)
-            assert formula_P_partial(backend, n, a, f) == tuple(scale * x for x in words), (n, a)
+            scale = factorial(a - 1) ** 2 * (-2) ** (a - 1)
+            words = evaluate_P(_closed_form(n_ratio, n, (a,)) * scale, backend, f)
+            assert formula_P_partial(backend, n, a, f) == words, (n, a)
 
 
 @pytest.mark.parametrize("n", [14, 16, 20])
@@ -747,11 +747,7 @@ def scaled_parts(draw):
 @settings(max_examples=80, deadline=None)
 def test_lincomb_is_the_fraction_sum(case):
     d, pairs = case
-    parts = []
-    for v, scale in pairs:
-        vec, den = backends._ints(v)
-        parts.append(([scale * x for x in vec], den))
-    vec, den = backends._lincomb(d, parts)
+    vec, den = backends._lincomb(d, [(scale, *backends._ints(v)) for v, scale in pairs])
     want = [sum((scale * v[i] for v, scale in pairs), Fraction(0)) for i in range(d)]
     assert [Fraction(x, den) for x in vec] == want
     assert den > 0 and math.gcd(den, *vec) == 1  # reduced

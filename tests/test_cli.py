@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from juhlkit import cli
 from juhlkit import exact_core
+from juhlkit import juhl_core
 from juhlkit import suites
 
 
@@ -285,16 +286,21 @@ def test_verify_small_suites_pass(capsys):
 
 def test_verify_reports_counterexample_on_injected_fault(capsys, monkeypatch):
     # flip one closed-form coefficient; the brute-force iteration must disagree
-    true_nbar = exact_core.nbar_coeff
+    true_nbar = exact_core.nbar_ratio
 
-    def corrupted(entries):
-        value = true_nbar(entries)
-        if tuple(entries) == (1, 1):
-            return value + 1
-        return value
+    def corrupted(comp):
+        num, den = true_nbar(comp)
+        if comp == (1, 1):
+            return num + den, den
+        return num, den
 
-    monkeypatch.setattr(exact_core, "nbar_coeff", corrupted)
-    code, out, _ = run_cli(capsys, ["verify", "combinatorial", "--max-order", "2"])
+    monkeypatch.setattr(exact_core, "nbar_ratio", corrupted)
+    # n_ratio reads nbar_ratio too: keep the corrupted explicit expansion out of the cache
+    juhl_core.expand_P_explicit.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, ["verify", "combinatorial", "--max-order", "2"])
+    finally:
+        juhl_core.expand_P_explicit.cache_clear()
     assert code == 1
     assert "FAIL" in out
     assert "full iteration N=2" in out

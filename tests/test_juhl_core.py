@@ -1,6 +1,7 @@
 """Expansion formulae, their inversion, and the summation identity suite."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -260,6 +261,18 @@ def test_krattenthaler_identity_grid():
 def test_krattenthaler_identity_needs_length_two():
     with pytest.raises(ValueError):
         krattenthaler_identity((3,), [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "point, detail",
+    [((True, 1), "X must be rational, got True"), ((0, 0.5), "Y must be rational, got 0.5"),
+     (("1/3", 0), "X must be rational, got '1/3'")],
+    ids=["bool", "float", "str"],
+)
+def test_krattenthaler_identity_takes_int_or_fraction_points(point, detail):
+    # the scalar rule of the backends and of the term maps' coefficients
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        krattenthaler_identity((1, 2), [(0, 0), point])
 
 
 def test_kidenb_single_entry_is_minus_K1():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from juhlkit import backends, cli, exact_core, frobenius, juhl_core, suites
+from juhlkit import backends, cli, exact_core, frobenius, juhl_core, nc_series, suites
 from juhlkit.free_algebra import NCPoly
 
 
@@ -110,9 +110,27 @@ def test_einstein_closed_forms_match_their_fraction_products(n):
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) -7 != (n/2-N) Q 3/4"),
         (suites, "_gover_product", lambda model, order: Fraction(7), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) 3/4 != Gover product 7"),
+        (nc_series, "iterate_L_full", lambda n: NCPoly.from_word((1,), 2), suites._ck_full_iteration, (1,),
+         "iterate_L_full(1) = NCPoly(2*x1), closed form = NCPoly(1*x1)"),
+        # the partial at a = 1 is right; a = 2 is doubled
+        (nc_series, "iterate_L_partial", lambda n, a, plain=nc_series.iterate_L_partial: plain(n, a) * a,
+         suites._ck_partial_iteration, (2,), "iterate_L_partial(2,2) = NCPoly(2*1), closed form = NCPoly(1*1)"),
+        # every partial is right, so only the recombination can fail
+        (nc_series, "iterate_L_full", lambda n: NCPoly.from_word((1,), 2), suites._ck_partial_iteration, (1,),
+         "sum_a partial(1,a)*x_a = NCPoly(1*x1) != full NCPoly(2*x1)"),
+        # n_(2) = n_(1,1) = 1; the walk names the first composition that differs
+        (juhl_core, "expand_P_explicit", lambda n: NCPoly({(2,): 1, (1, 1): Fraction(3, 4)}), suites._ck_l_bridge,
+         (2,), "N=2, I=(1, 1): explicit 3/4 != rescaled iteration 1"),
+        # (3,) rescales by 2!^2: nbar_(3) = 4 becomes 1
+        (juhl_core, "expand_P_explicit", lambda n: NCPoly.from_word((2, 1), 2), suites._ck_l_bridge, (3,),
+         "N=3, I=(3,): explicit 0 != rescaled iteration 1"),
+        # c[1][1] of the table for I = (1,) against nbar_(1) = 1
+        (frobenius, "c_table", lambda seq, jmax: [[0, 0]] * (jmax + 1), suites._ck_frob_ctable, (1,),
+         "I=(1,): c[N][r] = 0 != nbar = 1"),
     ],
     ids=["kidenb", "k-grid", "kcoeff-literal", "kcoeff-closed-form", "telescope", "generating-chain",
-         "conjugation", "einstein-closed-form", "einstein-branson", "einstein-gover"],
+         "conjugation", "einstein-closed-form", "einstein-branson", "einstein-gover", "full-iteration",
+         "partial-iteration", "partial-recombination", "l-bridge", "l-bridge-rescaled", "coefficient-table"],
 )
 def test_checks_report_both_sides_on_failure(monkeypatch, module, attr, fake, check, args, detail):
     monkeypatch.setattr(module, attr, fake)
