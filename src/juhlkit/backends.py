@@ -26,8 +26,8 @@ backend, whichever expansion, order or partial form reaches it.
 ``formula_P``, ``formula_P_partial`` and ``formula_Q`` use that n_I depends
 only on the parts of I and their prefix sums, and sum over cut points in
 O(N^2) matrix-vector products, with no expansion, no n_I table and no
-R-iteration; the ``einstein`` command and the Einstein cross-path checks
-take their formula values from them.
+R-iteration; the Einstein cross-path check, which the ``einstein`` command
+runs, takes its formula values from them.
 
 The R-iteration, the prefix sums, the word evaluator and the Einstein
 family's series share one exact arithmetic and nothing else: integer
@@ -183,15 +183,16 @@ def einstein_q_closed_form(model: EinsteinModel, n: int) -> Fraction:
     (2c)^N prod_{j=1}^{N} (n/2 + j - 1) prod_{j=1}^{N-1} (n/2 - j).
 
     It follows from Gover's factorization of P_{2N} on Einstein metrics
-    (arXiv:math/0506037) and holds at every order, N = n/2 included."""
+    (arXiv:math/0506037) and holds at every order, N = n/2 included.  On
+    integers with n/2 = a/b, b = 2 * n.denominator, made a Fraction once."""
     check_positive_int(n, "N must be a positive integer")
-    half = model.n / 2
-    out = (2 * model.c) ** n
+    a, b = model.n.numerator, 2 * model.n.denominator
+    num = (2 * model.c.numerator) ** n
     for j in range(1, n + 1):
-        out *= half + j - 1
+        num *= a + (j - 1) * b
     for j in range(1, n):
-        out *= half - j
-    return out
+        num *= a - j * b
+    return Fraction(num, model.c.denominator**n * b ** (2 * n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 Subcommands: ``constants`` (coefficient tables), ``expand`` (operator and
 Q-curvature expansions), ``verify`` (identity suites), ``einstein`` (exact
-table for the one-parameter Einstein family, with the explicit formula
-cross-checked against the direct operator iteration).  Each table prints as
-one indented JSON document or, with ``--format tsv``, as that document's
-rows.  ``_emit`` writes a table row by row as its rows are produced, so
-``constants`` and ``expand`` never hold the whole 2^(N-1)-row document;
-``einstein`` checks every row before it prints the first.
+table for the one-parameter Einstein family, printed only once the backends
+suite's Einstein cross-path check has passed at every order, else that
+check's failure message on stderr).  Each table prints as one indented JSON
+document or, with ``--format tsv``, as that document's rows.  ``_emit``
+writes a table row by row as its rows are produced, so ``constants`` and
+``expand`` never hold the whole 2^(N-1)-row document.
 
 All rationals are serialized as exact strings "p/q", never floats.  Stdout
 is byte-deterministic for identical invocations; wall-clock timing goes to
@@ -220,30 +220,23 @@ def cmd_verify(names: list[str], max_order: int | None, seed: int, jobs: int) ->
 
 
 def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
+    # the backends suite's check decides, before the first row: a failure leaves stdout empty
+    failure = suites._ck_einstein_paths(dim, c, max_order)
+    if failure is not None:
+        print(f"einstein: {failure}", file=sys.stderr)
+        return 1
     model = backends.EinsteinModel(dim, c)
-    backend = backends.EinsteinBackend(model, max_order)
-    extension_start = None
-    if dim.denominator == 1 and dim.numerator % 2 == 0:
-        extension_start = dim.numerator // 2
-    rows = []
-    for order in range(1, max_order + 1):
-        formula = backends.formula_Q(backend, order)[0]
-        direct = backends.oracle_Q(backend, order)[0]
-        if formula != direct:
-            print(
-                f"einstein: formula/oracle mismatch at N={order}: {formula} != {direct}",
-                file=sys.stderr,
-            )
-            return 1
-        q_value = formula if order % 2 == 0 else -formula
-        closed = backends.einstein_q_closed_form(model, order)
-        if q_value != closed:
-            print(f"einstein: closed-form mismatch at N={order}: {q_value} != {closed}", file=sys.stderr)
-            return 1
-        regime = "extension" if extension_start is not None and order > extension_start else "standard"
-        rows.append({"N": order, "W": str(backend.w_scalars[order]), "Q": str(q_value), "regime": regime})
-    # every row is checked before the first is printed: a mismatch leaves stdout empty
-    return _emit({"schema": SCHEMA, "n": str(dim), "c": str(c), "max_order": max_order}, "rows", rows, fmt)
+    w_scalars = backends.einstein_invariants(model, max_order)[0]
+    critical = dim.numerator // 2 if dim.denominator == 1 and dim.numerator % 2 == 0 else None
+
+    def row(order: int) -> dict:
+        # the closed form equals the formula and oracle values: the check has passed
+        q_value = backends.einstein_q_closed_form(model, order)
+        regime = "extension" if critical is not None and order > critical else "standard"
+        return {"N": order, "W": str(w_scalars[order]), "Q": str(q_value), "regime": regime}
+
+    head = {"schema": SCHEMA, "n": str(dim), "c": str(c), "max_order": max_order}
+    return _emit(head, "rows", map(row, range(1, max_order + 1)), fmt)
 
 
 def main(argv=None) -> int:

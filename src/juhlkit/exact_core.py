@@ -9,6 +9,7 @@ table and serialization is deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -79,7 +80,7 @@ def cut_bounds(lo: int, hi: int):
 def compositions_of(n: int) -> list[Composition]:
     """All 2**(n-1) compositions of ``n``, length ascending then lexicographic."""
     check_positive_int(n, "n must be a positive integer")
-    return [tuple(b - a for a, b in zip(bounds, bounds[1:])) for bounds in cut_bounds(0, n)]
+    return [tuple(map(operator.sub, bounds[1:], bounds)) for bounds in cut_bounds(0, n)]
 
 
 def partial_sums(entries) -> tuple[int, ...]:

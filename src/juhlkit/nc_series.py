@@ -24,6 +24,7 @@ over denominator 1, and the s^0 lane is the result as it stands.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .exact_core import check_int_range, check_positive_int
 from .free_algebra import NCPoly
@@ -112,11 +113,13 @@ def _constant_term(u: NCSeries, weight: int) -> NCPoly:
     return head
 
 
+@cache
 def iterate_L_full(n: int) -> NCPoly:
     """s=0 coefficient of L_{1-N} L_{3-N} ... L_{N-3} L_{N-1} applied to 1.
 
     Supported on words of total weight N; equals the closed-form sum of
-    nbar_I * x_I over all compositions I of N.
+    nbar_I * x_I over all compositions I of N.  Cached per N, like the
+    ``juhl_core`` expansions, so the checks of one order share one iteration.
     """
     check_positive_int(n, "N must be a positive integer")
     u = NCSeries.one(n)

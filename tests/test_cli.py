@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from juhlkit import backends
 from juhlkit import cli
 from juhlkit import exact_core
 from juhlkit import juhl_core
@@ -413,7 +414,7 @@ def test_einstein_mismatch_exits_one(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
     assert code == 1
     assert out == ""
-    assert "mismatch at N=2" in err
+    assert err == "einstein: n=5, c=1/2, N=2: oracle 113/8 != formula 105/8\n"
 
 
 def test_einstein_formula_mismatch_exits_one(capsys, monkeypatch):
@@ -429,7 +430,7 @@ def test_einstein_formula_mismatch_exits_one(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
     assert code == 1
     assert out == ""
-    assert "formula/oracle mismatch at N=2" in err
+    assert err == "einstein: n=5, c=1/2, N=2: oracle 105/8 != formula 113/8\n"
 
 
 def test_einstein_order_twelve_stdout_is_pinned(capsys):
@@ -468,7 +469,33 @@ def test_einstein_closed_form_mismatch_exits_one(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
     assert code == 1
     assert out == ""
-    assert "closed-form mismatch at N=2" in err
+    assert err == "einstein: n=5, c=1/2, N=2: oracle 105/8 != closed form 113/8\n"
+
+
+# (-1)^N P_{2N}(1) on n=5, c=1/2 at N=2 is 105/16 = (n/2-N) Q_4 = Gover's product;
+# the table prints no P, so only the checks it runs can see these faults
+@pytest.mark.parametrize(
+    "module, attr, detail",
+    [
+        (backends, "formula_P", "(-1)^N P(1) 121/16 != (n/2-N) Q 105/16"),
+        (suites, "_gover_product", "(-1)^N P(1) 105/16 != Gover product 121/16"),
+    ],
+    ids=["branson", "gover"],
+)
+def test_einstein_p_side_mismatch_exits_one(capsys, monkeypatch, module, attr, detail):
+    true_value = getattr(module, attr)
+
+    def corrupted(*args):
+        value = true_value(*args)
+        if args[1] != 2:
+            return value
+        return (value[0] + 1,) if isinstance(value, tuple) else value + 1
+
+    monkeypatch.setattr(module, attr, corrupted)
+    code, out, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == f"einstein: n=5, c=1/2, N=2: {detail}\n"
 
 
 dims = st.one_of(

@@ -149,6 +149,15 @@ def test_invalid_arguments():
         iterate_L_partial(3, 4)
 
 
+@pytest.mark.parametrize("bad", [0, True, 1.0])
+def test_cached_full_iteration_still_rejects_a_bad_order(bad):
+    # a call that raised is not cached, and True or 1.0 is not keyed as the cached 1
+    assert iterate_L_full(1) == NCPoly.from_word((1,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(f"N must be a positive integer, got {bad!r}")):
+            iterate_L_full(bad)
+
+
 @pytest.mark.parametrize("a", [0, 4, 1.5, True])
 def test_iterate_L_partial_rejects_non_integer_or_out_of_range_a(a):
     with pytest.raises(ValueError, match=re.escape(f"a must lie in 1..N, got {a!r}")):

@@ -64,6 +64,23 @@ def test_generating_chain_check_applies_D_m_once_per_distinct_step(monkeypatch):
     assert len(steps) < total  # sequences share steps
 
 
+def test_combinatorial_suite_iterates_each_order_once(monkeypatch):
+    # the full iteration of order N starts from NCSeries.one(N); the full,
+    # partial and L-bridge checks of an order share one cached iteration
+    calls = []
+    plain = nc_series.NCSeries.one
+
+    def counting(cls, cap):
+        calls.append(cap)
+        return plain(cap)
+
+    monkeypatch.setattr(nc_series.NCSeries, "one", classmethod(counting))
+    nc_series.iterate_L_full.cache_clear()
+    [report] = suites.run_suites(["combinatorial"], max_order=6)
+    assert report.passed
+    assert calls == [1, 2, 3, 4, 5, 6]
+
+
 @pytest.mark.parametrize("n", [Fraction(3), Fraction(7, 2), Fraction(4), Fraction(5), Fraction(8)])
 def test_einstein_closed_forms_match_their_fraction_products(n):
     # both closed forms multiply integers into one Fraction; the reference
