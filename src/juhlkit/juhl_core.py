@@ -17,7 +17,10 @@ form, the coefficient-vanishing double sum, and the final telescoping
 identity are provided as exact evaluations of both sides so the inversion
 argument can be verified instance by instance.  The subset sums take their
 whole parameter set (the points (X, Y), or the values of b) and walk the
-subsets of the composition once per call.
+subsets of the composition once per call.  The double sum's inner sum over
+the cuts of a tail L is, term by term, C_p(b) times the X = Y left side for
+L (the identity is in ``kcoeff``), so it shares ``verify_kidenb``'s walk;
+every subset is still summed term by term, and the other m's stay literal.
 """
 
 from __future__ import annotations
@@ -197,20 +200,13 @@ def _lcm_sum(nums: list[int], dens: list[int]) -> tuple[int, int]:
 def _subset_products(factors: list[int], s: int) -> list[int]:
     """The product of factors[a] over a in A, for every subset A of
     {1..s-1}; A sits at index sum_{a in A} 2^(a-1).  So the complement of
-    A sits at the mirrored index, the product of all the factors comes
-    last, and the subsets of {p+1..s-1} are the entries [::2^p]."""
+    A sits at the mirrored index and the product of all the factors comes
+    last."""
     out = [1]
     for a in range(1, s):
         f = factors[a]
         out += [x * f for x in out]
     return out
-
-
-def _complement_sum(nums: list[int], products: list[int]) -> tuple[int, int]:
-    """The sum of nums[i] / products[i] over the subsets of
-    ``_subset_products``, as one unreduced pair over the product of all the
-    factors: each numerator is scaled by the product over the complement."""
-    return sum([n * c for n, c in zip(nums, reversed(products))]), products[-1]
 
 
 def _closed_blocks(heads, pairs: list[int]) -> tuple[list[int], list[int]]:
@@ -286,20 +282,12 @@ def krattenthaler_identity(entries, points) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def verify_kidenb(entries, bs) -> list[tuple[Fraction, Fraction]]:
-    """Both sides of the X = Y form of the subset-sum lemma, holding for any
-    length s >= 1, one (lhs, rhs) pair per b of ``bs``, in their order:
-
-        sum over A of (-1)^r I_1...I_r * prod_{a in A}(K_a + K_{a+1})
-          / prod_{i<r} (I_1+...+I_i)(I_{i+1}+...+I_r+b)
-        = -b|K| / (|K| - K_1 + b).
-
-    One walk over the subsets builds each term's b-free integer numerator;
-    each b then builds the products of the factors (I_1+...+I_i)(I_{i+1}
-    +...+I_r+b) and sums the terms over the product of all of them.
-    """
-    comp = check_composition(entries)
-    bs = _check_bs(bs)
+def _kidenb_sums(comp, bs: list[int]) -> list[tuple[int, int]]:
+    """The left side of the X = Y lemma for a validated composition, one
+    unreduced integer pair per b: one walk over the subsets builds each
+    term's b-free numerator, and each b sums the terms over the product of
+    all the factors (I_1+...+I_i)(I_{i+1}+...+I_r+b), each numerator scaled
+    by the product over the complement of its subset."""
     s = len(comp)
     heads = (0, *partial_sums(comp))
     total = heads[-1]
@@ -308,67 +296,61 @@ def verify_kidenb(entries, bs) -> list[tuple[Fraction, Fraction]]:
     out = []
     for b in bs:
         products = _subset_products([h * (total - h + b) for h in heads], s)
-        lhs = Fraction(*_complement_sum(nums, products))
-        out.append((lhs, Fraction(-b * total, total - comp[0] + b)))
+        out.append((sum([n * c for n, c in zip(nums, reversed(products))]), products[-1]))
     return out
+
+
+def verify_kidenb(entries, bs) -> list[tuple[Fraction, Fraction]]:
+    """Both sides of the X = Y form of the subset-sum lemma, holding for any
+    length s >= 1, one (lhs, rhs) pair per b of ``bs``, in their order:
+
+        sum over A of (-1)^r I_1...I_r * prod_{a in A}(K_a + K_{a+1})
+          / prod_{i<r} (I_1+...+I_i)(I_{i+1}+...+I_r+b)
+        = -b|K| / (|K| - K_1 + b).
+    """
+    comp = check_composition(entries)
+    bs = _check_bs(bs)
+    total = sum(comp)
+    return [(Fraction(*lhs), Fraction(-b * total, total - comp[0] + b)) for b, lhs in zip(bs, _kidenb_sums(comp, bs))]
 
 
 def kcoeff(entries, bs) -> list[Fraction]:
     """Literal evaluation of the coefficient of P_{2K_1}...P_{2K_s} in the
     substituted Q-recursion, one Fraction per b of ``bs``, in their order:
 
-        m_{(K,b)} + sum_{p=0}^{s-1} m_{(K_1..K_p, |K|-|L|+b)}
+        m_{(K,b)} + sum_{p=0}^{s-1} m_{(K_1..K_p, |L|+b)}
                     * sum over A of n_{(I,b)} m_{J_1}...m_{J_r},
 
-    where the J's cut the tail L = (K_{p+1},...,K_s).  Vanishes identically.
-    Every term is an integer pair.  One walk per p builds the b-free part
-    of each term, m_{J_1}...m_{J_r} and the (I_j-1)!^2 and heads
-    I_1+...+I_j of n_{(I,b)}, and sums these over their lcm; the
-    m-coefficient of each contiguous block of K is computed once.  Each b
-    then brings the factors I_{j+1}+...+I_r+b of each subset, the outer m
-    and (|L|+b-1)!^2/(b-1)!^2, and sums the p-sums over their lcm.
+    where the blocks J_1..J_r, of sizes I, cut the tail L = (K_{p+1},...,K_s)
+    at A.  Vanishes identically.  Term by term, the inner sum is C_p(b)
+    times the X = Y left side of ``verify_kidenb`` for L and b, with
+
+        C_p(b) = (-1)^(s-p) (|L|+b-1)!^2 / [ (b-1)!^2 |L| b
+                 * prod_{j>p} K_j!(K_j-1)! * prod_{p<j<s} (K_j+K_{j+1}) ]:
+
+    the blocks partition L, so the m_J/(|J|-1)!^2 keep every factorial and
+    uncut adjacent pair of L below, with sign (-1)^(s-p+r), and each cut
+    puts its pair back on top.  Every subset of every tail is still summed
+    term by term, and m_{(K,b)} and the outer m's come from ``m_ratio``.
     """
     comp = check_composition(entries)
     bs = _check_bs(bs)
     s = len(comp)
-    heads = (0, *partial_sums(comp))
-    total = heads[-1]
-    # block_num[lo][hi] / block_den[lo][hi]: m_J of the block J = K_{lo+1..hi},
-    # with its (|J|-1)!^2 from n_{(I,b)} in the denominator
-    block_num = [[0] * (s + 1) for _ in range(s)]
-    block_den = [[0] * (s + 1) for _ in range(s)]
-    for lo in range(s):
-        for hi in range(lo + 1, s + 1):
-            num, den = m_ratio(comp[lo:hi])
-            block_num[lo][hi] = num
-            block_den[lo][hi] = den * factorial(heads[hi] - heads[lo] - 1) ** 2
-    walks = []  # per p: the b-free numerators and denominators per subset of the tail
-    for p in range(s):
-        nums, dens, tops = [1], [1], [p]
-        for a in range(p + 1, s):
-            h = heads[a] - heads[p]
-            nums += [n * block_num[t][a] for n, t in zip(nums, tops)]
-            dens += [d * block_den[t][a] * h for d, t in zip(dens, tops)]
-            tops += [a] * len(tops)
-        # the last block, from the top cut to s, and its head |L|; then all
-        # over the lcm of the denominators
-        dens = [d * block_den[t][s] * (total - heads[p]) for d, t in zip(dens, tops)]
-        den = math.lcm(*dens)
-        nums = [n * block_num[t][s] * (den // d) for n, t, d in zip(nums, tops, dens)]
-        walks.append((nums, den))
+    tails = []  # per p from s-1 down to 0: (-1)^(s-p), |L|, both tail products of C_p, the X = Y sums
+    sign, size, tail_den = 1, 0, 1
+    for p in reversed(range(s)):
+        sign, size = -sign, size + comp[p]
+        tail_den *= factorial(comp[p]) * factorial(comp[p] - 1) * (comp[p] + comp[p + 1] if p < s - 1 else 1)
+        tails.append((p, sign, size, tail_den, _kidenb_sums(comp[p:], bs)))
     out = []
-    for b in bs:
+    for i, b in enumerate(bs):
         m_num, m_den = m_ratio(comp + (b,))
         nums, dens = [m_num], [m_den]
-        tails = [total - h + b for h in heads]  # I_{j+1}+...+I_r+b at the cut a
-        products = _subset_products(tails, s)
-        # n_{(I,b)}: (|L|+b-1)!^2 over (b-1)!^2 and the last head factor b
         b_den = factorial(b - 1) ** 2 * b
-        for p, (p_nums, p_den) in enumerate(walks):
-            inner_num, inner_den = _complement_sum(p_nums, products[:: 1 << p])
-            outer_num, outer_den = m_ratio(comp[:p] + (tails[p],))
-            nums.append(outer_num * factorial(tails[p] - 1) ** 2 * inner_num)
-            dens.append(outer_den * b_den * p_den * inner_den)
+        for p, sign, size, tail_den, sums in tails:
+            outer_num, outer_den = m_ratio(comp[:p] + (size + b,))
+            nums.append(sign * outer_num * factorial(size + b - 1) ** 2 * sums[i][0])
+            dens.append(outer_den * b_den * size * tail_den * sums[i][1])
         out.append(Fraction(*_lcm_sum(nums, dens)))
     return out
 

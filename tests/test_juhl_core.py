@@ -380,17 +380,18 @@ def _kidenb_lhs_reference(comp, b):
     return lhs
 
 
-def _kcoeff_reference(comp, b, m=m_coeff, n=n_coeff):
-    total = m(comp + (b,))
+def _kcoeff_reference(comp, b, outer_m=m_coeff, n=n_coeff):
+    # outer_m weighs m_{(K,b)} and the outer m's; the block m's stay m_coeff
+    total = outer_m(comp + (b,))
     for p in range(len(comp)):
         head, tail = comp[:p], comp[p:]
         inner = Fraction(0)
         for _, blocks in _subsets_as_blocks(tail):
             term = n(tuple(sum(bk) for bk in blocks) + (b,))
             for block in blocks:
-                term *= m(block)
+                term *= m_coeff(block)
             inner += term
-        total += m(head + (sum(tail) + b,)) * inner
+        total += outer_m(head + (sum(tail) + b,)) * inner
     return total
 
 
@@ -446,7 +447,7 @@ def test_kcoeff_matches_fraction_reference(comp, b):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(juhl_core, "m_ratio", _weighted_m_ratio)
         weighted = kcoeff(comp, [b])
-    assert weighted == [_kcoeff_reference(comp, b, m=_weighted_m_coeff)]
+    assert weighted == [_kcoeff_reference(comp, b, outer_m=_weighted_m_coeff)]
 
 
 @st.composite
@@ -481,12 +482,13 @@ def test_verify_kidenb_batch_matches_fraction_reference(comp, bs):
 def test_kcoeff_batch_matches_fraction_reference(comp, bs):
     assert kcoeff(comp, bs) == [_kcoeff_reference(comp, b) for b in bs] == [0] * len(bs)
     assert kcoeff_closed_form(comp, bs) == [_kcoeff_closed_form_reference(comp, b) for b in bs] == [0] * len(bs)
-    # both paths go through m_ratio, so reweighting it compares sums that do not vanish
+    # both paths read m_{(K,b)} and kcoeff its outer m's through m_ratio (its inner
+    # sums share verify_kidenb's walk), so reweighting it compares sums that do not vanish
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(juhl_core, "m_ratio", _weighted_m_ratio)
         weighted = kcoeff(comp, bs)
         weighted_closed = kcoeff_closed_form(comp, bs)
-    assert weighted == [_kcoeff_reference(comp, b, m=_weighted_m_coeff) for b in bs]
+    assert weighted == [_kcoeff_reference(comp, b, outer_m=_weighted_m_coeff) for b in bs]
     assert weighted_closed == [_kcoeff_closed_form_reference(comp, b, m=_weighted_m_coeff) for b in bs]
 
 

@@ -226,6 +226,20 @@ def test_conjugation_check_reads_every_m_constant(monkeypatch):
             assert detail is not None and detail.startswith("n=3, c=1/2, gamma=0: k=0: "), (suite_order, order)
 
 
+def test_flat_anchor_reads_the_flat_model_invariants(monkeypatch):
+    # at c = 0 every W_{2a} is 0, so oracle_Q and evaluate_Q are 0 whatever
+    # the M's are; the anchor has to read the invariants themselves
+    plain = backends.einstein_invariants
+    assert suites._ck_einstein_anchor(Fraction(4), 8) is None
+
+    def shifted(model, max_order):
+        w_scalars, m_consts = plain(model, max_order)
+        return w_scalars, {k: v + 1 for k, v in m_consts.items()}
+
+    monkeypatch.setattr(backends, "einstein_invariants", shifted)
+    assert suites._ck_einstein_anchor(Fraction(4), 8) == "n=4: flat model M_2(1) = 1 != 0"
+
+
 @pytest.mark.parametrize("max_order", [0, -1, True])
 def test_a_bad_max_order_raises_before_any_instance_runs(monkeypatch, max_order):
     ran = []
