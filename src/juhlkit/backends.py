@@ -34,9 +34,15 @@ family's series share one exact arithmetic and nothing else: integer
 numerators over one denominator, summed by ``_lincomb`` and multiplied by
 ``MatrixAssignment._times`` (vectors) or ``_ser_mul`` (series).  These
 (numerators, den) pairs are ``apply_R``'s lanes; backend values are
-Fractions only at the public edges.  ``_power`` builds a binomial series on
-these pairs directly.  The tests pin each of these helpers to plain
-``Fraction`` arithmetic, ``_power`` to ``general_binomial``.
+Fractions only at the public edges.  Each public value function validates
+its arguments, runs a private kernel (``_oracle_P``, ``_formula_Q``,
+``_evaluate_P``, ``_dv_sides``, ...) and makes the kernel's result
+Fractions once.  A kernel returns a canonical pair, reduced by
+``_reduced`` (den > 0, gcd(den, *numerators) = 1), so two kernels' values
+are equal exactly when their pairs are; the backends suite compares these
+pairs.  ``_power`` builds a binomial series on these pairs directly.  The
+tests pin each of these helpers to plain ``Fraction`` arithmetic,
+``_power`` to ``general_binomial``.
 
 Einstein family.  With g_rho = (1+c*rho)^2 g the volume ratio is
 v(rho) = (1+c*rho)^n and w = sqrt(v) = (1+c*rho)^(n/2); in the r variable
@@ -225,6 +231,14 @@ def _lincomb(dim: int, parts: list) -> tuple[list[int], int]:
     return [x // g for x in acc], den // g
 
 
+def _reduced(vec, den: int) -> tuple[list[int], int]:
+    """``vec / den``, den > 0, as a canonical pair: divided by the gcd of
+    den and every numerator, so that two canonical pairs are equal exactly
+    when their Fraction vectors are."""
+    g = math.gcd(den, *vec)
+    return [x // g for x in vec], den // g
+
+
 def _fractions(vec, den: int) -> Vector:
     return tuple([Fraction(x, den) for x in vec])
 
@@ -290,21 +304,22 @@ class MatrixAssignment:
     @classmethod
     def random(cls, dim: int, max_order: int, seed: int) -> MatrixAssignment:
         """Reproducible random assignment with entries p/q, p in -2..2,
-        q in 1..3, symmetrized as (A + A^T)/2."""
+        q in 1..3, symmetrized as (A + A^T)/2.  Each entry is drawn as the
+        integer p * (12/q) over 12, so a symmetrized entry is the one
+        Fraction (x_ij + x_ji)/24, with no Fraction sum or division."""
         rng = random.Random(seed)
 
-        def entry() -> Fraction:
-            return Fraction(rng.choice([-2, -1, 0, 1, 2]), rng.choice([1, 2, 3]))
+        def entry() -> int:
+            return rng.choice([-2, -1, 0, 1, 2]) * (12 // rng.choice([1, 2, 3]))
 
         matrices: dict[int, Matrix] = {}
         for order in range(1, max_order + 1):
             raw = [[entry() for _ in range(dim)] for _ in range(dim)]
-            sym = tuple(
-                tuple((raw[i][j] + raw[j][i]) / 2 for j in range(dim)) for i in range(dim)
+            matrices[order] = tuple(
+                tuple(Fraction(raw[i][j] + raw[j][i], 24) for j in range(dim)) for i in range(dim)
             )
-            matrices[order] = sym
-        f = tuple(entry() for _ in range(dim))
-        w_scalars = {a: entry() for a in range(1, max_order + 1)}
+        f = tuple(Fraction(entry(), 12) for _ in range(dim))
+        w_scalars = {a: Fraction(entry(), 12) for a in range(1, max_order + 1)}
         return cls(matrices, f, w_scalars)
 
     @property
@@ -373,14 +388,20 @@ def apply_R(k: int | Fraction, lanes: list, backend) -> list:
     return out
 
 
-def _iterate_R(backend, ks: range, lanes: list) -> Vector:
+def _iterate_R(backend, ks: range, lanes: list) -> tuple[list[int], int]:
     """rho=0 value of R_{ks[-1]} ... R_{ks[0]} applied to the pair ``lanes``,
-    which is one lane longer than the number of factors, as Fractions."""
+    which is one lane longer than the number of factors, as a canonical
+    pair; with no factors the one input lane is reduced too."""
     for k in ks:
         lanes = apply_R(k, lanes, backend)
     if len(lanes) != 1:
         raise RuntimeError(f"expected a one-lane window after the iteration, got {len(lanes)} lanes")
-    return _fractions(*lanes[0])
+    return _reduced(*lanes[0])
+
+
+def _oracle_P(backend, n: int, f: tuple[list[int], int]) -> tuple[list[int], int]:
+    lanes = [f] + [([0] * backend.dim, 1)] * n
+    return _iterate_R(backend, range(n - 1, -n, -2), lanes)
 
 
 def oracle_P(backend, n: int, f) -> Vector:
@@ -390,8 +411,13 @@ def oracle_P(backend, n: int, f) -> Vector:
     backend and applied to f.
     """
     check_positive_int(n, "N must be a positive integer")
-    lanes = [_test_vector(f, backend.dim)] + [([0] * backend.dim, 1)] * n
-    return _iterate_R(backend, range(n - 1, -n, -2), lanes)
+    return _fractions(*_oracle_P(backend, n, _test_vector(f, backend.dim)))
+
+
+def _oracle_P_partial(backend, n: int, a: int, f: tuple[list[int], int]) -> tuple[list[int], int]:
+    lanes = [([0] * backend.dim, 1)] * n
+    lanes[a - 1] = f
+    return _iterate_R(backend, range(n - 3, -n, -2), lanes)
 
 
 def oracle_P_partial(backend, n: int, a: int, f) -> Vector:
@@ -402,8 +428,12 @@ def oracle_P_partial(backend, n: int, a: int, f) -> Vector:
     """
     check_positive_int(n, "N must be a positive integer")
     check_int_range(a, 1, n, "a must lie in 1..N")
-    lanes = [([0] * backend.dim, 1)] * n
-    lanes[a - 1] = _test_vector(f, backend.dim)
+    return _fractions(*_oracle_P_partial(backend, n, a, _test_vector(f, backend.dim)))
+
+
+def _oracle_Q(backend, n: int) -> tuple[list[int], int]:
+    w, fvec, den = _w_and_f(backend, range(1, n + 1))
+    lanes = [([a * (-2) ** (a + 1) * w[a] * x for x in fvec], den) for a in range(1, n + 1)]
     return _iterate_R(backend, range(n - 3, -n, -2), lanes)
 
 
@@ -415,9 +445,7 @@ def oracle_Q(backend, n: int) -> Vector:
     lanes.  Agrees exactly with the explicit Q-expansion evaluated in the backend.
     """
     check_positive_int(n, "N must be a positive integer")
-    w, fvec, den = _w_and_f(backend, range(1, n + 1))
-    lanes = [([a * (-2) ** (a + 1) * w[a] * x for x in fvec], den) for a in range(1, n + 1)]
-    return _iterate_R(backend, range(n - 3, -n, -2), lanes)
+    return _fractions(*_oracle_Q(backend, n))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +453,7 @@ def oracle_Q(backend, n: int) -> Vector:
 
 
 def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict) -> tuple[list[int], int]:
-    """(N-1)!^2 V_0 as (numerators, den), where V_s, for s = N down to 0, is
+    """(N-1)!^2 V_0 as a canonical pair, where V_s, for s = N down to 0, is
 
         V_s = terminal[s] + sum_{t=s+1}^{N} w_t/(t-s-1)!^2 * M_{2(t-s)} V_t,
 
@@ -452,7 +480,11 @@ def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict) -> tuple[lis
             sums[s] = _lincomb(backend.dim, parts)
     vec, den = sums[0]
     scale = factorial(n - 1) ** 2
-    return [scale * x for x in vec], den
+    return _reduced([scale * x for x in vec], den)
+
+
+def _formula_P(backend, n: int, f: tuple[list[int], int]) -> tuple[list[int], int]:
+    return _prefix_sums(backend, n, {n: (1, *f)})
 
 
 def formula_P(backend, n: int, f) -> Vector:
@@ -460,7 +492,11 @@ def formula_P(backend, n: int, f) -> Vector:
     ``evaluate_P(expand_P_explicit(N), backend, f)`` and ``oracle_P``,
     in O(N^2) matrix-vector products instead of 2^(N-1) words."""
     check_positive_int(n, "N must be a positive integer")
-    return _fractions(*_prefix_sums(backend, n, {n: (1, *_test_vector(f, backend.dim))}))
+    return _fractions(*_formula_P(backend, n, _test_vector(f, backend.dim)))
+
+
+def _formula_P_partial(backend, n: int, a: int, f: tuple[list[int], int]) -> tuple[list[int], int]:
+    return _prefix_sums(backend, n, {n - a: ((-2) ** (a - 1), *f)})
 
 
 def formula_P_partial(backend, n: int, a: int, f) -> Vector:
@@ -469,7 +505,13 @@ def formula_P_partial(backend, n: int, a: int, f) -> Vector:
     1/(a-1)!^2 cancels (a-1)!^2, leaving one terminal term at s = N-a."""
     check_positive_int(n, "N must be a positive integer")
     check_int_range(a, 1, n, "a must lie in 1..N")
-    return _fractions(*_prefix_sums(backend, n, {n - a: ((-2) ** (a - 1), *_test_vector(f, backend.dim))}))
+    return _fractions(*_formula_P_partial(backend, n, a, _test_vector(f, backend.dim)))
+
+
+def _formula_Q(backend, n: int) -> tuple[list[int], int]:
+    w, fvec, den = _w_and_f(backend, range(1, n + 1))
+    terminal = {n - a: (a * 4**a * w[a], fvec, den) for a in range(1, n + 1)}
+    return _prefix_sums(backend, n, terminal)
 
 
 def formula_Q(backend, n: int) -> Vector:
@@ -478,18 +520,17 @@ def formula_Q(backend, n: int) -> Vector:
     term (I, a) ends in the terminal term at s = N-a,
     a!(a-1)! 4^a/(a-1)!^2 * W_{2a} f = a 4^a W_{2a} f."""
     check_positive_int(n, "N must be a positive integer")
-    w, fvec, den = _w_and_f(backend, range(1, n + 1))
-    terminal = {n - a: (a * 4**a * w[a], fvec, den) for a in range(1, n + 1)}
-    return _fractions(*_prefix_sums(backend, n, terminal))
+    return _fractions(*_formula_Q(backend, n))
 
 
 # ---------------------------------------------------------------------------
 # evaluating closed-form expansions in a backend
 
 
-def _apply_words(backend: MatrixAssignment, terms, den: int, f: tuple[list[int], int]) -> Vector:
+def _apply_words(backend: MatrixAssignment, terms, den: int, f: tuple[list[int], int]) -> tuple[list[int], int]:
     """The sum of num/den * M_{w_1} ... M_{w_k} f over the (word, num)
-    pairs ``terms`` of integer numerators, rightmost factor first.
+    pairs ``terms`` of integer numerators, rightmost factor first, as a
+    canonical pair.
 
     A word's image is its first letter applied by ``_times`` to the image
     of its suffix, taken from the backend's word memo for the numerators
@@ -511,48 +552,39 @@ def _apply_words(backend: MatrixAssignment, terms, den: int, f: tuple[list[int],
         return got
 
     vec, d = _lincomb(len(fvec), [(num, *image(word)) for word, num in terms])
-    return _fractions(vec, d * den * fden)
+    return _reduced(vec, d * den * fden)
+
+
+def _evaluate_P(expansion: NCPoly, backend: MatrixAssignment, f: tuple[list[int], int]) -> tuple[list[int], int]:
+    return _apply_words(backend, expansion._terms.items(), expansion._den, f)
 
 
 def evaluate_P(expansion: NCPoly, backend: MatrixAssignment, f) -> Vector:
     """Apply an operator expansion to a backend value (rightmost factor first)."""
-    return _apply_words(backend, expansion._terms.items(), expansion._den, _test_vector(f, backend.dim))
+    return _fractions(*_evaluate_P(expansion, backend, _test_vector(f, backend.dim)))
+
+
+def _evaluate_Q(expansion: QExpansion, backend: MatrixAssignment) -> tuple[list[int], int]:
+    w, fvec, den = _w_and_f(backend, sorted({key[-1] for key in expansion._terms}))
+    terms = [(key[:-1], num * w[key[-1]]) for key, num in expansion._terms.items()]
+    return _apply_words(backend, terms, expansion._den, (fvec, den))
 
 
 def evaluate_Q(expansion: QExpansion, backend: MatrixAssignment) -> Vector:
     """Evaluate a Q-expansion: each (I, a) term is M_{2I} applied to
     W_{2a} times the backend's test vector f, W_{2a}'s numerator folded
     into the term's and its denominator into f's."""
-    w, fvec, den = _w_and_f(backend, sorted({key[-1] for key in expansion._terms}))
-    terms = [(key[:-1], num * w[key[-1]]) for key, num in expansion._terms.items()]
-    return _apply_words(backend, terms, expansion._den, (fvec, den))
+    return _fractions(*_evaluate_Q(expansion, backend))
 
 
 # ---------------------------------------------------------------------------
 # the conjugated-Laplacian identity, checked in the scalar reduction
 
 
-def verify_dv_identity(model: EinsteinModel, gamma, kmax: int = 4, cap: int = 8) -> list[tuple[list, list]]:
-    """One (lhs, rhs) pair per input psi = rho^j, j = 0..kmax: both sides,
-    through rho^cap, of
-
-        w * [ -2*rho*phi'' + (2*gamma+n-2-2*rho*v'/v)*phi' + gamma*(v'/v)*phi ]
-        = R_k psi,  k = gamma + n/2 - 1,
-
-    where phi = psi/w, v = (1+c*rho)^n and w = sqrt(v).  The left side is
-    the raw warped-product Laplacian conjugated by w (the Laplacian term
-    along the boundary drops on rho-only inputs), regrouped as
-    w * [D phi + (v'/v)(gamma - 2*rho*d) phi] with D = -2*rho*d2 + 2k*d.
-    The right side is ``apply_R`` on the Einstein backend, whose Mtilde is
-    -Utilde = -[-2*rho*w'' + (n-2)*w']/w.  gamma must be int or Fraction,
-    cap an int >= 0 and kmax an int in 0..cap+1, so that every input's 1
-    lies inside the window.  The left side is built on integer numerators
-    over one denominator and becomes Fractions once per input.
-    """
-    check_int_range(cap, 0, math.inf, "cap must be a non-negative integer")
-    check_int_range(kmax, 0, cap + 1, "kmax must lie in 0..cap+1")
+def _dv_sides(model: EinsteinModel, gamma: Fraction, kmax: int, cap: int) -> list[tuple[tuple, tuple]]:
+    """``verify_dv_identity``'s sides for validated arguments, each a
+    canonical pair of length cap + 1."""
     n, c = model.n, model.c
-    gamma = _rational(gamma, "gamma")
     k = gamma + n / 2 - 1
     length = cap + 2  # D reads one lane above the ones compared
     w = _power(n / 2, c, length)
@@ -569,8 +601,33 @@ def verify_dv_identity(model: EinsteinModel, gamma, kmax: int = 4, cap: int = 8)
         d_phi = [2 * (i + 1) * (kn - i * kd) * phi[i + 1] for i in range(cap + 1)]
         twisted = [(gn - 2 * i * gd) * x for i, x in enumerate(phi[: cap + 1])]
         twist = _ser_mul((twisted, gd * inv_den), vlog)
-        lhs = list(_fractions(*_ser_mul(_lincomb(cap + 1, [(1, d_phi, kd * inv_den), (1, *twist)]), w)))
-        lanes = [([int(i == j)], 1) for i in range(length)]
-        rhs = [Fraction(num, den) for (num,), den in apply_R(k, lanes, backend)]
+        lhs = _reduced(*_ser_mul(_lincomb(cap + 1, [(1, d_phi, kd * inv_den), (1, *twist)]), w))
+        lanes = apply_R(k, [([int(i == j)], 1) for i in range(length)], backend)
+        # apply_R's lanes are reduced, so over the lcm of their denominators they stay reduced
+        den = math.lcm(*[d for _, d in lanes])
+        rhs = ([num * (den // d) for (num,), d in lanes], den)
         sides.append((lhs, rhs))
     return sides
+
+
+def verify_dv_identity(model: EinsteinModel, gamma, kmax: int = 4, cap: int = 8) -> list[tuple[list, list]]:
+    """One (lhs, rhs) pair per input psi = rho^j, j = 0..kmax: both sides,
+    through rho^cap, of
+
+        w * [ -2*rho*phi'' + (2*gamma+n-2-2*rho*v'/v)*phi' + gamma*(v'/v)*phi ]
+        = R_k psi,  k = gamma + n/2 - 1,
+
+    where phi = psi/w, v = (1+c*rho)^n and w = sqrt(v).  The left side is
+    the raw warped-product Laplacian conjugated by w (the Laplacian term
+    along the boundary drops on rho-only inputs), regrouped as
+    w * [D phi + (v'/v)(gamma - 2*rho*d) phi] with D = -2*rho*d2 + 2k*d.
+    The right side is ``apply_R`` on the Einstein backend, whose Mtilde is
+    -Utilde = -[-2*rho*w'' + (n-2)*w']/w.  gamma must be int or Fraction,
+    cap an int >= 0 and kmax an int in 0..cap+1, so that every input's 1
+    lies inside the window.  Each side is built on integer numerators over
+    one denominator and becomes Fractions once per input.
+    """
+    check_int_range(cap, 0, math.inf, "cap must be a non-negative integer")
+    check_int_range(kmax, 0, cap + 1, "kmax must lie in 0..cap+1")
+    sides = _dv_sides(model, _rational(gamma, "gamma"), kmax, cap)
+    return [(list(_fractions(*lhs)), list(_fractions(*rhs))) for lhs, rhs in sides]

@@ -300,6 +300,14 @@ def _kidenb_sums(comp, bs: list[int]) -> list[tuple[int, int]]:
     return out
 
 
+@cache
+def _tail_sums(tail: tuple[int, ...], bs: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """``_kidenb_sums(tail, bs)``, walked once per (tail, bs): compositions
+    that share a suffix share kcoeff's inner sums.  A tuple of pairs, so
+    that no caller can change a cached value."""
+    return tuple(_kidenb_sums(tail, bs))
+
+
 def verify_kidenb(entries, bs) -> list[tuple[Fraction, Fraction]]:
     """Both sides of the X = Y form of the subset-sum lemma, holding for any
     length s >= 1, one (lhs, rhs) pair per b of ``bs``, in their order:
@@ -331,7 +339,8 @@ def kcoeff(entries, bs) -> list[Fraction]:
     the blocks partition L, so the m_J/(|J|-1)!^2 keep every factorial and
     uncut adjacent pair of L below, with sign (-1)^(s-p+r), and each cut
     puts its pair back on top.  Every subset of every tail is still summed
-    term by term, and m_{(K,b)} and the outer m's come from ``m_ratio``.
+    term by term, once per distinct tail and b list in the process
+    (``_tail_sums``), and m_{(K,b)} and the outer m's come from ``m_ratio``.
     """
     comp = check_composition(entries)
     bs = _check_bs(bs)
@@ -341,7 +350,7 @@ def kcoeff(entries, bs) -> list[Fraction]:
     for p in reversed(range(s)):
         sign, size = -sign, size + comp[p]
         tail_den *= factorial(comp[p]) * factorial(comp[p] - 1) * (comp[p] + comp[p + 1] if p < s - 1 else 1)
-        tails.append((p, sign, size, tail_den, _kidenb_sums(comp[p:], bs)))
+        tails.append((p, sign, size, tail_den, _tail_sums(comp[p:], tuple(bs))))
     out = []
     for i, b in enumerate(bs):
         m_num, m_den = m_ratio(comp + (b,))

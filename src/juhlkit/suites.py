@@ -11,6 +11,7 @@ computed and expected values.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import backends, exact_core, frobenius, juhl_core, nc_series
-from .free_algebra import NCPoly, mat_is_symmetric
+from .free_algebra import NCPoly
 
 Instance = tuple[str, Callable[..., str | None], tuple]
 
@@ -292,29 +293,46 @@ def suite_frobenius(max_order: int | None, seed: int) -> tuple[str, list[Instanc
 # backends suite: oracle iteration vs evaluated expansions
 
 
+@functools.cache
+def _partial_closed_form(n: int, a: int) -> NCPoly:
+    """The word expansion ``oracle_P_partial`` iterates to: the sum over
+    |I| = N-a of n_{(I,a)} (a-1)!^2 (-2)^(a-1) x_I, built once per (n, a),
+    as ``juhl_core`` caches its expansions; never mutated."""
+    scale = exact_core.factorial(a - 1) ** 2 * (-2) ** (a - 1)
+    return _closed_form(exact_core.n_ratio, n, (a,)) * scale
+
+
+# The backends checks below compare the canonical pairs (numerators, den) of
+# the backend kernels: two such pairs are equal exactly when their Fraction
+# vectors are, so Fractions are made only to write a failure message.
+
+
 def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
     backend = backends.MatrixAssignment.random(dim, nmax, seed)
-    f = backend.f
-    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    f = backends._ints(backend.f)
+    basis = [([int(i == j) for j in range(dim)], 1) for i in range(dim)]
     for n in range(1, nmax + 1):
         expansion = juhl_core.expand_P_explicit(n)
-        direct = backends.oracle_P(backend, n, f)
-        closed = backends.evaluate_P(expansion, backend, f)
+        direct = backends._oracle_P(backend, n, f)
+        closed = backends._evaluate_P(expansion, backend, f)
         if direct != closed:
+            direct, closed = backends._fractions(*direct), backends._fractions(*closed)
             return f"seed={seed}, N={n}: oracle_P {direct} != evaluated expansion {closed}"
-        q_direct = backends.oracle_Q(backend, n)
-        q_closed = backends.evaluate_Q(juhl_core.expand_Q_explicit(n), backend)
+        q_direct = backends._oracle_Q(backend, n)
+        q_closed = backends._evaluate_Q(juhl_core.expand_Q_explicit(n), backend)
         if q_direct != q_closed:
+            q_direct, q_closed = backends._fractions(*q_direct), backends._fractions(*q_closed)
             return f"seed={seed}, N={n}: oracle_Q {q_direct} != evaluated expansion {q_closed}"
         # the images of the basis vectors are the operator matrix's columns
-        columns = tuple(backends.evaluate_P(expansion, backend, e) for e in basis)
-        if not mat_is_symmetric(columns):
-            return f"seed={seed}, N={n}: evaluated operator matrix is not symmetric"
+        columns = [backends._evaluate_P(expansion, backend, e) for e in basis]
+        for i, (col_i, den_i) in enumerate(columns):
+            if any(col_i[j] * den_j != col_j[i] * den_i for j, (col_j, den_j) in enumerate(columns[:i])):
+                return f"seed={seed}, N={n}: evaluated operator matrix is not symmetric"
         for a in range(1, n + 1):
-            direct = backends.oracle_P_partial(backend, n, a, f)
-            scale = exact_core.factorial(a - 1) ** 2 * (-2) ** (a - 1)
-            closed = backends.evaluate_P(_closed_form(exact_core.n_ratio, n, (a,)) * scale, backend, f)
+            direct = backends._oracle_P_partial(backend, n, a, f)
+            closed = backends._evaluate_P(_partial_closed_form(n, a), backend, f)
             if direct != closed:
+                direct, closed = backends._fractions(*direct), backends._fractions(*closed)
                 return f"seed={seed}, N={n}, a={a}: partial iteration {direct} != closed form {closed}"
     return None
 
@@ -327,9 +345,9 @@ def _ck_einstein_anchor(n: Fraction, nmax: int) -> str | None:
             if value:
                 return f"n={n}: flat model {name} = {value} != 0"
     sphere = backends.EinsteinBackend(backends.EinsteinModel(n, Fraction(1, 2)), 1)
-    q2 = -backends.evaluate_Q(juhl_core.expand_Q_explicit(1), sphere)[0]
-    if q2 != n / 2:
-        return f"n={n}: unit sphere Q_2 = {q2} != n/2 = {n / 2}"
+    (q2,), den = backends._evaluate_Q(juhl_core.expand_Q_explicit(1), sphere)
+    if -q2 * 2 * n.denominator != n.numerator * den:
+        return f"n={n}: unit sphere Q_2 = {Fraction(-q2, den)} != n/2 = {n / 2}"
     return None
 
 
@@ -347,32 +365,40 @@ def _gover_product(model: backends.EinsteinModel, order: int) -> Fraction:
 def _ck_einstein_paths(n: Fraction, c: Fraction, nmax: int) -> str | None:
     model = backends.EinsteinModel(n, c)
     backend = backends.EinsteinBackend(model, nmax)
+    one = ([1], 1)  # the backend's test vector f = (1,)
     for order in range(1, nmax + 1):
-        direct = backends.oracle_Q(backend, order)[0]
-        closed = backends.formula_Q(backend, order)[0]
+        direct = backends._oracle_Q(backend, order)
+        closed = backends._formula_Q(backend, order)
         if direct != closed:
+            direct, closed = backends._fractions(*direct)[0], backends._fractions(*closed)[0]
             return f"n={n}, c={c}, N={order}: oracle {direct} != formula {closed}"
+        (q_num,), q_den = direct
         sign = (-1) ** order
         q_value = backends.einstein_q_closed_form(model, order)
-        if direct != sign * q_value:
-            return f"n={n}, c={c}, N={order}: oracle {direct} != closed form {sign * q_value}"
+        if q_num * q_value.denominator != sign * q_value.numerator * q_den:
+            return f"n={n}, c={c}, N={order}: oracle {Fraction(q_num, q_den)} != closed form {sign * q_value}"
         # (-1)^N P_{2N}(1) by Branson's relation (n/2 - N) Q_{2N} and by Gover's factorization
-        signed_p = sign * backends.formula_P(backend, order, backend.f)[0]
-        branson = (n / 2 - order) * q_value
-        if signed_p != branson:
+        (p_num,), p_den = backends._formula_P(backend, order, one)
+        p_num *= sign
+        # (n/2 - N) Q = (n.numerator - 2N n.denominator) Q / (2 n.denominator)
+        if p_num * 2 * n.denominator * q_value.denominator != (
+            (n.numerator - 2 * order * n.denominator) * q_value.numerator * p_den
+        ):
+            signed_p, branson = Fraction(p_num, p_den), (n / 2 - order) * q_value
             return f"n={n}, c={c}, N={order}: (-1)^N P(1) {signed_p} != (n/2-N) Q {branson}"
         gover = _gover_product(model, order)
-        if signed_p != gover:
-            return f"n={n}, c={c}, N={order}: (-1)^N P(1) {signed_p} != Gover product {gover}"
+        if p_num * gover.denominator != gover.numerator * p_den:
+            return f"n={n}, c={c}, N={order}: (-1)^N P(1) {Fraction(p_num, p_den)} != Gover product {gover}"
     return None
 
 
 def _ck_dv_identity(n: Fraction, c: Fraction, gamma: Fraction, order: int) -> str | None:
     # psi = 1 reads M_{2(e+1)}(1) at rho^e, so cap = order - 1 reads every
     # constant up to the suite's order; below order 9 the cap stays at 8
-    sides = backends.verify_dv_identity(backends.EinsteinModel(n, c), gamma, cap=max(8, order - 1))
+    sides = backends._dv_sides(backends.EinsteinModel(n, c), gamma, 4, max(8, order - 1))
     for k, (lhs, rhs) in enumerate(sides):
         if lhs != rhs:
+            lhs, rhs = list(backends._fractions(*lhs)), list(backends._fractions(*rhs))
             return f"n={n}, c={c}, gamma={gamma}: k={k}: lhs={lhs} rhs={rhs}"
     return None
 

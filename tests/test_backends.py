@@ -1,6 +1,7 @@
 """Backend oracles: direct operator iteration against the closed forms."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -905,3 +906,103 @@ def test_public_entries_reject_a_bad_test_vector(entry, f, message):
 def test_public_entries_read_a_list_of_ints_as_the_tuple_of_fractions(entry):
     backend = MatrixAssignment.random(2, 3, 0)
     assert entry(backend, [1, -2]) == entry(backend, (Fraction(1), Fraction(-2)))
+
+
+# ---------------------------------------------------------------------------
+# the kernels' canonical pairs
+
+
+def _canonical(pair) -> tuple:
+    """The Fractions of ``pair`` after checking that it is canonical: an int
+    list over a positive int den, divided by their gcd."""
+    vec, den = pair
+    assert type(vec) is list and all(type(x) is int for x in vec), pair
+    assert type(den) is int and den > 0 and math.gcd(den, *vec) == 1, pair
+    return _fractions(vec, den)
+
+
+@st.composite
+def pair_backends(draw):
+    # random backends of dim 1-3, some with a zero test vector, and the Einstein family
+    if draw(st.booleans()):
+        n = draw(st.fractions(min_value=-9, max_value=9, max_denominator=5))
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        return EinsteinBackend(EinsteinModel(n, c), 4)
+    backend = MatrixAssignment.random(draw(st.integers(1, 3)), 4, draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        backend = MatrixAssignment(backend.matrices, (0,) * backend.dim, backend.w_scalars)
+    return backend
+
+
+@given(backend=pair_backends(), n=st.integers(min_value=1, max_value=4))
+@example(backend=MatrixAssignment.random(2, 4, 0), n=1)  # oracle_Q at N = 1 runs no R factor
+@settings(max_examples=60, deadline=None)
+def test_every_kernel_returns_the_canonical_pair_of_its_public_value(backend, n):
+    f = backend.f
+    fpair = _ints(f)
+    p_words = expand_P_explicit(n)
+    p_pairs = {
+        "oracle_P": (backends._oracle_P(backend, n, fpair), oracle_P(backend, n, f)),
+        "formula_P": (backends._formula_P(backend, n, fpair), formula_P(backend, n, f)),
+        "evaluate_P": (backends._evaluate_P(p_words, backend, fpair), evaluate_P(p_words, backend, f)),
+    }
+    q_words = expand_Q_explicit(n)
+    q_pairs = {
+        "oracle_Q": (backends._oracle_Q(backend, n), oracle_Q(backend, n)),
+        "formula_Q": (backends._formula_Q(backend, n), formula_Q(backend, n)),
+        "evaluate_Q": (backends._evaluate_Q(q_words, backend), evaluate_Q(q_words, backend)),
+    }
+    for name, (pair, value) in {**p_pairs, **q_pairs}.items():
+        assert _canonical(pair) == value, name
+    # equal values are equal pairs, whichever path made them
+    for pairs in (p_pairs, q_pairs):
+        (first, _), *rest = pairs.values()
+        assert all(pair == first for pair, _ in rest), pairs
+    for a in range(1, n + 1):
+        direct = backends._oracle_P_partial(backend, n, a, fpair)
+        closed = backends._formula_P_partial(backend, n, a, fpair)
+        assert _canonical(direct) == oracle_P_partial(backend, n, a, f), a
+        assert direct == closed, a
+
+
+@given(
+    n=st.fractions(min_value=-9, max_value=9, max_denominator=5),
+    c=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    gamma=st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    cap=st.integers(min_value=0, max_value=5),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_conjugation_sides_are_the_canonical_pairs_of_the_public_sides(n, c, gamma, cap, data):
+    kmax = data.draw(st.integers(min_value=0, max_value=cap + 1))
+    model = EinsteinModel(n, c)
+    sides = backends._dv_sides(model, gamma, kmax, cap)
+    public = verify_dv_identity(model, gamma, kmax, cap)
+    for (lhs, rhs), (lhs_value, rhs_value) in zip(sides, public, strict=True):
+        assert list(_canonical(lhs)) == lhs_value
+        assert list(_canonical(rhs)) == rhs_value
+        assert lhs == rhs
+
+
+def _random_reference(dim: int, max_order: int, seed: int):
+    """``MatrixAssignment.random``'s draw on plain Fractions: the same rng
+    calls, each entry Fraction(p, q), symmetrized as (A + A^T)/2."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.choice([-2, -1, 0, 1, 2]), rng.choice([1, 2, 3]))
+
+    matrices = {}
+    for order in range(1, max_order + 1):
+        raw = [[entry() for _ in range(dim)] for _ in range(dim)]
+        matrices[order] = tuple(tuple((raw[i][j] + raw[j][i]) / 2 for j in range(dim)) for i in range(dim))
+    f = tuple(entry() for _ in range(dim))
+    w_scalars = {a: entry() for a in range(1, max_order + 1)}
+    return matrices, f, w_scalars
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 17, 123])
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_random_backend_draws_the_fraction_reference(seed, dim):
+    backend = MatrixAssignment.random(dim, 5, seed)
+    assert (backend.matrices, backend.f, backend.w_scalars) == _random_reference(dim, 5, seed)

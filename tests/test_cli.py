@@ -404,13 +404,13 @@ def test_einstein_rational_dimension(capsys):
 def test_einstein_mismatch_exits_one(capsys, monkeypatch):
     from juhlkit import backends
 
-    true_oracle = backends.oracle_Q
+    true_oracle = backends._oracle_Q
 
     def corrupted(backend, order):
-        value = true_oracle(backend, order)
-        return (value[0] + 1,) if order == 2 else value
+        vec, den = true_oracle(backend, order)
+        return ([vec[0] + den], den) if order == 2 else (vec, den)
 
-    monkeypatch.setattr(backends, "oracle_Q", corrupted)
+    monkeypatch.setattr(backends, "_oracle_Q", corrupted)
     code, out, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
     assert code == 1
     assert out == ""
@@ -420,13 +420,13 @@ def test_einstein_mismatch_exits_one(capsys, monkeypatch):
 def test_einstein_formula_mismatch_exits_one(capsys, monkeypatch):
     from juhlkit import backends
 
-    true_formula = backends.formula_Q
+    true_formula = backends._formula_Q
 
     def corrupted(backend, order):
-        value = true_formula(backend, order)
-        return (value[0] + 1,) if order == 2 else value
+        vec, den = true_formula(backend, order)
+        return ([vec[0] + den], den) if order == 2 else (vec, den)
 
-    monkeypatch.setattr(backends, "formula_Q", corrupted)
+    monkeypatch.setattr(backends, "_formula_Q", corrupted)
     code, out, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])
     assert code == 1
     assert out == ""
@@ -477,7 +477,7 @@ def test_einstein_closed_form_mismatch_exits_one(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "module, attr, detail",
     [
-        (backends, "formula_P", "(-1)^N P(1) 121/16 != (n/2-N) Q 105/16"),
+        (backends, "_formula_P", "(-1)^N P(1) 121/16 != (n/2-N) Q 105/16"),
         (suites, "_gover_product", "(-1)^N P(1) 105/16 != Gover product 121/16"),
     ],
     ids=["branson", "gover"],
@@ -489,7 +489,10 @@ def test_einstein_p_side_mismatch_exits_one(capsys, monkeypatch, module, attr, d
         value = true_value(*args)
         if args[1] != 2:
             return value
-        return (value[0] + 1,) if isinstance(value, tuple) else value + 1
+        if isinstance(value, Fraction):
+            return value + 1
+        vec, den = value  # a kernel's (numerators, den) pair
+        return [vec[0] + den], den
 
     monkeypatch.setattr(module, attr, corrupted)
     code, out, err = run_cli(capsys, ["einstein", "--dim", "5", "--c", "1/2", "--max-order", "3"])

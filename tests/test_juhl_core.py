@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from juhlkit import exact_core, juhl_core
+from juhlkit import exact_core, juhl_core, suites
 from juhlkit.exact_core import compositions_of, factorial, m_coeff, n_coeff, partial_sums
 from juhlkit.free_algebra import NCPoly
 from juhlkit.juhl_core import (
@@ -181,8 +181,11 @@ def test_P_recursive_uses_no_n_coefficient(monkeypatch):
 
 def test_cached_expansions_are_never_mutated():
     # a term map keeps the dict it is built from, and the recursions read
-    # the cached lower orders: no sum or product may write into them
-    cached = (expand_P_explicit, expand_Q_explicit, expand_P_recursive, expand_Q_recursive)
+    # the cached lower orders: no sum or product may write into them; nor
+    # may the backends suite, which reads them and its own cached scaled
+    # partial closed forms
+    partial = suites._partial_closed_form
+    cached = (expand_P_explicit, expand_Q_explicit, expand_P_recursive, expand_Q_recursive, partial)
 
     def clear():
         for f in cached:
@@ -192,14 +195,18 @@ def test_cached_expansions_are_never_mutated():
     for n in range(1, 10):
         expand_P_recursive(n)
         expand_Q_recursive(n)
-    held = [(f, b, f(b)) for f in cached[:3] for b in range(1, 10)]
+    held = [(f, (b,), f(b)) for f in cached[:3] for b in range(1, 10)]
     for _, _, tmap in held:
         # the same arithmetic on a cached map as its first operand
         _ = (tmap + tmap - tmap, -tmap * 3, NCPoly.one() * tmap)
+    assert all(report.passed for report in suites.run_suites(["backends"], 6))
+    built = partial.cache_info().misses
+    held += [(partial, (n, a), partial(n, a)) for n in range(1, 7) for a in range(1, n + 1)]
+    assert partial.cache_info().misses == built == 21  # every (n, a) the suite built, and no other
     try:
-        for f, b, tmap in held:
+        for f, args, tmap in held:
             clear()
-            assert tmap == f(b), (f.__name__, b)
+            assert tmap == f(*args), (f.__name__, args)
     finally:
         clear()
 
@@ -490,6 +497,29 @@ def test_kcoeff_batch_matches_fraction_reference(comp, bs):
         weighted_closed = kcoeff_closed_form(comp, bs)
     assert weighted == [_kcoeff_reference(comp, b, outer_m=_weighted_m_coeff) for b in bs]
     assert weighted_closed == [_kcoeff_closed_form_reference(comp, b, m=_weighted_m_coeff) for b in bs]
+
+
+def test_kcoeff_walks_each_tail_once(monkeypatch):
+    # compositions that share a suffix share its X = Y walk: over the
+    # krattenthaler suite at order 8, each distinct (tail, bs) is walked
+    # once, and each cached result is the uncached walk's
+    plain = juhl_core._kidenb_sums
+    walks = []
+
+    def counting(comp, bs):
+        walks.append((tuple(comp), tuple(bs)))
+        return plain(comp, bs)
+
+    monkeypatch.setattr(juhl_core, "_kidenb_sums", counting)
+    juhl_core._tail_sums.cache_clear()
+    assert all(report.passed for report in suites.run_suites(["krattenthaler"], 8))
+    assert len(walks) == len(set(walks))
+    tails = [(tail, bs) for tail, bs in walks if len(bs) == 5]  # kcoeff's b = 1..5; verify_kidenb reads 10
+    info = juhl_core._tail_sums.cache_info()
+    assert info.misses == len(tails) and info.hits > len(tails)
+    for tail, bs in tails:
+        assert juhl_core._tail_sums(tail, bs) == tuple(plain(tail, list(bs))), tail
+
 
 
 @pytest.mark.parametrize(

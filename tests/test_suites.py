@@ -117,13 +117,13 @@ def test_einstein_closed_forms_match_their_fraction_products(n):
          "K=(1, 1): lhs 1 != rhs 2"),
         (frobenius, "top_coefficient", lambda seq: Fraction(1, 2), suites._ck_frob_recusolve, (1,),
          "seq=(1,): degree 1 (want 1), top 1 (want 1/2)"),
-        (backends, "verify_dv_identity", lambda model, gamma, cap: [([0], [0]), ([0], [1]), ([0], [2])],
+        (backends, "_dv_sides", lambda model, gamma, kmax, cap: [(([0], 1), ([n], 1)) for n in range(3)],
          suites._ck_dv_identity, (Fraction(3), Fraction(0), Fraction(0), 8),
-         "n=3, c=0, gamma=0: k=1: lhs=[0] rhs=[1]"),
+         "n=3, c=0, gamma=0: k=1: lhs=[Fraction(0, 1)] rhs=[Fraction(1, 1)]"),
         (backends, "einstein_q_closed_form", lambda model, order: Fraction(7), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: oracle -3/2 != closed form -7"),
         # N=1 on n=3, c=1/2: (-1)^N P_2(1) = 3/4 = (n/2-N) Q_2
-        (backends, "formula_P", lambda backend, n, f: (Fraction(7),), suites._ck_einstein_paths,
+        (backends, "_formula_P", lambda backend, n, f: ([7], 1), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) -7 != (n/2-N) Q 3/4"),
         (suites, "_gover_product", lambda model, order: Fraction(7), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) 3/4 != Gover product 7"),
