@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact_core import check_int_range, check_positive_int, factorial
@@ -142,17 +142,14 @@ def _power(alpha: Fraction, x: Fraction, length: int) -> tuple[list[int], int]:
 # the Einstein family
 
 
-@dataclass(frozen=True)
-class EinsteinModel:
+class EinsteinModel(namedtuple("EinsteinModel", "n c")):
     """The family g_rho = (1 + c*rho)^2 g in (possibly rational) dimension n.
     n and c must be ``int`` or ``Fraction`` and are stored as Fractions."""
 
-    n: Fraction
-    c: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _rational(self.n, "n"))
-        object.__setattr__(self, "c", _rational(self.c, "c"))
+    def __new__(cls, n, c):
+        return super().__new__(cls, _rational(n, "n"), _rational(c, "c"))
 
 
 def einstein_invariants(model: EinsteinModel, max_order: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:

@@ -1,10 +1,11 @@
 """Verification suites driving every module invariant.
 
 Each suite expands into a deterministic list of independent instances
-(description, check function, arguments).  Instances are pure and
-picklable (a module-level function pickles by reference), so they can fan
-out across a process pool; aggregation preserves the input order, making
-reports deterministic regardless of scheduling.
+(description, check function, arguments).  With more than one job the
+instances run on forked workers, which inherit them: nothing is pickled,
+and only each result, (index, detail, seconds), crosses a pipe back.
+Aggregation preserves the input order, making reports deterministic
+regardless of scheduling.
 A check returns None on success or a failure string carrying the exact
 computed and expected values.
 """
@@ -12,35 +13,29 @@ computed and expected values.
 from __future__ import annotations
 
 import functools
+import gc
+import io
+import itertools
+import marshal
 import math
 import os
 import random
 import time
+from collections import namedtuple
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NoReturn
 
 from . import backends, exact_core, frobenius, juhl_core, nc_series
 from .free_algebra import NCPoly
 
 Instance = tuple[str, Callable[..., str | None], tuple]
 
-
-@dataclass
-class SuiteFailure:
-    instance: str
-    detail: str
+SuiteFailure = namedtuple("SuiteFailure", "instance detail")
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    order_note: str
-    instances: int
-    failures: list[SuiteFailure] = field(default_factory=list)
-    wall_time: float = 0.0
+class SuiteReport(namedtuple("SuiteReport", "suite order_note instances failures wall_time")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -456,6 +451,105 @@ def build_suite(name: str, max_order: int | None, seed: int) -> tuple[str, list[
     return SUITES[name](max_order, seed)
 
 
+def _worker(items: list[Instance], share: list[int], read_fd: int, write_fd: int) -> NoReturn:
+    """A forked worker: one marshal record (index, detail, seconds) per
+    instance of its share, flushed to the pipe as soon as the instance ends.
+    It ends in ``os._exit``, so it never returns into the caller's stack."""
+    code = 1
+    try:
+        os.close(read_fd)  # so that a write fails, not blocks, once the parent is gone
+        with open(write_fd, "wb") as out:
+            for index in share:
+                start = time.perf_counter()
+                detail = _run_instance(items[index])[1]  # by name at call time: a tracer may have wrapped it
+                marshal.dump((index, detail, time.perf_counter() - start), out)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _drain(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _fork_round(items: list[Instance], shares: list[list[int]]) -> list[bytes]:
+    """Fork one worker per share of ``items`` and return what each wrote to
+    its pipe before it ended, share by share.  No worker outlives the call."""
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    outputs: list[bytes] = []
+    # the inherited objects stay out of the workers' collections, so the
+    # pages holding them are not copied
+    gc.freeze()
+    try:
+        for share in shares:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _worker(items, share, read_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        for _, read_fd in children:
+            outputs.append(_drain(read_fd))
+    finally:
+        gc.unfreeze()
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if len(outputs) < len(children):  # interrupted or failed: take every worker down
+                import signal  # only here, to keep it out of the import
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return outputs
+
+
+def _records(data: bytes):
+    """The (index, detail, seconds) records in one worker's output."""
+    stream = io.BytesIO(data)
+    while stream.tell() < len(data):
+        try:
+            yield marshal.load(stream)
+        except (EOFError, ValueError):  # the partial last record of a worker that died writing it
+            return
+
+
+def _run_forked(items: list[Instance], workers: int) -> list[tuple[str | None, float, int]]:
+    """Run ``items`` on forked workers and return (detail, seconds, worker)
+    per instance, in input order.  Worker w of a round takes every
+    ``workers``-th instance from the w-th.  The first instance of a share
+    without a result killed its worker and reads ``worker process died``;
+    the rest of that share runs in a new round."""
+    results: dict[int, tuple[str | None, float, int]] = {}
+    todo = list(range(len(items)))
+    worker = 0  # numbers the workers of every round
+    while todo:
+        shares = [todo[w::workers] for w in range(min(workers, len(todo)))]
+        todo = []
+        for share, data in zip(shares, _fork_round(items, shares)):
+            for index, detail, seconds in _records(data):
+                results[index] = (detail, seconds, worker)
+            missing = [index for index in share if index not in results]
+            if missing:
+                results[missing[0]] = ("worker process died", 0.0, worker)
+                todo += missing[1:]
+            worker += 1
+        todo.sort()
+    return [results[index] for index in range(len(items))]
+
+
+def _report(name: str, note: str, instances: list[Instance], details, wall_time: float) -> SuiteReport:
+    failures = [SuiteFailure(desc, detail) for (desc, _, _), detail in zip(instances, details) if detail is not None]
+    return SuiteReport(name, note, len(instances), failures, wall_time)
+
+
 def run_suites(
     names,
     max_order: int | None = None,
@@ -465,43 +559,29 @@ def run_suites(
     """Run the named suites and return one deterministic report per suite.
 
     Every suite is built before any runs, so a bad name or order, or no
-    name at all, raises first.  The pool has at most one worker per CPU."""
+    name at all, raises first.  With ``jobs`` above 1, the instances of
+    every suite run in one round of at most one forked worker per CPU, and
+    a suite's ``wall_time`` is the most seconds one worker spent on its
+    instances.  Without ``os.fork`` the suites run serially."""
     ordered: list[str] = []
     for name in names:
         ordered += SUITE_NAMES if name == "all" else (name,)
     if not ordered:
         raise ValueError(f"no suite named: name any of {', '.join(SUITE_NAMES)}, or all")
     built = [(name, *build_suite(name, max_order, seed)) for name in dict.fromkeys(ordered)]
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     reports = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    if workers == 1:
         for name, note, instances in built:
             start = time.perf_counter()
-            if pool is None:
-                results = [_run_instance(item) for item in instances]
-            else:
-                results = []
-                try:
-                    for result in pool.map(_run_instance, instances, chunksize=8):
-                        results.append(result)
-                except BrokenProcessPool:
-                    # a worker died: every instance without a result fails,
-                    # and the next suite gets a new pool
-                    results += [(desc, "worker process died") for desc, _, _ in instances[len(results):]]
-                    pool.shutdown()
-                    pool = ProcessPoolExecutor(max_workers=workers)
-            failures = [SuiteFailure(desc, detail) for desc, detail in results if detail is not None]
-            reports.append(
-                SuiteReport(
-                    suite=name,
-                    order_note=note,
-                    instances=len(instances),
-                    failures=failures,
-                    wall_time=time.perf_counter() - start,
-                )
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            details = [_run_instance(item)[1] for item in instances]
+            reports.append(_report(name, note, instances, details, time.perf_counter() - start))
+        return reports
+    outcomes = iter(_run_forked([item for _, _, instances in built for item in instances], workers))
+    for name, note, instances in built:
+        part = list(itertools.islice(outcomes, len(instances)))
+        busy: dict[int, float] = {}
+        for _, seconds, worker in part:
+            busy[worker] = busy.get(worker, 0.0) + seconds
+        reports.append(_report(name, note, instances, [detail for detail, _, _ in part], max(busy.values())))
     return reports

@@ -541,12 +541,11 @@ def test_verify_jobs_flag_matches_serial_output(capsys, suite):
 
 
 def _worker_exits():
-    # module level, so a forked pool worker unpickles it by reference
     os._exit(3)
 
 
 def test_verify_reports_a_dying_worker_as_failures(capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool even on one CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on one CPU
     plain = suites.build_suite
 
     def with_exiting_check(name, max_order, seed):
@@ -560,29 +559,68 @@ def test_verify_reports_a_dying_worker_as_failures(capsys, monkeypatch):
         capsys, ["verify", "inversion", "krattenthaler", "--max-order", "2", "--jobs", "2"]
     )
     assert code == 1
-    # the suite's one chunk got no result; the next suite runs in a new pool
-    assert "[FAIL] inversion (P N<=2, Q N<=2): 5 instances, 5 failures\n" in out
+    # only the instance that killed its worker fails; the rest of that
+    # worker's share, krattenthaler instances, runs in a new round
+    assert "[FAIL] inversion (P N<=2, Q N<=2): 5 instances, 1 failures\n" in out
     assert "  FAIL worker exits: worker process died\n" in out
     assert "[PASS] krattenthaler" in out
-    assert out.endswith("verify: 5 failure(s)\n")
+    assert out.endswith("verify: 1 failure(s)\n")
 
 
 def test_verify_jobs_uses_one_pool_for_all_suites(capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool even on one CPU
-    created = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on one CPU
+    forks = []
+    plain = os.fork
 
-    class CountingPool(suites.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(self)
-            super().__init__(*args, **kwargs)
+    def counting_fork():
+        pid = plain()
+        forks.append(pid)  # a worker appends to its own copy of the list
+        return pid
 
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     code, out, _ = run_cli(
         capsys, ["verify", "inversion", "krattenthaler", "--max-order", "2", "--jobs", "2"]
     )
     assert code == 0
     assert "[PASS] inversion" in out and "[PASS] krattenthaler" in out
-    assert len(created) == 1
+    # one round of two workers for the instances of both suites
+    assert len(forks) == 2
+
+
+def test_verify_jobs_without_fork_runs_serially(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _, serial, _ = run_cli(capsys, ["verify", "inversion", "--max-order", "3"])
+    monkeypatch.delattr(os, "fork")
+    code, parallel, _ = run_cli(capsys, ["verify", "inversion", "--max-order", "3", "--jobs", "2"])
+    assert code == 0
+    assert parallel == serial
+
+
+def test_verify_jobs_stdout_through_a_pipe_is_the_serial_stdout():
+    # stdout is a pipe, so block-buffered: a worker that flushed the
+    # buffer it inherited would print lines twice
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("JUHL_MAX_ORDER", None)
+    outputs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "juhlkit", "verify", "--max-order", "3", "--jobs", jobs],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, timeout=120,
+        )
+        assert proc.returncode == 0
+        outputs.append(proc.stdout)
+    assert outputs[1] == outputs[0]
+
+
+def test_importing_the_cli_loads_no_pool_or_dataclass_machinery():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "pickle")
+    code = f"import sys, juhlkit.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_python_m_juhlkit_runs_from_a_checkout():

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -272,17 +273,59 @@ def test_no_suite_named_raises_instead_of_passing(monkeypatch, capsys):
 def test_jobs_runs_at_most_one_worker_per_cpu(monkeypatch, cpus, jobs, workers):
     created = []
 
-    class RecordingPool(suites.ProcessPoolExecutor):
-        # records its size and runs in-process, so no worker is ever started
-        def __init__(self, max_workers):
-            created.append(max_workers)
-            super().__init__(max_workers)
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+    def recording_dispatcher(items, workers):
+        # records the worker count and runs in process, so no worker is started
+        created.append(workers)
+        return [(suites._run_instance(item)[1], 0.0, 0) for item in items]
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suites, "_run_forked", recording_dispatcher)
     reports = suites.run_suites(["inversion", "krattenthaler"], max_order=2, jobs=jobs)
     assert [rep.passed for rep in reports] == [True, True]
     assert created == ([] if workers is None else [workers])
+
+
+def _passes():
+    return None
+
+
+def _fails():
+    return "computed 1 != expected 2"
+
+
+def _kills_its_worker():
+    os._exit(3)
+
+
+def test_a_dying_worker_fails_only_its_instance_and_the_rest_of_its_share_runs_again():
+    # two workers: the first takes 0, 2, 4, 6 and dies at 2; 4 and 6 run in a new round
+    items = [("a", _passes, ()), ("b", _fails, ()), ("c", _kills_its_worker, ()), ("d", _passes, ())]
+    items += [("e", _fails, ()), ("f", _passes, ()), ("g", _passes, ())]
+    details = [detail for detail, _, _ in suites._run_forked(items, 2)]
+    failed = "computed 1 != expected 2"
+    assert details == [None, failed, "worker process died", None, failed, None, None]
+
+
+def test_no_worker_is_left_after_a_forked_run(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reports = suites.run_suites(["inversion", "frobenius"], max_order=3, jobs=2)
+    assert [rep.passed for rep in reports] == [True, True]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _sleeps():
+    time.sleep(60)
+
+
+def test_an_interrupted_round_kills_and_reaps_its_workers(monkeypatch):
+    def interrupted(fd):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(suites, "_drain", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        suites._run_forked([("sleeps", _sleeps, ())] * 2, 2)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
