@@ -7,9 +7,11 @@ stored as nonzero integer numerators over one positive denominator per map,
 always reduced; every read (``items``, ``coeff``, ``sorted_terms``, ``repr``)
 gives them as ``Fraction``.  ``TermMap`` is that sparse map with its one
 streaming sum (``combination``, behind ``+``, ``-`` and scalar multiples) and
-length-then-lexicographic term order; ``NCPoly`` adds the word product, and
-``juhl_core.QExpansion`` stores a Q-term (I, a) under the word ``(*I, a)``,
-so the same product gives ``NCPoly * QExpansion``, that is P_{2I}(Q).
+length-then-lexicographic term order; ``NCPoly`` adds the word product and
+the right quotient by a letter (the words that end in it, that letter
+dropped), and ``juhl_core.QExpansion`` stores a Q-term (I, a) under the word
+``(*I, a)``, so the same product gives ``NCPoly * QExpansion``, that is
+P_{2I}(Q).
 
 The matrix helpers at the end (``mat_vec``, ``mat_transpose``,
 ``mat_is_symmetric``) are the ones ``backends`` needs: there a polynomial is
@@ -206,6 +208,12 @@ class NCPoly(TermMap):
 
     def coeff(self, word) -> Fraction:
         return Fraction(self._terms.get(tuple(word), 0), self._den)
+
+    def right_quotient(self, a: int) -> NCPoly:
+        """The words that end in the letter ``a``, with that letter dropped:
+        the p with p * x_a the terms of ``self`` that end in x_a.  A new map,
+        reduced; ``self`` is never written."""
+        return self._raw({w[:-1]: c for w, c in self._terms.items() if w and w[-1] == a}, self._den)
 
     def __mul__(self, other):
         """Scalar multiple, or the bilinear extension of word concatenation

@@ -165,14 +165,15 @@ def expand_P_recursive(n: int) -> NCPoly:
 
 @cache
 def expand_Q_explicit(n: int) -> QExpansion:
-    """(-1)^N Q_{2N} as the sum of n_{(I,a)} a!(a-1)! 2^{2a} M_{2I}(W_{2a})."""
+    """(-1)^N Q_{2N} as the sum of n_{(I,a)} a!(a-1)! 2^{2a} M_{2I}(W_{2a}).
+
+    The term (I, a) is stored under the word (I, a), which carries
+    n_{(I,a)} in ``expand_P_explicit(n)``: the cached P's numerators are
+    scaled by a table over the last letter a, into a new map."""
     check_positive_int(n, "N must be a positive integer")
-    ratios = {}
-    for comp in compositions_of(n):
-        num, den = n_ratio(comp)
-        a = comp[-1]
-        ratios[comp] = num * factorial(a) * factorial(a - 1) * 4**a, den
-    return QExpansion._from_ratios(ratios)
+    p = expand_P_explicit(n)
+    scale = [0, *[factorial(a) * factorial(a - 1) * 4**a for a in range(1, n + 1)]]
+    return QExpansion._raw({w: c * scale[w[-1]] for w, c in p._terms.items()}, p._den)
 
 
 @cache

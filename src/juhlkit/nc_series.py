@@ -10,13 +10,14 @@ s=0 coefficient of the full iteration applied to 1 comes out directly as
 
 in composition order (the family satisfies nbar_I = nbar_{reversed I}, so no
 reversal is ever applied).  Serialized expansions downstream use this word
-order.
+order.  The partial iteration for a last part a is this one's right
+quotient by x_a (``iterate_L_partial``): one L-run per N serves both.
 
 Truncation.  A series carries the coefficients 0..cap.  Coefficient i of
 L_k u needs those of u up to i+1, so ``apply_L`` returns the window
 0..cap-1: every coefficient it stores is exact, and the window shrinks by
-one lane per operator.  The iterations start at cap = number of factors,
-so exactly the s^0 lane is left at the end.  The coefficients of L_k and
+one lane per operator.  The iteration starts at cap = N, the number of
+factors, so exactly the s^0 lane is left at the end.  The coefficients of L_k and
 X(s) are integers, so from an integer start every lane is an ``NCPoly``
 over denominator 1, and the s^0 lane is the result as it stands.
 """
@@ -46,21 +47,8 @@ class NCSeries:
         self.cap = cap
 
     @classmethod
-    def zero(cls, cap: int) -> NCSeries:
-        return cls([NCPoly.zero() for _ in range(cap + 1)], cap)
-
-    @classmethod
     def one(cls, cap: int) -> NCSeries:
-        return cls.monomial(0, cap)
-
-    @classmethod
-    def monomial(cls, power: int, cap: int, coeff: NCPoly | None = None) -> NCSeries:
-        """The series coeff * s^power (coeff defaults to the empty word)."""
-        if not 0 <= power <= cap:
-            raise ValueError(f"power must lie in 0..cap, got {power}")
-        out = cls.zero(cap)
-        out.coeffs[power] = NCPoly._raw({(): 1}) if coeff is None else coeff
-        return out
+        return cls([NCPoly.one(), *[NCPoly.zero() for _ in range(cap)]], cap)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, NCSeries):
@@ -104,15 +92,6 @@ def apply_L(k: int, u: NCSeries) -> NCSeries:
     return NCSeries(out, u.cap - 1)
 
 
-def _constant_term(u: NCSeries, weight: int) -> NCPoly:
-    if u.cap != 0:
-        raise RuntimeError(f"expected a one-lane window after the iteration, got cap {u.cap}")
-    head = u.coeffs[0]
-    if head.weights() - {weight}:
-        raise RuntimeError(f"expected words of weight {weight}, got {sorted(head.weights())}")
-    return head
-
-
 @cache
 def iterate_L_full(n: int) -> NCPoly:
     """s=0 coefficient of L_{1-N} L_{3-N} ... L_{N-3} L_{N-1} applied to 1.
@@ -125,7 +104,12 @@ def iterate_L_full(n: int) -> NCPoly:
     u = NCSeries.one(n)
     for k in range(n - 1, -n, -2):
         u = apply_L(k, u)
-    return _constant_term(u, n)
+    if u.cap != 0:
+        raise RuntimeError(f"expected a one-lane window after the iteration, got cap {u.cap}")
+    head = u.coeffs[0]
+    if head.weights() - {n}:
+        raise RuntimeError(f"expected words of weight {n}, got {sorted(head.weights())}")
+    return head
 
 
 def iterate_L_partial(n: int, a: int) -> NCPoly:
@@ -135,10 +119,16 @@ def iterate_L_partial(n: int, a: int) -> NCPoly:
     result is supported on words of weight N-a and equals the closed-form
     sum of nbar_{(I,a)} * x_I over compositions I of N-a; for a = N that sum
     degenerates to nbar_{(N)} = (N-1)!^2 times the empty word.
+
+    It is read off the full iteration, not iterated again.  L_k commutes
+    with right multiplication by a letter, and the first factor L_{N-1}
+    maps 1 to X(s) = sum_a x_a s^(a-1), so
+
+        iterate_L_full(N) = sum_a iterate_L_partial(N, a) * x_a
+
+    exactly: the partial for a is the right quotient of the full iteration
+    by x_a.
     """
     check_positive_int(n, "N must be a positive integer")
     check_int_range(a, 1, n, "a must lie in 1..N")
-    u = NCSeries.monomial(a - 1, n - 1)
-    for k in range(n - 3, -n, -2):
-        u = apply_L(k, u)
-    return _constant_term(u, n - a)
+    return iterate_L_full(n).right_quotient(a)

@@ -32,10 +32,9 @@ from juhlkit.backends import (
     oracle_Q,
     verify_dv_identity,
 )
-from juhlkit.exact_core import compositions_of, factorial, n_coeff, n_ratio
+from juhlkit.exact_core import compositions_of, factorial, n_coeff
 from juhlkit.free_algebra import NCPoly, TermMap, mat_is_symmetric, mat_vec
 from juhlkit.juhl_core import QExpansion, expand_P_explicit, expand_Q_explicit
-from juhlkit.suites import _closed_form
 
 
 def test_general_binomial():
@@ -515,7 +514,7 @@ def test_word_memo_gives_the_results_of_a_fresh_backend(seed, fill, order):
     for n, name in fill:
         evaluate_P(expand_P_explicit(n), used, _memo_vectors(used)[name])
         evaluate_Q(expand_Q_explicit(n), used)
-    expansions = [expand_P_explicit(order)] + [_closed_form(n_ratio, order, (a,)) for a in range(1, order + 1)]
+    expansions = [expand_P_explicit(order)] + [expand_P_explicit(order).right_quotient(a) for a in range(1, order + 1)]
     for name, v in _memo_vectors(used).items():
         for expansion in expansions:
             fresh = MatrixAssignment.random(3, 4, seed)
@@ -568,7 +567,7 @@ def test_formula_kernel_matches_the_word_path(make):
         assert formula_Q(backend, n) == evaluate_Q(expand_Q_explicit(n), backend), n
         for a in range(1, n + 1):
             scale = factorial(a - 1) ** 2 * (-2) ** (a - 1)
-            words = evaluate_P(_closed_form(n_ratio, n, (a,)) * scale, backend, f)
+            words = evaluate_P(expand_P_explicit(n).right_quotient(a) * scale, backend, f)
             assert formula_P_partial(backend, n, a, f) == words, (n, a)
 
 

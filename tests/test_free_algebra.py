@@ -227,6 +227,35 @@ def test_mul_drops_a_cancelled_word():
     assert (1, 2, 3) not in dict(p.items())
 
 
+def test_right_quotient_keeps_the_words_that_end_in_the_letter():
+    p = NCPoly({(1, 2): 3, (2,): 5, (2, 1): 7, (): 11})
+    assert p.right_quotient(2) == NCPoly({(1,): 3, (): 5})
+    assert p.right_quotient(1) == NCPoly({(2,): 7})
+    # no word ends in 3, and the empty word ends in no letter
+    assert p.right_quotient(3) == NCPoly.zero()
+    assert NCPoly.one().right_quotient(1) == NCPoly.zero()
+
+
+def test_right_quotient_is_reduced_and_leaves_its_operand():
+    # over 6, the words ending in 1 carry 2/6 and 4/6: the quotient is over 3
+    p = NCPoly({(2, 1): Fraction(1, 3), (1,): Fraction(2, 3), (2,): Fraction(1, 6)})
+    terms, den = dict(p._terms), p._den
+    q = p.right_quotient(1)
+    assert (q._terms, q._den) == ({(2,): 1, (): 2}, 3)
+    assert q == NCPoly({(2,): Fraction(1, 3), (): Fraction(2, 3)})
+    assert (p._terms, p._den) == (terms, den) and q._terms is not p._terms
+    half = NCPoly({(1,): Fraction(1, 2), (2,): 1})
+    assert (half.right_quotient(2)._terms, half.right_quotient(2)._den) == ({(): 1}, 1)
+
+
+@given(p=st.dictionaries(words, st.integers(min_value=-5, max_value=5), max_size=6).map(NCPoly))
+@settings(max_examples=60, deadline=None)
+def test_right_quotients_recombine(p):
+    # p is its empty word's term plus the sum over a of (p / x_a) * x_a
+    parts = [(1, p.right_quotient(a) * NCPoly.from_word((a,))) for a in range(1, 4)]
+    assert NCPoly.combination([(1, NCPoly({(): p.coeff(())})), *parts]) == p
+
+
 # coefficients that are zero, negative, or over large and coprime denominators
 wide_coeffs = st.builds(
     Fraction,

@@ -182,10 +182,9 @@ def test_P_recursive_uses_no_n_coefficient(monkeypatch):
 def test_cached_expansions_are_never_mutated():
     # a term map keeps the dict it is built from, and the recursions read
     # the cached lower orders: no sum or product may write into them; nor
-    # may the backends suite, which reads them and its own cached scaled
-    # partial closed forms
-    partial = suites._partial_closed_form
-    cached = (expand_P_explicit, expand_Q_explicit, expand_P_recursive, expand_Q_recursive, partial)
+    # may the explicit Q, which scales the cached explicit P, nor the
+    # backends suite, which reads them and their right quotients
+    cached = (expand_P_explicit, expand_Q_explicit, expand_P_recursive, expand_Q_recursive)
 
     def clear():
         for f in cached:
@@ -195,20 +194,32 @@ def test_cached_expansions_are_never_mutated():
     for n in range(1, 10):
         expand_P_recursive(n)
         expand_Q_recursive(n)
-    held = [(f, (b,), f(b)) for f in cached[:3] for b in range(1, 10)]
+    held = [(f, b, f(b)) for f in cached[:3] for b in range(1, 10)]
     for _, _, tmap in held:
         # the same arithmetic on a cached map as its first operand
         _ = (tmap + tmap - tmap, -tmap * 3, NCPoly.one() * tmap)
     assert all(report.passed for report in suites.run_suites(["backends"], 6))
-    built = partial.cache_info().misses
-    held += [(partial, (n, a), partial(n, a)) for n in range(1, 7) for a in range(1, n + 1)]
-    assert partial.cache_info().misses == built == 21  # every (n, a) the suite built, and no other
     try:
-        for f, args, tmap in held:
+        for f, n, tmap in held:
             clear()
-            assert tmap == f(*args), (f.__name__, args)
+            assert tmap == f(n), (f.__name__, n)
     finally:
         clear()
+
+
+def _q_reference(n):
+    # (-1)^N Q_{2N} term by term from exact_core.n_ratio, not from the explicit P
+    ratios = {}
+    for comp in compositions_of(n):
+        num, den = exact_core.n_ratio(comp)
+        a = comp[-1]
+        ratios[(comp[:-1], a)] = Fraction(num * factorial(a) * factorial(a - 1) * 4**a, den)
+    return QExpansion(ratios)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_explicit_Q_is_the_n_ratio_sum(n):
+    assert expand_Q_explicit(n) == _q_reference(n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -68,6 +68,21 @@ def test_apply_L_lanes_do_not_depend_on_padding(k, lanes, padding):
     assert short.coeffs == long.coeffs[:cap]
 
 
+@given(
+    k=st.integers(min_value=-6, max_value=6),
+    lanes=st.lists(int_polys, min_size=2, max_size=5),
+    a=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_apply_L_commutes_with_right_multiplication_by_a_letter(k, lanes, a):
+    # X(s) multiplies from the left and the derivatives act on s alone, so
+    # L_k(u) * x_a = L_k(u * x_a) lane by lane: the fact behind the partials
+    x_a = NCPoly.from_word((a,))
+    shifted = NCSeries([lane * x_a for lane in lanes], len(lanes) - 1)
+    got = [lane * x_a for lane in apply_L(k, NCSeries(lanes, len(lanes) - 1)).coeffs]
+    assert got == apply_L(k, shifted).coeffs
+
+
 rational_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 rational_polys = st.dictionaries(words, rational_coeffs, max_size=3).map(NCPoly)
 
@@ -118,6 +133,22 @@ def test_iterate_partial_matches_closed_form(n):
         assert iterate_L_partial(n, a) == _closed_form_partial(n, a)
 
 
+def _partial_by_its_own_run(n, a):
+    # L_{1-N} ... L_{N-3} applied to s^(a-1): N-1 factors from cap N-1
+    u = NCSeries([NCPoly.one() if i == a - 1 else NCPoly.zero() for i in range(n)], n - 1)
+    for k in range(n - 3, -n, -2):
+        u = apply_L(k, u)
+    assert u.cap == 0
+    return u.coeffs[0]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_partial_is_its_own_L_run(n):
+    # read off the full iteration, the partial equals the iteration that omits L_{N-1}
+    for a in range(1, n + 1):
+        assert iterate_L_partial(n, a) == _partial_by_its_own_run(n, a), a
+
+
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_iterations_return_fraction_coefficients(n):
     # the lanes carry integers; the read-out converts them once
@@ -162,8 +193,3 @@ def test_cached_full_iteration_still_rejects_a_bad_order(bad):
 def test_iterate_L_partial_rejects_non_integer_or_out_of_range_a(a):
     with pytest.raises(ValueError, match=re.escape(f"a must lie in 1..N, got {a!r}")):
         iterate_L_partial(3, a)
-
-
-def test_monomial_power_out_of_range():
-    with pytest.raises(ValueError):
-        NCSeries.monomial(5, 4)

@@ -133,9 +133,9 @@ def test_einstein_closed_forms_match_their_fraction_products(n):
         # the partial at a = 1 is right; a = 2 is doubled
         (nc_series, "iterate_L_partial", lambda n, a, plain=nc_series.iterate_L_partial: plain(n, a) * a,
          suites._ck_partial_iteration, (2,), "iterate_L_partial(2,2) = NCPoly(2*1), closed form = NCPoly(1*1)"),
-        # every partial is right, so only the recombination can fail
+        # the partials are read off the full iteration, so a corrupted one shows there too
         (nc_series, "iterate_L_full", lambda n: NCPoly.from_word((1,), 2), suites._ck_partial_iteration, (1,),
-         "sum_a partial(1,a)*x_a = NCPoly(1*x1) != full NCPoly(2*x1)"),
+         "iterate_L_partial(1,1) = NCPoly(2*1), closed form = NCPoly(1*1)"),
         # n_(2) = n_(1,1) = 1; the walk names the first composition that differs
         (juhl_core, "expand_P_explicit", lambda n: NCPoly({(2,): 1, (1, 1): Fraction(3, 4)}), suites._ck_l_bridge,
          (2,), "N=2, I=(1, 1): explicit 3/4 != rescaled iteration 1"),
@@ -148,11 +148,38 @@ def test_einstein_closed_forms_match_their_fraction_products(n):
     ],
     ids=["kidenb", "k-grid", "kcoeff-literal", "kcoeff-closed-form", "telescope", "generating-chain",
          "conjugation", "einstein-closed-form", "einstein-branson", "einstein-gover", "full-iteration",
-         "partial-iteration", "partial-recombination", "l-bridge", "l-bridge-rescaled", "coefficient-table"],
+         "partial-iteration", "partial-of-full-iteration", "l-bridge", "l-bridge-rescaled", "coefficient-table"],
 )
 def test_checks_report_both_sides_on_failure(monkeypatch, module, attr, fake, check, args, detail):
     monkeypatch.setattr(module, attr, fake)
     assert check(*args) == detail
+
+
+def test_combinatorial_suite_runs_one_L_iteration_per_order(monkeypatch):
+    # the partial iterations are right quotients of the cached full one: N
+    # factors at each N, and no second L-run per (N, a)
+    calls = []
+    plain = nc_series.apply_L
+    monkeypatch.setattr(nc_series, "apply_L", lambda k, u: calls.append(k) or plain(k, u))
+    nc_series.iterate_L_full.cache_clear()
+    try:
+        assert all(report.passed for report in suites.run_suites(["combinatorial"], 8))
+    finally:
+        nc_series.iterate_L_full.cache_clear()
+    assert len(calls) == sum(range(1, 9)) == 36
+
+
+def test_partial_checks_never_write_the_cached_full_forms():
+    # right_quotient builds a new dict: the cached iteration and expansion
+    # each check reads keep their terms
+    orders = range(1, 8)
+    held = [(f, n, f(n), dict(f(n)._terms), f(n)._den)
+            for f in (nc_series.iterate_L_full, juhl_core.expand_P_explicit) for n in orders]
+    for n in orders:
+        assert suites._ck_partial_iteration(n) is None
+    assert suites._ck_backend_matrix(0, max(orders), 3) is None
+    for f, n, tmap, terms, den in held:
+        assert f(n) is tmap and tmap._terms == terms and tmap._den == den, (f.__name__, n)
 
 
 @pytest.mark.parametrize(
