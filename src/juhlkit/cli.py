@@ -6,8 +6,11 @@ table for the one-parameter Einstein family, printed only once the backends
 suite's Einstein cross-path check has passed at every order, else that
 check's failure message on stderr).  Each table prints as one indented JSON
 document or, with ``--format tsv``, as that document's rows.  ``_emit``
-writes a table row by row as its rows are produced, so ``constants`` and
-``expand`` never hold the whole 2^(N-1)-row document.
+takes a table's field names once and its rows as tuples of values in their
+order, and writes each row as it is produced, so ``constants`` and
+``expand`` never hold the whole 2^(N-1)-row document; ``constants`` walks
+the compositions without listing them, each row's coefficients from its
+prefix's running products.
 
 All rationals are serialized as exact strings "p/q", never floats.  Stdout
 is byte-deterministic for identical invocations; wall-clock timing goes to
@@ -22,7 +25,8 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd, prod
+from math import gcd
+from operator import add
 
 from . import backends, exact_core, juhl_core, suites
 
@@ -121,32 +125,33 @@ def _json_field(value) -> str:
     return str(value)
 
 
-def _emit(head: dict, rows_key: str, rows, fmt: str) -> int:
+def _emit(head: dict, rows_key: str, keys: tuple[str, ...], rows, fmt: str) -> int:
     """Write a table to stdout one row at a time, as the iterable ``rows``
-    yields them.
+    yields them.  The field names ``keys`` (unique) come once per table, and
+    each row is a tuple of values in their order.
 
-    JSON is the document ``{**head, rows_key: [*rows]}``, byte-identical to
-    ``json.dumps(doc, indent=2)`` and a newline, for head values of ``str``
-    or ``int`` and row values of ``str``, ``int`` or lists of ``int``.  TSV
-    is a header of the first row's keys, then one line per row, a list value
-    comma-joined and any other value through ``str``.
+    JSON is the document ``{**head, rows_key: [dict(zip(keys, row)) for row
+    in rows]}``, byte-identical to ``json.dumps(doc, indent=2)`` and a
+    newline, for head values of ``str`` or ``int`` and row values of
+    ``str``, ``int`` or lists of ``int``; each field name is encoded once per
+    table.  TSV is a header of ``keys``, alone when there are no rows, then
+    one line per row, a list value comma-joined and any other value through
+    ``str``.
     """
     write = sys.stdout.write  # at call time: callers swap sys.stdout
     if fmt == "tsv":
-        first = True
+        write("\t".join(keys) + "\n")
         for row in rows:
-            if first:
-                write("\t".join(row) + "\n")
-                first = False
-            write("\t".join(map(_tsv_field, row.values())) + "\n")
+            write("\t".join(map(_tsv_field, row)) + "\n")
         return 0
     write("{\n")
     for key, value in head.items():
         write(f"  {encode_basestring_ascii(key)}: {_json_field(value)},\n")
     write(f"  {encode_basestring_ascii(rows_key)}: [")
+    prefixes = [f"      {encode_basestring_ascii(key)}: " for key in keys]
     sep = "\n"
     for row in rows:
-        fields = ",\n".join(f"      {encode_basestring_ascii(k)}: {_json_field(v)}" for k, v in row.items())
+        fields = ",\n".join(map(add, prefixes, map(_json_field, row)))
         write(f"{sep}    {{\n{fields}\n    }}")
         sep = ",\n"
     write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
@@ -159,47 +164,86 @@ def _ratio_text(num: int, den: int) -> str:
     return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
+def _constant_rows(order: int):
+    """The rows of ``constants``: each composition I of ``order``, in
+    ``exact_core.compositions_of``'s order, with n_I, m_I and nbar_I as text.
+
+    exact_core's n_ratio, m_ratio and nbar_ratio in one pass: with
+    H = prod_{j<r} h_j (N-h_j) over the heads h_j = I_1+...+I_j and
+    F = prod_j (I_j-1)!^2, nbar_I = (N-1)!^2 / H, n_I = nbar_I / F and
+    m_I = (-1)^(r+1) N (N-1)!^2 / (prod_j I_j * F * prod_{j<r} (I_j+I_{j+1})).
+    For each length r, the parts before the last two run as an odometer in
+    lexicographic order whose slot j+1 holds the head and the products over
+    the parts up to j; a row multiplies its prefix's products by the
+    factors of its last two parts.
+    """
+    fact2 = [exact_core.factorial(i) ** 2 for i in range(order)]
+    nbar_num = fact2[order - 1]
+    m_num = order * nbar_num
+    yield [order], "1", "1", str(nbar_num)  # I = (N): F = (N-1)!^2, no heads
+    for r in range(2, order + 1):
+        m_num = -m_num
+        free = r - 2
+        parts = [1] * free
+        head = [0] * (free + 1)
+        heads, facts, prods, adjacent = ([1] * (free + 1) for _ in range(4))
+        j0 = 0  # slots j0+1..free are stale
+        while True:
+            for j in range(j0, free):
+                e = parts[j]
+                h = head[j + 1] = head[j] + e
+                heads[j + 1] = heads[j] * h * (order - h)
+                facts[j + 1] = facts[j] * fact2[e - 1]
+                prods[j + 1] = prods[j] * e
+                adjacent[j + 1] = adjacent[j] * (parts[j - 1] + e) if j else 1
+            # the last two parts a, b: a + b = rest, heads h0 + a with N - (h0 + a) = b
+            h0 = head[free]
+            rest = order - h0
+            heads0, facts0, prods0, adjacent0 = heads[free], facts[free], prods[free], adjacent[free] * rest
+            before = parts[free - 1] if free else 0
+            for a in range(1, rest):
+                b = rest - a
+                hp = heads0 * (h0 + a) * b
+                fp = facts0 * fact2[a - 1] * fact2[b - 1]
+                adj = adjacent0 * (before + a) if free else adjacent0
+                yield (
+                    [*parts, a, b],
+                    _ratio_text(nbar_num, hp * fp),
+                    _ratio_text(m_num, prods0 * a * b * fp * adj),
+                    _ratio_text(nbar_num, hp),
+                )
+            # the deepest part that can grow, the parts after it back to 1
+            j0 = free - 1
+            while j0 >= 0 and head[j0 + 1] + r - j0 > order:
+                j0 -= 1
+            if j0 < 0:
+                break
+            parts[j0] += 1
+            parts[j0 + 1:] = [1] * (free - j0 - 1)
+
+
 def cmd_constants(order: int, fmt: str) -> int:
-    # exact_core's n_ratio, m_ratio and nbar_ratio in one pass over the
-    # parts: with F = prod_j (I_j-1)!^2, n_I has the denominator of nbar_I
-    # times F, and m_I = (-1)^(r+1) N (N-1)!^2 / (prod_j I_j * F * prod_{j<r} (I_j+I_{j+1}))
-    fact = [exact_core.factorial(i) for i in range(order)]
-    nbar_num = fact[order - 1] ** 2
-
-    def row(comp: tuple[int, ...]) -> dict:
-        heads = adjacent = 1
-        head = 0
-        for a, b in zip(comp, comp[1:]):
-            head += a
-            heads *= head * (order - head)
-            adjacent *= a + b
-        facts = prod([fact[e - 1] for e in comp]) ** 2
-        sign = 1 if len(comp) % 2 else -1
-        return {
-            "composition": list(comp),
-            "n": _ratio_text(nbar_num, heads * facts),
-            "m": _ratio_text(sign * order * nbar_num, prod(comp) * facts * adjacent),
-            "nbar": _ratio_text(nbar_num, heads),
-        }
-
-    return _emit({"schema": SCHEMA, "N": order}, "rows", map(row, exact_core.compositions_of(order)), fmt)
+    keys = ("composition", "n", "m", "nbar")
+    return _emit({"schema": SCHEMA, "N": order}, "rows", keys, _constant_rows(order), fmt)
 
 
 def cmd_expand(target: str, order: int, form: str, fmt: str) -> int:
     # by name at call time, so a juhl_core function a tracer or test replaced is used
     expansion = getattr(juhl_core, f"expand_{target}_{form}")(order)
     head = {"schema": SCHEMA, "target": target, "N": order, "form": form}
+    # each coefficient from its stored numerator over the map's one denominator
+    den = expansion._den
     if target == "P":
         head["basis"] = "M"
-        terms = ({"word": list(word), "coeff": str(coeff)} for word, coeff in expansion.sorted_terms())
+        keys = ("word", "coeff")
+        terms = ((list(word), _ratio_text(num, den)) for word, num in expansion._sorted_numerators())
     else:
         head["basis"] = "MW"
         head["sign_convention"] = "(-1)^N Q"
-        terms = (
-            {"word": list(word), "a": a, "coeff": str(coeff)}
-            for (word, a), coeff in expansion.sorted_terms()
-        )
-    return _emit(head, "terms", terms, fmt)
+        keys = ("word", "a", "coeff")
+        # a Q-term (I, a) is stored under the word (*I, a)
+        terms = ((list(word[:-1]), word[-1], _ratio_text(num, den)) for word, num in expansion._sorted_numerators())
+    return _emit(head, "terms", keys, terms, fmt)
 
 
 def cmd_verify(names: list[str], max_order: int | None, seed: int, jobs: int) -> int:
@@ -229,14 +273,14 @@ def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
     w_scalars = backends.einstein_invariants(model, max_order)[0]
     critical = dim.numerator // 2 if dim.denominator == 1 and dim.numerator % 2 == 0 else None
 
-    def row(order: int) -> dict:
+    def row(order: int) -> tuple:
         # the closed form equals the formula and oracle values: the check has passed
         q_value = backends.einstein_q_closed_form(model, order)
         regime = "extension" if critical is not None and order > critical else "standard"
-        return {"N": order, "W": str(w_scalars[order]), "Q": str(q_value), "regime": regime}
+        return order, str(w_scalars[order]), str(q_value), regime
 
     head = {"schema": SCHEMA, "n": str(dim), "c": str(c), "max_order": max_order}
-    return _emit(head, "rows", map(row, range(1, max_order + 1)), fmt)
+    return _emit(head, "rows", ("N", "W", "Q", "regime"), map(row, range(1, max_order + 1)), fmt)
 
 
 def main(argv=None) -> int:

@@ -151,8 +151,11 @@ class TermMap:
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms ordered by word length, then lexicographically."""
-        ordered = sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        return [(k, Fraction(c, self._den)) for k, c in ordered]
+        return [(k, Fraction(c, self._den)) for k, c in self._sorted_numerators()]
+
+    def _sorted_numerators(self) -> list[tuple[Word, int]]:
+        """The stored (word, numerator over ``_den``) pairs in ``sorted_terms``'s order."""
+        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def weights(self) -> set[int]:
         """Entry-sums of the support words (the empty word has weight 0)."""
@@ -218,12 +221,17 @@ class NCPoly(TermMap):
     def __mul__(self, other):
         """Scalar multiple, or the bilinear extension of word concatenation
         onto any term map, whose type the product keeps; the numerators and
-        the denominators multiply, and the product is reduced once."""
+        the denominators multiply, and the product is reduced once.  When no
+        two term pairs give the same word (homogeneous factors, say) the
+        product is one dict comprehension; else it is summed again with
+        ``_accumulate``, which drops the words that cancel."""
         if not isinstance(other, TermMap):
             return super().__mul__(other)
-        out: dict[Word, int] = {}
-        right = other._terms.items()
-        _accumulate(out, ((w1 + w2, c1 * c2) for w1, c1 in self._terms.items() for w2, c2 in right))
+        left, right = self._terms.items(), other._terms.items()
+        out = {w1 + w2: c1 * c2 for w1, c1 in left for w2, c2 in right}
+        if len(out) < len(left) * len(right):
+            out = {}
+            _accumulate(out, ((w1 + w2, c1 * c2) for w1, c1 in left for w2, c2 in right))
         return other._raw(out, self._den * other._den)
 
     def __repr__(self) -> str:

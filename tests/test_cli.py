@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from juhlkit import backends
 from juhlkit import cli
@@ -99,6 +99,21 @@ def test_expand_recursive_same_terms_as_explicit(capsys):
     }
 
 
+@pytest.mark.parametrize("form", ["explicit", "recursive"])
+@pytest.mark.parametrize("target", ["P", "Q"])
+def test_expand_is_the_sorted_terms_document(capsys, target, form):
+    # the coefficients print from the stored numerators; the public terms are Fractions
+    for order in range(1, 9):
+        expansion = getattr(juhl_core, f"expand_{target}_{form}")(order)
+        if target == "P":
+            terms = [{"word": list(w), "coeff": str(c)} for w, c in expansion.sorted_terms()]
+        else:
+            terms = [{"word": list(w), "a": a, "coeff": str(c)} for (w, a), c in expansion.sorted_terms()]
+        code, out, _ = run_cli(capsys, ["expand", "--target", target, "--N", str(order), "--form", form])
+        assert code == 0
+        assert json.loads(out)["terms"] == terms
+
+
 def test_expand_P_recursive_order_twelve_stdout_is_pinned(capsys):
     # sha256 recorded from the composition-by-composition recursion, before
     # the sum was regrouped into a table
@@ -153,7 +168,17 @@ def test_tsv_is_the_json_rows(capsys, argv):
     assert tsv == tsv_of(rows)
 
 
-@pytest.mark.parametrize("order", range(1, 11))
+@pytest.mark.parametrize("order", range(1, 15))
+def test_constants_walks_the_compositions_in_order(capsys, order):
+    # the prefix-product walk prints each composition of N once, in
+    # compositions_of's order (length ascending, then lexicographic)
+    code, tsv, _ = run_cli(capsys, ["constants", "--N", str(order)])
+    assert code == 0
+    column = [tuple(map(int, line.split("\t", 1)[0].split(","))) for line in tsv.splitlines()[1:]]
+    assert column == exact_core.compositions_of(order)
+
+
+@pytest.mark.parametrize("order", range(1, 13))
 def test_constants_is_the_fraction_path_document(capsys, order):
     # the rows print from integer ratio pairs; the public coefficients are Fractions
     rows = [
@@ -184,30 +209,37 @@ def test_constants_order_thirteen_stdout_is_pinned(capsys):
     )
 
 
-def emit(head, key, rows, fmt):
+def emit(head, key, keys, rows, fmt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli._emit(head, key, rows, fmt) == 0
+        assert cli._emit(head, key, keys, rows, fmt) == 0
     return out.getvalue()
 
 
 strings = st.one_of(st.text(), st.text(alphabet='ab"\\/\n\t\x00\x7fé€\U0001f600'))
 row_values = st.one_of(strings, st.integers(), st.lists(st.integers(min_value=-(10**30), max_value=10**30)))
-rows_lists = st.lists(st.dictionaries(strings, row_values, min_size=1, max_size=4), max_size=4)
+# the field names, then rows of that width
+tables = st.lists(strings, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.tuples(st.just(tuple(keys)), st.lists(st.tuples(*[row_values] * len(keys)), max_size=4))
+)
 
 
-@given(head=st.dictionaries(strings, st.one_of(strings, st.integers()), max_size=4), key=strings, rows=rows_lists)
+@given(head=st.dictionaries(strings, st.one_of(strings, st.integers()), max_size=4), key=strings, table=tables)
 @settings(max_examples=200, deadline=None)
-def test_emit_json_is_json_dumps(head, key, rows):
+def test_emit_json_is_json_dumps(head, key, table):
+    keys, rows = table
     head.pop(key, None)
-    assert emit(head, key, iter(rows), "json") == json.dumps({**head, key: rows}, indent=2) + "\n"
+    doc = {**head, key: [dict(zip(keys, row)) for row in rows]}
+    assert emit(head, key, keys, iter(rows), "json") == json.dumps(doc, indent=2) + "\n"
 
 
-@given(rows=rows_lists.filter(bool))
+@given(table=tables)
+@example(table=(("word", "coeff"), []))  # no rows: the header alone
 @settings(max_examples=100, deadline=None)
-def test_emit_tsv_is_the_header_and_field_lines(rows):
-    expected = ["\t".join(rows[0])] + ["\t".join(map(cli._tsv_field, row.values())) for row in rows]
-    assert emit({"schema": "s"}, "rows", iter(rows), "tsv") == "".join(line + "\n" for line in expected)
+def test_emit_tsv_is_the_header_and_field_lines(table):
+    keys, rows = table
+    expected = ["\t".join(keys)] + ["\t".join(map(cli._tsv_field, row)) for row in rows]
+    assert emit({"schema": "s"}, "rows", keys, iter(rows), "tsv") == "".join(line + "\n" for line in expected)
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
@@ -220,10 +252,10 @@ def test_emit_writes_each_row_before_pulling_the_next(fmt):
             # "tag" is the last field, so its text ends the previous row
             assert not pulled or f"row{pulled[-1]}" in out.getvalue()
             pulled.append(i)
-            yield {"word": [i], "tag": f"row{i}"}
+            yield [i], f"row{i}"
 
     with contextlib.redirect_stdout(out):
-        cli._emit({"schema": "s"}, "rows", rows(), fmt)
+        cli._emit({"schema": "s"}, "rows", ("word", "tag"), rows(), fmt)
     assert pulled == [0, 1, 2, 3]
     assert "row3" in out.getvalue()
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from juhlkit.backends import MatrixAssignment, UnboundOrderError, evaluate_P
-from juhlkit.free_algebra import NCPoly, mat_is_symmetric
+from juhlkit.free_algebra import NCPoly, _accumulate, mat_is_symmetric
 from juhlkit.juhl_core import QExpansion
 
 words = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=3).map(tuple)
@@ -225,6 +225,28 @@ def test_mul_drops_a_cancelled_word():
     p = NCPoly({(1,): 1, (1, 2): 1}) * NCPoly({(2, 3): 1, (3,): -1})
     assert p == NCPoly({(1, 3): -1, (1, 2, 2, 3): 1})
     assert (1, 2, 3) not in dict(p.items())
+
+
+def _accumulated_product(p, q):
+    out: dict = {}
+    _accumulate(out, ((w1 + w2, c1 * c2) for w1, c1 in p._terms.items() for w2, c2 in q._terms.items()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "sign, want",
+    [(1, {(1, 1): 1, (1, 1, 1): 2, (1, 1, 1, 1): 1}), (-1, {(1, 1): 1, (1, 1, 1, 1): -1})],
+    ids=["colliding", "cancelling"],
+)
+def test_mul_with_colliding_words_is_the_accumulated_sum(sign, want):
+    # (x1 + x1x1)(x1 +- x1x1): x1 * x1x1 and x1x1 * x1 are the same word, so
+    # the product leaves the one-dict path; in the cancelling case x1x1x1 goes
+    p = NCPoly({(1,): 1, (1, 1): 1})
+    q = NCPoly({(1,): 1, (1, 1): sign})
+    product = p * q
+    assert (product._terms, product._den) == (_accumulated_product(p, q), 1)
+    assert product == NCPoly(want)
+    assert 0 not in product._terms.values()
 
 
 def test_right_quotient_keeps_the_words_that_end_in_the_letter():
