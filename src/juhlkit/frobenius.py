@@ -18,11 +18,21 @@ when their lists are; every series here is truncated at N + CAP_PAD.
 ``y_coeff`` recovers the actual y^j coefficients, Fractions, at
 presentation time.  ``apply_Dm`` works on the actual y-coefficients, scaled
 by (cap!)^2 so that they stay integral.
+
+F_l depends only on the prefix (m_1..m_l) and N, so ``chain_tree(N)``
+builds the chains of all 2^(N-1) sequences ending at N at once: one
+``solve_Dm`` step per node of the prefix tree, each on its parent's series,
+2^N - 1 steps in all, cached per N.  The frobenius suite reads both its
+chain checks off that tree; ``compute_F`` and ``c_table`` build a single
+sequence's chain.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 
 from .exact_core import check_int_range, check_positive_int, factorial
 
@@ -37,6 +47,7 @@ __all__ = [
     "jacobi_P",
     "jacobi_Q",
     "compute_F",
+    "chain_tree",
     "c_table",
     "top_coefficient",
 ]
@@ -158,12 +169,33 @@ def compute_F(seq) -> list[list]:
     return _chain(mseq, mseq[-1] + CAP_PAD)
 
 
+@cache
+def chain_tree(big_n: int) -> MappingProxyType:
+    """F_l for every prefix (m_1..m_l) of every m-sequence ending at N, as a
+    read-only map from the prefix to F_l, a tuple truncated at N + CAP_PAD;
+    the empty prefix maps to F_0 = 1.
+
+    The prefixes are the nonempty subsets of 1..N.  Every prefix already
+    built has entries below m, so extending each by m, for m = 1..N in turn,
+    reaches every node once after its parent: F_l is one ``solve_Dm`` step on
+    its parent's F_(l-1).  So ``chain_tree(N)[seq]`` equals
+    ``compute_F(seq)[-1]`` for a sequence ending at N, and its entry N equals
+    ``c_table(seq, N)[N][r]``, since the recursion runs forward.
+    """
+    check_positive_int(big_n, "N must be a positive integer")
+    nodes = {(): (1,) + (0,) * (big_n + CAP_PAD)}
+    for m in range(1, big_n + 1):
+        for prefix, series in list(nodes.items()):
+            nodes[(*prefix, m)] = tuple(solve_Dm(m, big_n, series, 0))
+    return MappingProxyType(nodes)
+
+
 def c_table(seq, jmax: int) -> list[list[int]]:
     """The integer table c[j][l] = (j!)^2 [y^j] F_l for 0 <= j <= jmax,
-    0 <= l <= r: the chain truncated at y^jmax, transposed into rows."""
+    0 <= l <= r: the chain truncated at y^jmax, transposed into rows.
+    ``jmax`` must be an ``int`` (not ``bool``) at least N, else ValueError."""
     mseq = check_msequence(seq)
-    if jmax < mseq[-1]:
-        raise ValueError(f"jmax must be >= N = {mseq[-1]}, got {jmax}")
+    check_int_range(jmax, mseq[-1], math.inf, f"jmax must be an integer >= N = {mseq[-1]}")
     return [list(row) for row in zip(*_chain(mseq, jmax))]
 
 

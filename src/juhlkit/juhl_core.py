@@ -15,12 +15,18 @@ N.  Both recursions are then one m-weighted sum over compositions.
 The Krattenthaler two-variable summation lemma, its single-variable X = Y
 form, the coefficient-vanishing double sum, and the final telescoping
 identity are provided as exact evaluations of both sides so the inversion
-argument can be verified instance by instance.  The subset sums take their
-whole parameter set (the points (X, Y), or the values of b) and walk the
-subsets of the composition once per call.  The double sum's inner sum over
-the cuts of a tail L is, term by term, C_p(b) times the X = Y left side for
-L (the identity is in ``kcoeff``), so it shares ``verify_kidenb``'s walk;
-every subset is still summed term by term, and the other m's stay literal.
+argument can be verified instance by instance.  Each public function is
+validation, then a private kernel (``_krattenthaler_sides``,
+``_kidenb_sides``, ``_kcoeff``, ``_kcoeff_closed_form``,
+``_telescope_sides``) that returns unreduced integer (numerator,
+denominator) pairs, then Fractions once; the krattenthaler suite compares
+the kernels' pairs.  The subset sums take their whole parameter set (the
+points (X, Y), or the values of b) and walk the subsets of the composition
+once per call.  The double sum's inner sum over the cuts of a tail L is,
+term by term, C_p(b) times the X = Y left side for L (the identity is in
+``kcoeff``), so it shares the X = Y walk; every subset is still summed term
+by term.  Its outer m's come from running prefix products (``_outer_ms``),
+m_{(K,b)} from ``m_ratio``.
 """
 
 from __future__ import annotations
@@ -243,19 +249,25 @@ def krattenthaler_identity(entries, points) -> list[tuple[Fraction, Fraction]]:
         / prod_{i<r} (I_1+...+I_i)(I_{i+1}+...+I_r).
 
     Right side: (X(|K|-K_s) + Y(K_s+X)) / (|K|-K_1).  The identity is affine
-    in X and Y, so grid evaluation is conclusive.  Each left-side term is
-    affine in X and in Y too: one walk over the subsets sums the integer
-    coefficients of 1, X, Y and XY of the terms over one denominator, and
-    each point then costs one Fraction per side.  X and Y must be ``int``
+    in X and Y, so grid evaluation is conclusive.  X and Y must be ``int``
     or ``Fraction`` (not ``bool``, ``float`` or ``str``), else ValueError.
     """
     comp = check_composition(entries)
-    s = len(comp)
-    if s < 2:
+    if len(comp) < 2:
         raise ValueError("the two-variable identity requires a composition of length > 1")
     points = [(_rational(x, "X"), _rational(y, "Y")) for x, y in points]
     if not points:
         raise ValueError("need at least one (X, Y) point, got none")
+    return [(Fraction(*lhs), Fraction(*rhs)) for lhs, rhs in _krattenthaler_sides(comp, points)]
+
+
+def _krattenthaler_sides(comp, points) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """``krattenthaler_identity`` for a validated composition of length > 1
+    and points of ints or Fractions, each side an unreduced integer pair.
+    Each left-side term is affine in X and in Y: one walk over the subsets
+    sums the integer coefficients of 1, X, Y and XY of the terms over one
+    denominator, and each point then costs a few products per side."""
+    s = len(comp)
     heads = (0, *partial_sums(comp))
     total = heads[-1]
     # K_{s-1} + K_s enters with Y, below
@@ -277,8 +289,8 @@ def krattenthaler_identity(entries, points) -> list[tuple[Fraction, Fraction]]:
     for x, y in points:
         xn, xd = x.numerator, x.denominator
         yn, yd = y.numerator, y.denominator
-        lhs = Fraction(c0 * xd * yd + c1 * xn * yd + c2 * xd * yn + c3 * xn * yn, den * xd * yd)
-        rhs = Fraction(xn * yd * (total - comp[-1]) + yn * xd * comp[-1] + xn * yn, xd * yd * (total - comp[0]))
+        lhs = (c0 * xd * yd + c1 * xn * yd + c2 * xd * yn + c3 * xn * yn, den * xd * yd)
+        rhs = (xn * yd * (total - comp[-1]) + yn * xd * comp[-1] + xn * yn, xd * yd * (total - comp[0]))
         out.append((lhs, rhs))
     return out
 
@@ -319,8 +331,14 @@ def verify_kidenb(entries, bs) -> list[tuple[Fraction, Fraction]]:
     """
     comp = check_composition(entries)
     bs = _check_bs(bs)
+    return [(Fraction(*lhs), Fraction(*rhs)) for lhs, rhs in _kidenb_sides(comp, bs)]
+
+
+def _kidenb_sides(comp, bs) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """``verify_kidenb`` for a validated composition and b values, each side
+    an unreduced integer pair."""
     total = sum(comp)
-    return [(Fraction(*lhs), Fraction(-b * total, total - comp[0] + b)) for b, lhs in zip(bs, _kidenb_sums(comp, bs))]
+    return [(lhs, (-b * total, total - comp[0] + b)) for b, lhs in zip(bs, _kidenb_sums(comp, bs))]
 
 
 def kcoeff(entries, bs) -> list[Fraction]:
@@ -341,10 +359,43 @@ def kcoeff(entries, bs) -> list[Fraction]:
     uncut adjacent pair of L below, with sign (-1)^(s-p+r), and each cut
     puts its pair back on top.  Every subset of every tail is still summed
     term by term, once per distinct tail and b list in the process
-    (``_tail_sums``), and m_{(K,b)} and the outer m's come from ``m_ratio``.
+    (``_tail_sums``).  The outer m's are built from running prefix products
+    (``_outer_ms``), and m_{(K,b)} comes from ``m_ratio``.  The sum is
+    ``_kcoeff``'s integer pair, made a Fraction once.
     """
     comp = check_composition(entries)
     bs = _check_bs(bs)
+    return [Fraction(*pair) for pair in _kcoeff(comp, bs)]
+
+
+def _outer_ms(comp, bs) -> list[list[tuple[int, int]]]:
+    """m_{(K_1..K_p, |L|+b)}, L = (K_{p+1},...,K_s), for each b of ``bs``
+    and p = 0..s-1, as unreduced integer pairs.  With F(x) = x!(x-1)!, it is
+
+        (-1)^p F(|K|+b) / [ prod_{j<=p} F(K_j) * prod_{j<p} (K_j+K_{j+1})
+                            * F(|L|+b) * (K_p+|L|+b if p > 0) ],
+
+    and the products over j run as prefixes, so each pair costs O(1)."""
+    s, total = len(comp), sum(comp)
+    prefix = [1]  # prefix[p]: the products over j <= p and j < p
+    for p in range(1, s):
+        e = comp[p - 1]
+        prefix.append(prefix[-1] * factorial(e) * factorial(e - 1) * (comp[p - 2] + e if p > 1 else 1))
+    out = []
+    for b in bs:
+        num = factorial(total + b) * factorial(total + b - 1)
+        row, size = [], total + b  # size: |L| + b
+        for p in range(s):
+            last = factorial(size) * factorial(size - 1) * (comp[p - 1] + size if p else 1)
+            row.append((-num if p % 2 else num, prefix[p] * last))
+            size -= comp[p]
+        out.append(row)
+    return out
+
+
+def _kcoeff(comp, bs) -> list[tuple[int, int]]:
+    """``kcoeff`` for a validated composition and b values, one unreduced
+    integer pair per b."""
     s = len(comp)
     tails = []  # per p from s-1 down to 0: (-1)^(s-p), |L|, both tail products of C_p, the X = Y sums
     sign, size, tail_den = 1, 0, 1
@@ -353,15 +404,15 @@ def kcoeff(entries, bs) -> list[Fraction]:
         tail_den *= factorial(comp[p]) * factorial(comp[p] - 1) * (comp[p] + comp[p + 1] if p < s - 1 else 1)
         tails.append((p, sign, size, tail_den, _tail_sums(comp[p:], tuple(bs))))
     out = []
-    for i, b in enumerate(bs):
+    for i, (b, outer) in enumerate(zip(bs, _outer_ms(comp, bs))):
         m_num, m_den = m_ratio(comp + (b,))
         nums, dens = [m_num], [m_den]
         b_den = factorial(b - 1) ** 2 * b
         for p, sign, size, tail_den, sums in tails:
-            outer_num, outer_den = m_ratio(comp[:p] + (size + b,))
+            outer_num, outer_den = outer[p]
             nums.append(sign * outer_num * factorial(size + b - 1) ** 2 * sums[i][0])
             dens.append(outer_den * b_den * size * tail_den * sums[i][1])
-        out.append(Fraction(*_lcm_sum(nums, dens)))
+        out.append(_lcm_sum(nums, dens))
     return out
 
 
@@ -375,10 +426,16 @@ def kcoeff_closed_form(entries, bs) -> list[Fraction]:
     with C = (|K|+b)!(|K|+b-1)!/(b-1)!^2 * prod 1/(K_j!(K_j-1)!)
     * prod 1/(K_j+K_{j+1}) and R_p the telescoping kernel built from the
     tail sums K_p + ... + K_s + b.  Vanishes identically.  Each b is summed
-    as integer pairs, with one Fraction at the end.
+    as integer pairs (``_kcoeff_closed_form``), with one Fraction at the end.
     """
     comp = check_composition(entries)
     bs = _check_bs(bs)
+    return [Fraction(*pair) for pair in _kcoeff_closed_form(comp, bs)]
+
+
+def _kcoeff_closed_form(comp, bs) -> list[tuple[int, int]]:
+    """``kcoeff_closed_form`` for a validated composition and b values, one
+    unreduced integer pair per b."""
     s = len(comp)
     total = sum(comp)
     sign = 1 if s % 2 else -1  # (-1)^(s+1)
@@ -398,7 +455,7 @@ def kcoeff_closed_form(entries, bs) -> list[Fraction]:
         c_num = sign * factorial(total + b) * factorial(total + b - 1) * r_num
         r_den *= factorial(b - 1) ** 2 * c_den
         m_num, m_den = m_ratio(comp + (b,))
-        out.append(Fraction(m_num * r_den + c_num * m_den, m_den * r_den))
+        out.append((m_num * r_den + c_num * m_den, m_den * r_den))
     return out
 
 
@@ -413,10 +470,16 @@ def telescope_check(entries) -> tuple[Fraction, Fraction]:
     comp = check_composition(entries)
     if len(comp) < 2:
         raise ValueError("need at least two entries (s >= 1)")
+    lhs, rhs = _telescope_sides(comp)
+    return Fraction(*lhs), Fraction(*rhs)
+
+
+def _telescope_sides(comp) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``telescope_check`` for a validated composition of length > 1, each
+    side an unreduced integer pair; the empty left sum is (0, 1)."""
     s = len(comp) - 1
     suffix = [sum(comp[p - 1 :]) for p in range(1, s + 2)]  # T_1..T_{s+1}
-    lhs = Fraction(0)
-    for p in range(1, s):
-        lhs += Fraction(comp[p - 1] + comp[p], suffix[p - 1] * suffix[p] * suffix[p + 1])
-    rhs = Fraction(1, comp[s] * (comp[s - 1] + comp[s])) - Fraction(1, suffix[0] * suffix[1])
-    return lhs, rhs
+    terms = [(comp[p - 1] + comp[p], suffix[p - 1] * suffix[p] * suffix[p + 1]) for p in range(1, s)]
+    lhs = _lcm_sum(*zip(*terms)) if terms else (0, 1)
+    last, heads = comp[s] * (comp[s - 1] + comp[s]), suffix[0] * suffix[1]
+    return lhs, (heads - last, last * heads)

@@ -148,34 +148,39 @@ def suite_inversion(max_order: int | None, seed: int) -> tuple[str, list[Instanc
 # ---------------------------------------------------------------------------
 # krattenthaler suite: the summation identities of the inversion argument
 
+# The checks below compare the unreduced integer pairs of the juhl_core
+# kernels, two sides by cross-multiplication and a vanishing sum by its
+# numerator, so Fractions are made only to write a failure message.
+
 _GRID = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(5, 3))
+_GRID_POINTS = [(x, y) for x in _GRID for y in _GRID]
 
 
 def _ck_k_grid(comp: tuple[int, ...]) -> str | None:
-    points = [(x, y) for x in _GRID for y in _GRID]
-    for (x, y), (lhs, rhs) in zip(points, juhl_core.krattenthaler_identity(comp, points), strict=True):
-        if lhs != rhs:
-            return f"K={comp}, X={x}, Y={y}: lhs {lhs} != rhs {rhs}"
+    sides = juhl_core._krattenthaler_sides(comp, _GRID_POINTS)
+    for (x, y), ((ln, ld), (rn, rd)) in zip(_GRID_POINTS, sides, strict=True):
+        if ln * rd != rn * ld:
+            return f"K={comp}, X={x}, Y={y}: lhs {Fraction(ln, ld)} != rhs {Fraction(rn, rd)}"
     return None
 
 
 def _ck_kidenb(comp: tuple[int, ...], bmax: int) -> str | None:
     bs = range(1, bmax + 1)
-    for b, (lhs, rhs) in zip(bs, juhl_core.verify_kidenb(comp, bs), strict=True):
-        if lhs != rhs:
-            return f"K={comp}, b={b}: lhs {lhs} != rhs {rhs}"
+    for b, ((ln, ld), (rn, rd)) in zip(bs, juhl_core._kidenb_sides(comp, bs), strict=True):
+        if ln * rd != rn * ld:
+            return f"K={comp}, b={b}: lhs {Fraction(ln, ld)} != rhs {Fraction(rn, rd)}"
     return None
 
 
 def _ck_kcoeff(comp: tuple[int, ...], bmax: int) -> str | None:
     bs = range(1, bmax + 1)
-    literals = juhl_core.kcoeff(comp, bs)
-    closed_forms = juhl_core.kcoeff_closed_form(comp, bs)
+    literals = juhl_core._kcoeff(comp, bs)
+    closed_forms = juhl_core._kcoeff_closed_form(comp, bs)
     for b, literal, closed in zip(bs, literals, closed_forms, strict=True):
-        if literal:
-            return f"K={comp}, b={b}: literal double sum = {literal} != 0"
-        if closed:
-            return f"K={comp}, b={b}: closed-form path = {closed} != 0"
+        if literal[0]:
+            return f"K={comp}, b={b}: literal double sum = {Fraction(*literal)} != 0"
+        if closed[0]:
+            return f"K={comp}, b={b}: closed-form path = {Fraction(*closed)} != 0"
     return None
 
 
@@ -184,9 +189,9 @@ def _ck_telescope(seed: int, count: int, smax: int, entry_max: int) -> str | Non
     for _ in range(count):
         s = rng.randint(1, smax)
         comp = tuple(rng.randint(1, entry_max) for _ in range(s + 1))
-        lhs, rhs = juhl_core.telescope_check(comp)
-        if lhs != rhs:
-            return f"K={comp}: lhs {lhs} != rhs {rhs}"
+        (ln, ld), (rn, rd) = juhl_core._telescope_sides(comp)
+        if ln * rd != rn * ld:
+            return f"K={comp}: lhs {Fraction(ln, ld)} != rhs {Fraction(rn, rd)}"
     return None
 
 
@@ -236,10 +241,10 @@ def _ck_frob_jacobi(n: int) -> str | None:
 
 
 def _ck_frob_ctable(n: int) -> str | None:
+    # c[N][r] of a sequence's table is entry N of its F_r, read off the tree
+    tree = frobenius.chain_tree(n)
     for comp in exact_core.compositions_of(n):
-        seq = exact_core.partial_sums(comp)
-        table = frobenius.c_table(seq, n)
-        got = table[n][len(seq)]
+        got = tree[tuple(itertools.accumulate(comp))][n]
         num, den = exact_core.nbar_ratio(comp)
         if got * den != num:
             return f"I={comp}: c[N][r] = {got} != nbar = {Fraction(num, den)}"
@@ -247,24 +252,33 @@ def _ck_frob_ctable(n: int) -> str | None:
 
 
 def _ck_frob_recusolve(n: int) -> str | None:
-    # D_m F_l depends only on (m, F_l), which every sequence with the same
-    # first l entries shares: apply D_m once per distinct pair and compare
-    # the image with each sequence's own F_(l-1)
-    images: dict[tuple, list] = {}
+    # F_l depends only on the prefix (m_1..m_l): each prefix is checked
+    # once, at the first sequence of the walk that reaches it, and a failure
+    # names that sequence.  D_m F_l depends only on (m, F_l), which
+    # different prefixes can share (D_m = D_(N-m)): it is applied once per
+    # distinct pair
+    tree = frobenius.chain_tree(n)
+    images: dict[tuple, tuple] = {}
+    seen: set[tuple] = set()
+    scale = exact_core.factorial(n) ** 2  # the y^N coefficient is entry N over (N!)^2
     for comp in exact_core.compositions_of(n):
-        seq = exact_core.partial_sums(comp)
-        chain = frobenius.compute_F(seq)
-        deg = frobenius.degree(chain[-1])
-        top = frobenius.y_coeff(chain[-1], n)
+        seq = tuple(itertools.accumulate(comp))
+        last = tree[seq]
+        deg = frobenius.degree(last)
         want = frobenius.top_coefficient(seq)
-        if deg != n or top != want:
+        if deg != n or last[n] * want.denominator != want.numerator * scale:
+            top = frobenius.y_coeff(last, n)
             return f"seq={seq}: degree {deg} (want {n}), top {top} (want {want})"
         for l, m in enumerate(seq, start=1):
-            series = chain[l]
-            key = (m, tuple(series))
+            prefix = seq[:l]
+            if prefix in seen:
+                continue
+            seen.add(prefix)
+            series = tree[prefix]
+            key = (m, series)
             if key not in images:
-                images[key] = frobenius.apply_Dm(m, n, series)
-            if images[key] != chain[l - 1]:
+                images[key] = tuple(frobenius.apply_Dm(m, n, series))
+            if images[key] != tree[prefix[:-1]]:
                 return f"seq={seq}: D_(m_{l}) F_{l} != F_{l - 1}"
             if frobenius.degree(series) > m:
                 return f"seq={seq}: deg F_{l} = {frobenius.degree(series)} > m_l = {m}"

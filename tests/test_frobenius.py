@@ -12,6 +12,7 @@ from juhlkit.frobenius import (
     CAP_PAD,
     apply_Dm,
     c_table,
+    chain_tree,
     compute_F,
     check_msequence,
     degree,
@@ -189,6 +190,22 @@ def test_msequence_validation():
         check_msequence((0, 1))
     with pytest.raises(ValueError):
         c_table((1, 2), 1)  # jmax below N
+
+
+@pytest.mark.parametrize("jmax", [2.5, "3", True])
+def test_c_table_rejects_a_jmax_that_is_not_an_int(jmax):
+    with pytest.raises(ValueError, match=re.escape(f"jmax must be an integer >= N = 1, got {jmax!r}")):
+        c_table((1,), jmax)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_chain_tree_holds_every_chain_of_the_order(n):
+    tree = chain_tree(n)
+    assert len(tree) == 2**n  # the nonempty prefixes and the empty one
+    for seq in _sequences_ending_at(n):
+        chain = compute_F(seq)
+        assert [list(tree[seq[:l]]) for l in range(len(seq) + 1)] == chain, seq
+        assert tree[seq][n] == c_table(seq, n)[n][len(seq)], seq
 
 
 def test_integer_chain_stays_int_and_y_coeff_is_fraction():

@@ -427,10 +427,33 @@ def _kcoeff_closed_form_reference(comp, b, m=m_coeff):
     return m(comp + (b,)) + (-1) ** (s + 1) * prefactor * rsum
 
 
+def _telescope_reference(comp):
+    s = len(comp) - 1
+    suffix = [Fraction(sum(comp[p - 1 :])) for p in range(1, s + 2)]
+    lhs = Fraction(0)
+    for p in range(1, s):
+        lhs += (comp[p - 1] + comp[p]) / (suffix[p - 1] * suffix[p] * suffix[p + 1])
+    return lhs, Fraction(1, comp[s] * (comp[s - 1] + comp[s])) - 1 / (suffix[0] * suffix[1])
+
+
 def _weighted_m_ratio(c):
     # m_J reweighted by (len J + J_1): the sums then no longer vanish
     num, den = exact_core.m_ratio(c)
     return num * (len(c) + c[0]), den
+
+
+def _weighted_outer_ms(comp, bs, plain=juhl_core._outer_ms):
+    # each outer m_(K_1..K_p, |L|+b) reweighted as _weighted_m_ratio does
+    return [
+        [(num * (p + 1 + (comp[0] if p else sum(comp) + b)), den) for p, (num, den) in enumerate(row)]
+        for b, row in zip(bs, plain(comp, bs))
+    ]
+
+
+def _weighted(mp):
+    # m_(K,b) through m_ratio and the outer m's through their prefix products
+    mp.setattr(juhl_core, "m_ratio", _weighted_m_ratio)
+    mp.setattr(juhl_core, "_outer_ms", _weighted_outer_ms)
 
 
 def _weighted_m_coeff(c):
@@ -463,7 +486,7 @@ def test_kcoeff_matches_fraction_reference(comp, b):
     assert kcoeff(comp, [b]) == [_kcoeff_reference(comp, b)] == [0]
     # kcoeff vanishes, so also compare a literal double sum that does not
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(juhl_core, "m_ratio", _weighted_m_ratio)
+        _weighted(mp)
         weighted = kcoeff(comp, [b])
     assert weighted == [_kcoeff_reference(comp, b, outer_m=_weighted_m_coeff)]
 
@@ -500,14 +523,41 @@ def test_verify_kidenb_batch_matches_fraction_reference(comp, bs):
 def test_kcoeff_batch_matches_fraction_reference(comp, bs):
     assert kcoeff(comp, bs) == [_kcoeff_reference(comp, b) for b in bs] == [0] * len(bs)
     assert kcoeff_closed_form(comp, bs) == [_kcoeff_closed_form_reference(comp, b) for b in bs] == [0] * len(bs)
-    # both paths read m_{(K,b)} and kcoeff its outer m's through m_ratio (its inner
-    # sums share verify_kidenb's walk), so reweighting it compares sums that do not vanish
+    # kcoeff's outer m's are prefix products, each the m_ratio of its composition
+    for b, row in zip(bs, juhl_core._outer_ms(comp, bs), strict=True):
+        assert len(row) == len(comp)
+        for p, pair in enumerate(row):
+            assert Fraction(*pair) == Fraction(*exact_core.m_ratio(comp[:p] + (sum(comp[p:]) + b,))), (p, b)
+    # both paths read m_{(K,b)} through m_ratio, and kcoeff its outer m's through
+    # _outer_ms (its inner sums share verify_kidenb's walk), so reweighting them
+    # compares sums that do not vanish
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(juhl_core, "m_ratio", _weighted_m_ratio)
+        _weighted(mp)
         weighted = kcoeff(comp, bs)
         weighted_closed = kcoeff_closed_form(comp, bs)
     assert weighted == [_kcoeff_reference(comp, b, outer_m=_weighted_m_coeff) for b in bs]
     assert weighted_closed == [_kcoeff_closed_form_reference(comp, b, m=_weighted_m_coeff) for b in bs]
+
+
+@given(comp=small_comps, b=st.integers(min_value=1, max_value=6), x=grid_values, y=grid_values)
+@settings(max_examples=60, deadline=None)
+def test_kernel_pairs_match_fraction_references(comp, b, x, y):
+    # each private kernel returns unreduced integer pairs; read as Fractions
+    # they are the plain-Fraction references (the kcoeff sums reweighted so
+    # that they do not vanish)
+    if len(comp) > 1:
+        [(lhs, rhs)] = juhl_core._krattenthaler_sides(comp, [(x, y)])
+        assert Fraction(*lhs) == _krattenthaler_lhs_reference(comp, x, y) == Fraction(*rhs)
+        lhs, rhs = juhl_core._telescope_sides(comp)
+        assert (Fraction(*lhs), Fraction(*rhs)) == _telescope_reference(comp)
+    [(lhs, rhs)] = juhl_core._kidenb_sides(comp, [b])
+    assert Fraction(*lhs) == _kidenb_lhs_reference(comp, b) == Fraction(*rhs)
+    with pytest.MonkeyPatch.context() as mp:
+        _weighted(mp)
+        [literal] = juhl_core._kcoeff(comp, [b])
+        [closed] = juhl_core._kcoeff_closed_form(comp, [b])
+    assert Fraction(*literal) == _kcoeff_reference(comp, b, outer_m=_weighted_m_coeff)
+    assert Fraction(*closed) == _kcoeff_closed_form_reference(comp, b, m=_weighted_m_coeff)
 
 
 def test_kcoeff_walks_each_tail_once(monkeypatch):

@@ -21,20 +21,38 @@ def test_instances_carry_picklable_check_functions(name):
 
 
 def test_generating_chain_check_builds_each_chain_once(monkeypatch):
+    # the coefficient-table and generating-chain checks of an order read one
+    # prefix tree: one solve_Dm step per nonempty prefix, 2^N - 1 in all,
+    # where each sequence used to build its own chain in each check
     calls = []
-    plain = frobenius.compute_F
-
-    def counting(seq):
-        calls.append(tuple(seq))
-        return plain(seq)
-
-    monkeypatch.setattr(frobenius, "compute_F", counting)
+    plain = frobenius.solve_Dm
+    monkeypatch.setattr(frobenius, "solve_Dm", lambda m, big_n, f, u0: calls.append(m) or plain(m, big_n, f, u0))
     n = 6
+    frobenius.chain_tree.cache_clear()
+    assert suites._ck_frob_ctable(n) is None
     assert suites._ck_frob_recusolve(n) is None
-    sequences = [exact_core.partial_sums(c) for c in exact_core.compositions_of(n)]
-    assert len(sequences) == 2 ** (n - 1)
-    assert len(set(sequences)) == len(sequences)
-    assert sorted(calls) == sorted(sequences)
+    assert len(calls) == 2**n - 1
+    assert sorted(calls) == sorted(m for m in range(1, n + 1) for _ in range(2 ** (m - 1)))
+
+
+def test_a_faulty_step_at_a_shared_prefix_fails_both_chain_checks(monkeypatch):
+    # F_1 of the prefix (1,) is the parent of every sequence that starts at
+    # 1: a wrong entry there reaches those sequences' F_r in both checks
+    plain = frobenius.solve_Dm
+
+    def faulty(m, big_n, f, u0):
+        out = plain(m, big_n, f, u0)
+        return [out[0], out[1] + 1, *out[2:]] if m == 1 else out
+
+    monkeypatch.setattr(frobenius, "solve_Dm", faulty)
+    frobenius.chain_tree.cache_clear()
+    try:
+        table = suites._ck_frob_ctable(6)
+        chain = suites._ck_frob_recusolve(6)
+    finally:
+        frobenius.chain_tree.cache_clear()
+    assert table is not None and table.startswith("I=(1, 5): c[N][r] = ")
+    assert chain is not None and chain.startswith("seq=(1, 6): degree 6 (want 6), top ")
 
 
 def test_generating_chain_check_fails_on_a_shared_faulty_step(monkeypatch):
@@ -104,17 +122,19 @@ def test_einstein_closed_forms_match_their_fraction_products(n):
 @pytest.mark.parametrize(
     "module, attr, fake, check, args, detail",
     [
-        (juhl_core, "verify_kidenb", lambda comp, bs: [(1, 2)], suites._ck_kidenb, ((1,), 1),
+        # the krattenthaler kernels return unreduced integer pairs
+        (juhl_core, "_kidenb_sides", lambda comp, bs: [((2, 2), (-4, -2))], suites._ck_kidenb, ((1,), 1),
          "K=(1,), b=1: lhs 1 != rhs 2"),
         # each side reads the point back: the first point (0, 0) passes, the second (0, 1) fails
-        (juhl_core, "krattenthaler_identity", lambda comp, points: list(points), suites._ck_k_grid, ((1, 1),),
+        (juhl_core, "_krattenthaler_sides", lambda comp, points: [((x.numerator, x.denominator),
+         (y.numerator, y.denominator)) for x, y in points], suites._ck_k_grid, ((1, 1),),
          "K=(1, 1), X=0, Y=1: lhs 0 != rhs 1"),
-        (juhl_core, "kcoeff", lambda comp, bs: [b - 1 for b in bs], suites._ck_kcoeff, ((1, 2), 3),
+        (juhl_core, "_kcoeff", lambda comp, bs: [(b - 1, 1) for b in bs], suites._ck_kcoeff, ((1, 2), 3),
          "K=(1, 2), b=2: literal double sum = 1 != 0"),
-        (juhl_core, "kcoeff_closed_form", lambda comp, bs: [Fraction(b, 3) for b in bs], suites._ck_kcoeff,
+        (juhl_core, "_kcoeff_closed_form", lambda comp, bs: [(2 * b, 6) for b in bs], suites._ck_kcoeff,
          ((1, 2), 3), "K=(1, 2), b=1: closed-form path = 1/3 != 0"),
         # s <= 1 and entries <= 1 leave K = (1, 1) as the only draw
-        (juhl_core, "telescope_check", lambda comp: (1, 2), suites._ck_telescope, (0, 1, 1, 1),
+        (juhl_core, "_telescope_sides", lambda comp: ((1, 1), (2, 1)), suites._ck_telescope, (0, 1, 1, 1),
          "K=(1, 1): lhs 1 != rhs 2"),
         (frobenius, "top_coefficient", lambda seq: Fraction(1, 2), suites._ck_frob_recusolve, (1,),
          "seq=(1,): degree 1 (want 1), top 1 (want 1/2)"),
@@ -142,8 +162,8 @@ def test_einstein_closed_forms_match_their_fraction_products(n):
         # (3,) rescales by 2!^2: nbar_(3) = 4 becomes 1
         (juhl_core, "expand_P_explicit", lambda n: NCPoly.from_word((2, 1), 2), suites._ck_l_bridge, (3,),
          "N=3, I=(3,): explicit 0 != rescaled iteration 1"),
-        # c[1][1] of the table for I = (1,) against nbar_(1) = 1
-        (frobenius, "c_table", lambda seq, jmax: [[0, 0]] * (jmax + 1), suites._ck_frob_ctable, (1,),
+        # entry N of F_r on the tree for I = (1,) against nbar_(1) = 1
+        (frobenius, "chain_tree", lambda n: {(1,): (0, 0, 0, 0)}, suites._ck_frob_ctable, (1,),
          "I=(1,): c[N][r] = 0 != nbar = 1"),
     ],
     ids=["kidenb", "k-grid", "kcoeff-literal", "kcoeff-closed-form", "telescope", "generating-chain",
@@ -192,14 +212,14 @@ def test_partial_checks_never_write_the_cached_full_forms():
     ids=["literal-first-b", "closed-first-b", "same-b"],
 )
 def test_kcoeff_check_reports_by_b_then_literal_first(monkeypatch, literal, closed, detail):
-    monkeypatch.setattr(juhl_core, "kcoeff", lambda comp, bs: literal)
-    monkeypatch.setattr(juhl_core, "kcoeff_closed_form", lambda comp, bs: closed)
+    monkeypatch.setattr(juhl_core, "_kcoeff", lambda comp, bs: [(v, 1) for v in literal])
+    monkeypatch.setattr(juhl_core, "_kcoeff_closed_form", lambda comp, bs: [(v, 1) for v in closed])
     assert suites._ck_kcoeff((2,), 3) == detail
 
 
 def test_krattenthaler_checks_call_each_identity_once_per_instance(monkeypatch):
     calls = []
-    for name in ("krattenthaler_identity", "verify_kidenb", "kcoeff", "kcoeff_closed_form"):
+    for name in ("_krattenthaler_sides", "_kidenb_sides", "_kcoeff", "_kcoeff_closed_form"):
         def counting(comp, params, name=name, plain=getattr(juhl_core, name)):
             params = list(params)
             calls.append((name, comp, len(params)))
@@ -208,9 +228,9 @@ def test_krattenthaler_checks_call_each_identity_once_per_instance(monkeypatch):
         monkeypatch.setattr(juhl_core, name, counting)
     _, instances = suites.build_suite("krattenthaler", 5, 0)
     expected = {
-        suites._ck_k_grid: [("krattenthaler_identity", 16)],
-        suites._ck_kidenb: [("verify_kidenb", 10)],
-        suites._ck_kcoeff: [("kcoeff", 5), ("kcoeff_closed_form", 5)],
+        suites._ck_k_grid: [("_krattenthaler_sides", 16)],
+        suites._ck_kidenb: [("_kidenb_sides", 10)],
+        suites._ck_kcoeff: [("_kcoeff", 5), ("_kcoeff_closed_form", 5)],
     }
     checked = 0
     for desc, check, args in instances:
@@ -220,6 +240,18 @@ def test_krattenthaler_checks_call_each_identity_once_per_instance(monkeypatch):
             assert calls == [(name, args[0], n) for name, n in expected[check]], desc
             checked += 1
     assert checked == len(instances) - 1  # all but the telescoping instance
+
+
+def test_passing_krattenthaler_checks_make_no_fraction(monkeypatch):
+    # the checks compare the kernels' integer pairs; a Fraction is made only
+    # to write a failure message
+    made = []
+    plain = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: made.append(args) or plain(cls, *args, **kw))
+    _, instances = suites.build_suite("krattenthaler", 7, 0)
+    assert all(check(*args) is None for _, check, args in instances)
+    monkeypatch.undo()
+    assert made == []
 
 
 @pytest.mark.parametrize(
