@@ -186,8 +186,10 @@ def einstein_q_closed_form(model: EinsteinModel, n: int) -> Fraction:
     (2c)^N prod_{j=1}^{N} (n/2 + j - 1) prod_{j=1}^{N-1} (n/2 - j).
 
     It follows from Gover's factorization of P_{2N} on Einstein metrics
-    (arXiv:math/0506037) and holds at every order, N = n/2 included.  On
-    integers with n/2 = a/b, b = 2 * n.denominator, made a Fraction once."""
+    (arXiv:math/0506037) and holds at every order, N = n/2 included.  Gover's
+    product of (-1)^N P_{2N}(1) is (n/2 - N) times this one, so Branson's
+    relation against it also checks Gover's.  On integers with n/2 = a/b,
+    b = 2 * n.denominator, made a Fraction once."""
     check_positive_int(n, "N must be a positive integer")
     a, b = model.n.numerator, 2 * model.n.denominator
     num = (2 * model.c.numerator) ** n

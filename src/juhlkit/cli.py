@@ -9,8 +9,8 @@ document or, with ``--format tsv``, as that document's rows.  ``_emit``
 takes a table's field names once and its rows as tuples of values in their
 order, and writes each row as it is produced, so ``constants`` and
 ``expand`` never hold the whole 2^(N-1)-row document; ``constants`` walks
-the compositions without listing them, each row's coefficients from its
-prefix's running products.
+the compositions without listing them, visiting each prefix once with its
+running products, from which each row's coefficients follow.
 
 All rationals are serialized as exact strings "p/q", never floats.  Stdout
 is byte-deterministic for identical invocations; wall-clock timing goes to
@@ -172,34 +172,42 @@ def _constant_rows(order: int):
     H = prod_{j<r} h_j (N-h_j) over the heads h_j = I_1+...+I_j and
     F = prod_j (I_j-1)!^2, nbar_I = (N-1)!^2 / H, n_I = nbar_I / F and
     m_I = (-1)^(r+1) N (N-1)!^2 / (prod_j I_j * F * prod_{j<r} (I_j+I_{j+1})).
-    For each length r, the parts before the last two run as an odometer in
-    lexicographic order whose slot j+1 holds the head and the products over
-    the parts up to j; a row multiplies its prefix's products by the
-    factors of its last two parts.
+    For each length r, the prefixes of the r-2 parts before the last two
+    come in lexicographic order from a chain of r-2 generators, each
+    extending its parent's prefixes by one part, and each prefix carries
+    its head and its running products; a row multiplies its prefix's
+    products by the factors of its last two parts.  Only one prefix per
+    level is live, so the rows stream.
     """
     fact2 = [exact_core.factorial(i) ** 2 for i in range(order)]
     nbar_num = fact2[order - 1]
     m_num = order * nbar_num
+
+    def grow(prefixes, after: int):
+        # each prefix extended by a part e that leaves room for ``after`` more parts
+        for parts, head, heads, facts, prods, adjacent in prefixes:
+            for e in range(1, order - head - after + 1):
+                h = head + e
+                yield (
+                    (*parts, e),
+                    h,
+                    heads * h * (order - h),
+                    facts * fact2[e - 1],
+                    prods * e,
+                    adjacent * (parts[-1] + e) if parts else 1,
+                )
+
     yield [order], "1", "1", str(nbar_num)  # I = (N): F = (N-1)!^2, no heads
     for r in range(2, order + 1):
         m_num = -m_num
         free = r - 2
-        parts = [1] * free
-        head = [0] * (free + 1)
-        heads, facts, prods, adjacent = ([1] * (free + 1) for _ in range(4))
-        j0 = 0  # slots j0+1..free are stale
-        while True:
-            for j in range(j0, free):
-                e = parts[j]
-                h = head[j + 1] = head[j] + e
-                heads[j + 1] = heads[j] * h * (order - h)
-                facts[j + 1] = facts[j] * fact2[e - 1]
-                prods[j + 1] = prods[j] * e
-                adjacent[j + 1] = adjacent[j] * (parts[j - 1] + e) if j else 1
+        prefixes = [((), 0, 1, 1, 1, 1)]
+        for k in range(free):
+            prefixes = grow(prefixes, r - k - 1)
+        for parts, h0, heads0, facts0, prods0, adjacent0 in prefixes:
             # the last two parts a, b: a + b = rest, heads h0 + a with N - (h0 + a) = b
-            h0 = head[free]
             rest = order - h0
-            heads0, facts0, prods0, adjacent0 = heads[free], facts[free], prods[free], adjacent[free] * rest
+            adjacent0 *= rest
             before = parts[free - 1] if free else 0
             for a in range(1, rest):
                 b = rest - a
@@ -212,14 +220,6 @@ def _constant_rows(order: int):
                     _ratio_text(m_num, prods0 * a * b * fp * adj),
                     _ratio_text(nbar_num, hp),
                 )
-            # the deepest part that can grow, the parts after it back to 1
-            j0 = free - 1
-            while j0 >= 0 and head[j0 + 1] + r - j0 > order:
-                j0 -= 1
-            if j0 < 0:
-                break
-            parts[j0] += 1
-            parts[j0 + 1:] = [1] * (free - j0 - 1)
 
 
 def cmd_constants(order: int, fmt: str) -> int:

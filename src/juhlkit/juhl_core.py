@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain
 
 from .exact_core import (
     check_composition,
@@ -43,7 +43,6 @@ from .exact_core import (
     factorial,
     m_ratio,
     n_ratio,
-    partial_sums,
 )
 from .free_algebra import NCPoly, TermMap, Word, _check_word, _rational
 
@@ -268,7 +267,7 @@ def _krattenthaler_sides(comp, points) -> list[tuple[tuple[int, int], tuple[int,
     sums the integer coefficients of 1, X, Y and XY of the terms over one
     denominator, and each point then costs a few products per side."""
     s = len(comp)
-    heads = (0, *partial_sums(comp))
+    heads = tuple(accumulate(comp, initial=0))
     total = heads[-1]
     # K_{s-1} + K_s enters with Y, below
     closed, tops = _closed_blocks(heads, [0, *[comp[a - 1] + comp[a] for a in range(1, s - 1)], 1])
@@ -302,7 +301,7 @@ def _kidenb_sums(comp, bs: list[int]) -> list[tuple[int, int]]:
     all the factors (I_1+...+I_i)(I_{i+1}+...+I_r+b), each numerator scaled
     by the product over the complement of its subset."""
     s = len(comp)
-    heads = (0, *partial_sums(comp))
+    heads = tuple(accumulate(comp, initial=0))
     total = heads[-1]
     closed, tops = _closed_blocks(heads, [0, *[comp[a - 1] + comp[a] for a in range(1, s)]])
     nums = [n * (total - heads[t]) for n, t in zip(closed, tops)]  # times I_r

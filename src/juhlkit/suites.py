@@ -48,15 +48,17 @@ class SuiteReport(namedtuple("SuiteReport", "suite order_note instances failures
 # combinatorial suite: brute-force operator iteration vs closed forms
 
 
-def _closed_form(ratio: Callable[[tuple], tuple[int, int]], n: int) -> NCPoly:
-    """The sum over compositions I of n of ratio(I) x_I, from the integer
-    (numerator, denominator) pairs of ``exact_core``."""
+def _closed_form(n: int) -> NCPoly:
+    """The sum over compositions I of n of nbar_I x_I, from the integer
+    (numerator, denominator) pairs of ``exact_core.nbar_ratio``, read by
+    name at call time."""
+    ratio = exact_core.nbar_ratio
     return NCPoly._from_ratios({comp: ratio(comp) for comp in exact_core.compositions_of(n)})
 
 
 def _ck_full_iteration(n: int) -> str | None:
     computed = nc_series.iterate_L_full(n)
-    expected = _closed_form(exact_core.nbar_ratio, n)
+    expected = _closed_form(n)
     if computed != expected:
         return f"iterate_L_full({n}) = {computed!r}, closed form = {expected!r}"
     return None
@@ -69,7 +71,7 @@ def _ck_partial_iteration(n: int) -> str | None:
     full closed form.  It adds no comparison to ``_ck_full_iteration``; it
     stays an instance only because ``perfbench``'s recorded digest of
     ``verify combinatorial --max-order 8`` pins the instance count."""
-    closed = _closed_form(exact_core.nbar_ratio, n)
+    closed = _closed_form(n)
     for a in range(1, n + 1):
         part = nc_series.iterate_L_partial(n, a)
         expected = closed.right_quotient(a)
@@ -252,39 +254,33 @@ def _ck_frob_ctable(n: int) -> str | None:
 
 
 def _ck_frob_recusolve(n: int) -> str | None:
-    # F_l depends only on the prefix (m_1..m_l): each prefix is checked
-    # once, at the first sequence of the walk that reaches it, and a failure
-    # names that sequence.  D_m F_l depends only on (m, F_l), which
-    # different prefixes can share (D_m = D_(N-m)): it is applied once per
-    # distinct pair
+    # each node F_l of the prefix tree is checked once, in the tree's order,
+    # and a failure names the first sequence of composition order that
+    # reaches it: the prefix itself if it ends at N, else the prefix and N.
+    # D_m F_l depends only on (m, F_l), which different prefixes can share
+    # (D_m = D_(N-m)): it is applied once per distinct pair.  The top
+    # coefficient of F_r is nbar_I over (N!)^2: the coefficient-table check
+    # compares it
     tree = frobenius.chain_tree(n)
     images: dict[tuple, tuple] = {}
-    seen: set[tuple] = set()
-    scale = exact_core.factorial(n) ** 2  # the y^N coefficient is entry N over (N!)^2
-    for comp in exact_core.compositions_of(n):
-        seq = tuple(itertools.accumulate(comp))
-        last = tree[seq]
-        deg = frobenius.degree(last)
-        want = frobenius.top_coefficient(seq)
-        if deg != n or last[n] * want.denominator != want.numerator * scale:
-            top = frobenius.y_coeff(last, n)
-            return f"seq={seq}: degree {deg} (want {n}), top {top} (want {want})"
-        for l, m in enumerate(seq, start=1):
-            prefix = seq[:l]
-            if prefix in seen:
-                continue
-            seen.add(prefix)
-            series = tree[prefix]
-            key = (m, series)
-            if key not in images:
-                images[key] = tuple(frobenius.apply_Dm(m, n, series))
-            if images[key] != tree[prefix[:-1]]:
-                return f"seq={seq}: D_(m_{l}) F_{l} != F_{l - 1}"
-            if frobenius.degree(series) > m:
-                return f"seq={seq}: deg F_{l} = {frobenius.degree(series)} > m_l = {m}"
-            low = [j for j, v in enumerate(series) if v]
-            if not low or low[0] != l or series[l] != 1:
-                return f"seq={seq}: lowest normalized coefficient of F_{l} is not y^{l} with value 1"
+    for prefix, series in tree.items():
+        if not prefix:
+            continue
+        l, m = len(prefix), prefix[-1]
+        seq = prefix if m == n else (*prefix, n)
+        deg = frobenius.degree(series)
+        if m == n and deg != n:
+            return f"seq={seq}: degree {deg} (want {n})"
+        key = (m, series)
+        if key not in images:
+            images[key] = tuple(frobenius.apply_Dm(m, n, series))
+        if images[key] != tree[prefix[:-1]]:
+            return f"seq={seq}: D_(m_{l}) F_{l} != F_{l - 1}"
+        if deg > m:
+            return f"seq={seq}: deg F_{l} = {deg} > m_l = {m}"
+        low = [j for j, v in enumerate(series) if v]
+        if not low or low[0] != l or series[l] != 1:
+            return f"seq={seq}: lowest normalized coefficient of F_{l} is not y^{l} with value 1"
     return None
 
 
@@ -354,17 +350,6 @@ def _ck_einstein_anchor(n: Fraction, nmax: int) -> str | None:
     return None
 
 
-def _gover_product(model: backends.EinsteinModel, order: int) -> Fraction:
-    """(-1)^N P_{2N}(1) on the Einstein model by Gover's factorization
-    (arXiv:math/0506037): prod_{j=1}^{N} 2c(n/2+j-1)(n/2-j), on integers
-    with n/2 = a/b, b = 2 * n.denominator, and made a Fraction once."""
-    a, b = model.n.numerator, 2 * model.n.denominator
-    num = 1
-    for j in range(1, order + 1):
-        num *= 2 * model.c.numerator * (a + (j - 1) * b) * (a - j * b)
-    return Fraction(num, (model.c.denominator * b * b) ** order)
-
-
 def _ck_einstein_paths(n: Fraction, c: Fraction, nmax: int) -> str | None:
     model = backends.EinsteinModel(n, c)
     backend = backends.EinsteinBackend(model, nmax)
@@ -380,7 +365,9 @@ def _ck_einstein_paths(n: Fraction, c: Fraction, nmax: int) -> str | None:
         q_value = backends.einstein_q_closed_form(model, order)
         if q_num * q_value.denominator != sign * q_value.numerator * q_den:
             return f"n={n}, c={c}, N={order}: oracle {Fraction(q_num, q_den)} != closed form {sign * q_value}"
-        # (-1)^N P_{2N}(1) by Branson's relation (n/2 - N) Q_{2N} and by Gover's factorization
+        # (-1)^N P_{2N}(1) by Branson's relation (n/2 - N) Q_{2N}.  Gover's
+        # factorization (arXiv:math/0506037) of P_{2N}(1) is (n/2 - N) times
+        # the closed form as a product of integers, so it adds no comparison
         (p_num,), p_den = backends._formula_P(backend, order, one)
         p_num *= sign
         # (n/2 - N) Q = (n.numerator - 2N n.denominator) Q / (2 n.denominator)
@@ -389,9 +376,6 @@ def _ck_einstein_paths(n: Fraction, c: Fraction, nmax: int) -> str | None:
         ):
             signed_p, branson = Fraction(p_num, p_den), (n / 2 - order) * q_value
             return f"n={n}, c={c}, N={order}: (-1)^N P(1) {signed_p} != (n/2-N) Q {branson}"
-        gover = _gover_product(model, order)
-        if p_num * gover.denominator != gover.numerator * p_den:
-            return f"n={n}, c={c}, N={order}: (-1)^N P(1) {Fraction(p_num, p_den)} != Gover product {gover}"
     return None
 
 

@@ -37,7 +37,9 @@ def test_generating_chain_check_builds_each_chain_once(monkeypatch):
 
 def test_a_faulty_step_at_a_shared_prefix_fails_both_chain_checks(monkeypatch):
     # F_1 of the prefix (1,) is the parent of every sequence that starts at
-    # 1: a wrong entry there reaches those sequences' F_r in both checks
+    # 1: a wrong entry there reaches those sequences' F_r in the table check,
+    # and the chain check names the faulty step itself at the first
+    # sequence that reaches it
     plain = frobenius.solve_Dm
 
     def faulty(m, big_n, f, u0):
@@ -52,7 +54,7 @@ def test_a_faulty_step_at_a_shared_prefix_fails_both_chain_checks(monkeypatch):
     finally:
         frobenius.chain_tree.cache_clear()
     assert table is not None and table.startswith("I=(1, 5): c[N][r] = ")
-    assert chain is not None and chain.startswith("seq=(1, 6): degree 6 (want 6), top ")
+    assert chain == "seq=(1, 6): D_(m_1) F_1 != F_0"
 
 
 def test_generating_chain_check_fails_on_a_shared_faulty_step(monkeypatch):
@@ -102,8 +104,11 @@ def test_combinatorial_suite_iterates_each_order_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [Fraction(3), Fraction(7, 2), Fraction(4), Fraction(5), Fraction(8)])
 def test_einstein_closed_forms_match_their_fraction_products(n):
-    # both closed forms multiply integers into one Fraction; the reference
-    # multiplies the Fraction factors as written
+    # the closed form multiplies integers into one Fraction; the reference
+    # multiplies the Fraction factors as written.  Gover's product of
+    # (-1)^N P_{2N}(1) is (n/2 - N) times it, the relation of Branson's that
+    # the Einstein cross-path check compares, so that check compares no
+    # Gover product
     for c in (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(-5, 7)):
         model = backends.EinsteinModel(n, c)
         half = n / 2
@@ -115,8 +120,9 @@ def test_einstein_closed_forms_match_their_fraction_products(n):
                 q *= half + j - 1
             for j in range(1, order):
                 q *= half - j
-            assert suites._gover_product(model, order) == gover, (n, c, order)
-            assert backends.einstein_q_closed_form(model, order) == q, (n, c, order)
+            closed = backends.einstein_q_closed_form(model, order)
+            assert closed == q, (n, c, order)
+            assert (half - order) * closed == gover, (n, c, order)
 
 
 @pytest.mark.parametrize(
@@ -136,8 +142,9 @@ def test_einstein_closed_forms_match_their_fraction_products(n):
         # s <= 1 and entries <= 1 leave K = (1, 1) as the only draw
         (juhl_core, "_telescope_sides", lambda comp: ((1, 1), (2, 1)), suites._ck_telescope, (0, 1, 1, 1),
          "K=(1, 1): lhs 1 != rhs 2"),
-        (frobenius, "top_coefficient", lambda seq: Fraction(1, 2), suites._ck_frob_recusolve, (1,),
-         "seq=(1,): degree 1 (want 1), top 1 (want 1/2)"),
+        # F_1 of (1,) is the zero series
+        (frobenius, "chain_tree", lambda n: {(): (1, 0, 0, 0), (1,): (0, 0, 0, 0)}, suites._ck_frob_recusolve, (1,),
+         "seq=(1,): degree -1 (want 1)"),
         (backends, "_dv_sides", lambda model, gamma, kmax, cap: [(([0], 1), ([n], 1)) for n in range(3)],
          suites._ck_dv_identity, (Fraction(3), Fraction(0), Fraction(0), 8),
          "n=3, c=0, gamma=0: k=1: lhs=[Fraction(0, 1)] rhs=[Fraction(1, 1)]"),
@@ -146,8 +153,6 @@ def test_einstein_closed_forms_match_their_fraction_products(n):
         # N=1 on n=3, c=1/2: (-1)^N P_2(1) = 3/4 = (n/2-N) Q_2
         (backends, "_formula_P", lambda backend, n, f: ([7], 1), suites._ck_einstein_paths,
          (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) -7 != (n/2-N) Q 3/4"),
-        (suites, "_gover_product", lambda model, order: Fraction(7), suites._ck_einstein_paths,
-         (Fraction(3), Fraction(1, 2), 2), "n=3, c=1/2, N=1: (-1)^N P(1) 3/4 != Gover product 7"),
         (nc_series, "iterate_L_full", lambda n: NCPoly.from_word((1,), 2), suites._ck_full_iteration, (1,),
          "iterate_L_full(1) = NCPoly(2*x1), closed form = NCPoly(1*x1)"),
         # the partial at a = 1 is right; a = 2 is doubled
@@ -167,7 +172,7 @@ def test_einstein_closed_forms_match_their_fraction_products(n):
          "I=(1,): c[N][r] = 0 != nbar = 1"),
     ],
     ids=["kidenb", "k-grid", "kcoeff-literal", "kcoeff-closed-form", "telescope", "generating-chain",
-         "conjugation", "einstein-closed-form", "einstein-branson", "einstein-gover", "full-iteration",
+         "conjugation", "einstein-closed-form", "einstein-branson", "full-iteration",
          "partial-iteration", "partial-of-full-iteration", "l-bridge", "l-bridge-rescaled", "coefficient-table"],
 )
 def test_checks_report_both_sides_on_failure(monkeypatch, module, attr, fake, check, args, detail):
