@@ -7,15 +7,20 @@ suite's Einstein cross-path check has passed at every order, else that
 check's failure message on stderr).  Each table prints as one indented JSON
 document or, with ``--format tsv``, as that document's rows.  ``_emit``
 takes a table's field names once and its rows as tuples of values in their
-order, and writes each row as it is produced, so ``constants`` and
-``expand`` never hold the whole 2^(N-1)-row document; ``constants`` walks
-the compositions without listing them, visiting each prefix once with its
-running products, from which each row's coefficients follow.
+order, a list value (a composition or a word) arriving as ``_Items``, its
+items already joined by the format's separator, and writes each row as it
+is produced, so ``constants`` and ``expand`` never hold the whole
+2^(N-1)-row document.  ``constants`` walks the compositions without listing
+them, visiting each prefix once with its text and running products, from
+which each row's text and coefficients follow: n_I and nbar_I as exact
+integer quotients (n_I is a product of binomials), m_I as a reduced ratio.
 
 All rationals are serialized as exact strings "p/q", never floats.  Stdout
 is byte-deterministic for identical invocations; wall-clock timing goes to
-stderr.  Exit codes: 0 success (also when the reader closes stdout before a
-table ends, as ``| head`` does), 1 identity failure, 2 usage error.
+stderr.  Exit codes: 0 success, 1 identity failure, 2 usage error.  When
+the reader closes stdout early, as ``| head`` does, a table stops and exits
+0, and ``verify``, whose reports all exist before its first line prints,
+exits with its verdict; neither writes to stderr beyond verify's timing.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import add
 
 from . import backends, exact_core, juhl_core, suites
 
@@ -111,50 +115,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tsv_field(value) -> str:
-    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+class _Items(str):
+    """A list field of ``_emit``: the text of its items, already joined by
+    the table format's item separator ``_ITEM_SEP[fmt]``.  JSON brackets
+    it, TSV writes it as is."""
+
+    __slots__ = ()
+
+
+# JSON's separator puts each item of a row's list on its own line at the
+# depth json.dumps(indent=2) gives it
+_ITEM_SEP = {"json": ",\n        ", "tsv": ","}
 
 
 def _json_field(value) -> str:
     """A row value as ``json.dumps(indent=2)`` writes it at the depth of a
-    row's fields: a ``str``, an ``int`` or a list of ``int``."""
+    row's fields: an ``_Items`` as its list, a ``str`` or an ``int``."""
+    if isinstance(value, _Items):
+        return f"[\n        {value}\n      ]" if value else "[]"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if isinstance(value, list):
-        return "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]" if value else "[]"
     return str(value)
 
 
 def _emit(head: dict, rows_key: str, keys: tuple[str, ...], rows, fmt: str) -> int:
     """Write a table to stdout one row at a time, as the iterable ``rows``
     yields them.  The field names ``keys`` (unique) come once per table, and
-    each row is a tuple of values in their order.
+    each row is a tuple of values in their order: a ``str``, an ``int``, or
+    a list as ``_Items``, its items pre-joined by ``_ITEM_SEP[fmt]``.
 
     JSON is the document ``{**head, rows_key: [dict(zip(keys, row)) for row
-    in rows]}``, byte-identical to ``json.dumps(doc, indent=2)`` and a
-    newline, for head values of ``str`` or ``int`` and row values of
-    ``str``, ``int`` or lists of ``int``; each field name is encoded once per
-    table.  TSV is a header of ``keys``, alone when there are no rows, then
-    one line per row, a list value comma-joined and any other value through
-    ``str``.
+    in rows]}`` with each ``_Items`` read as its list of ``int``,
+    byte-identical to ``json.dumps(doc, indent=2)`` and a newline, for head
+    values of ``str`` or ``int``; each row is one ``%`` of a template built
+    from the field names once per table.  TSV is a header of ``keys``, alone
+    when there are no rows, then one line per row, each value through
+    ``str`` (an ``_Items`` is already comma-joined).
     """
     write = sys.stdout.write  # at call time: callers swap sys.stdout
     if fmt == "tsv":
         write("\t".join(keys) + "\n")
+        line = "\t".join(["%s"] * len(keys)) + "\n"
         for row in rows:
-            write("\t".join(map(_tsv_field, row)) + "\n")
+            write(line % row)
         return 0
     write("{\n")
     for key, value in head.items():
         write(f"  {encode_basestring_ascii(key)}: {_json_field(value)},\n")
     write(f"  {encode_basestring_ascii(rows_key)}: [")
-    prefixes = [f"      {encode_basestring_ascii(key)}: " for key in keys]
-    sep = "\n"
+    fields = ",\n".join(f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
+    template = "\n    {\n" + fields + "\n    }"
+    after_first = "," + template
     for row in rows:
-        fields = ",\n".join(map(add, prefixes, map(_json_field, row)))
-        write(f"{sep}    {{\n{fields}\n    }}")
-        sep = ",\n"
-    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+        write(template % tuple(map(_json_field, row)))
+        template = after_first
+    write("\n  ]\n}\n" if template is after_first else "]\n}\n")
     return 0
 
 
@@ -164,67 +179,83 @@ def _ratio_text(num: int, den: int) -> str:
     return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
-def _constant_rows(order: int):
+def _constant_rows(order: int, sep: str):
     """The rows of ``constants``: each composition I of ``order``, in
-    ``exact_core.compositions_of``'s order, with n_I, m_I and nbar_I as text.
+    ``exact_core.compositions_of``'s order, as ``_Items`` joined by ``sep``,
+    with n_I, m_I and nbar_I as text.
 
     exact_core's n_ratio, m_ratio and nbar_ratio in one pass: with
-    H = prod_{j<r} h_j (N-h_j) over the heads h_j = I_1+...+I_j and
-    F = prod_j (I_j-1)!^2, nbar_I = (N-1)!^2 / H, n_I = nbar_I / F and
-    m_I = (-1)^(r+1) N (N-1)!^2 / (prod_j I_j * F * prod_{j<r} (I_j+I_{j+1})).
+    H = prod_{j<r} h_j (N-h_j) over the heads h_j = I_1+...+I_j,
+    F = prod_j (I_j-1)!^2 and G = prod_j I_j * prod_{j<r} (I_j+I_{j+1}),
+    nbar_I = (N-1)!^2 / H, n_I = nbar_I / F and
+    m_I = (-1)^(r+1) N (N-1)!^2 / (F G).
+    n_I is the integer prod_j C(S_j-1, I_j-1) C(T_j-1, I_j-1) over the
+    prefix sums S_j = I_1+...+I_j and suffix sums T_j = I_j+...+I_r (the
+    product of (S_j-1)!/S_{j-1}! telescopes to (N-1)!/prod_{j<r} S_j, and
+    likewise for T), so n_I and nbar_I = n_I F print as exact integer
+    quotients; m_I, whose integrality is unproven, prints as a reduced
+    ratio.
     For each length r, the prefixes of the r-2 parts before the last two
     come in lexicographic order from a chain of r-2 generators, each
     extending its parent's prefixes by one part, and each prefix carries
-    its head and its running products; a row multiplies its prefix's
-    products by the factors of its last two parts.  Only one prefix per
-    level is live, so the rows stream.
+    its parts' text (each part followed by ``sep``), its last part, its
+    head and its running products of H, F and G.  The last two parts a, b
+    of a row depend on its prefix only through their sum, so their text
+    and their factors of H, F and G are tabulated once per sum; a row
+    multiplies its prefix's products by its tail's factors and appends the
+    tail's text to the prefix's.  Only one prefix per level is live, so
+    the rows stream.
     """
     fact2 = [exact_core.factorial(i) ** 2 for i in range(order)]
     nbar_num = fact2[order - 1]
     m_num = order * nbar_num
+    # for each rest = a + b, the last two parts a, b: their text, a, and their
+    # factors of H (the head N - b times b), F and G (a b (a + b), less the
+    # factor a + last that links them to a prefix's last part)
+    tails = [
+        [
+            (f"{a}{sep}{b}", a, (order - b) * b, fact2[a - 1] * fact2[b - 1], a * b * rest)
+            for a, b in zip(range(1, rest), range(rest - 1, 0, -1))
+        ]
+        for rest in range(order + 1)
+    ]
 
     def grow(prefixes, after: int):
         # each prefix extended by a part e that leaves room for ``after`` more parts
-        for parts, head, heads, facts, prods, adjacent in prefixes:
+        for text, last, head, h_prod, f_prod, g_prod in prefixes:
             for e in range(1, order - head - after + 1):
                 h = head + e
                 yield (
-                    (*parts, e),
+                    f"{text}{e}{sep}",
+                    e,
                     h,
-                    heads * h * (order - h),
-                    facts * fact2[e - 1],
-                    prods * e,
-                    adjacent * (parts[-1] + e) if parts else 1,
+                    h_prod * h * (order - h),
+                    f_prod * fact2[e - 1],
+                    g_prod * e * (last + e) if last else e,
                 )
 
-    yield [order], "1", "1", str(nbar_num)  # I = (N): F = (N-1)!^2, no heads
+    yield _Items(order), "1", "1", str(nbar_num)  # I = (N): F = (N-1)!^2, no heads
     for r in range(2, order + 1):
         m_num = -m_num
-        free = r - 2
-        prefixes = [((), 0, 1, 1, 1, 1)]
-        for k in range(free):
+        prefixes = [("", 0, 0, 1, 1, 1)]  # the empty prefix has no last part
+        for k in range(r - 2):
             prefixes = grow(prefixes, r - k - 1)
-        for parts, h0, heads0, facts0, prods0, adjacent0 in prefixes:
-            # the last two parts a, b: a + b = rest, heads h0 + a with N - (h0 + a) = b
-            rest = order - h0
-            adjacent0 *= rest
-            before = parts[free - 1] if free else 0
-            for a in range(1, rest):
-                b = rest - a
-                hp = heads0 * (h0 + a) * b
-                fp = facts0 * fact2[a - 1] * fact2[b - 1]
-                adj = adjacent0 * (before + a) if free else adjacent0
+        for text, last, head, h_prod, f_prod, g_prod in prefixes:
+            for tail, a, h_tail, f_tail, g_tail in tails[order - head]:
+                hp = h_prod * h_tail
+                fp = f_prod * f_tail
+                gp = g_prod * g_tail * (last + a) if last else g_tail
                 yield (
-                    [*parts, a, b],
-                    _ratio_text(nbar_num, hp * fp),
-                    _ratio_text(m_num, prods0 * a * b * fp * adj),
-                    _ratio_text(nbar_num, hp),
+                    _Items(text + tail),
+                    f"{nbar_num // (hp * fp)}",
+                    _ratio_text(m_num, gp * fp),
+                    f"{nbar_num // hp}",
                 )
 
 
 def cmd_constants(order: int, fmt: str) -> int:
     keys = ("composition", "n", "m", "nbar")
-    return _emit({"schema": SCHEMA, "N": order}, "rows", keys, _constant_rows(order), fmt)
+    return _emit({"schema": SCHEMA, "N": order}, "rows", keys, _constant_rows(order, _ITEM_SEP[fmt]), fmt)
 
 
 def cmd_expand(target: str, order: int, form: str, fmt: str) -> int:
@@ -233,34 +264,54 @@ def cmd_expand(target: str, order: int, form: str, fmt: str) -> int:
     head = {"schema": SCHEMA, "target": target, "N": order, "form": form}
     # each coefficient from its stored numerator over the map's one denominator
     den = expansion._den
+    join = _ITEM_SEP[fmt].join
     if target == "P":
         head["basis"] = "M"
         keys = ("word", "coeff")
-        terms = ((list(word), _ratio_text(num, den)) for word, num in expansion._sorted_numerators())
+        terms = ((_Items(join(map(str, word))), _ratio_text(num, den)) for word, num in expansion._sorted_numerators())
     else:
         head["basis"] = "MW"
         head["sign_convention"] = "(-1)^N Q"
         keys = ("word", "a", "coeff")
         # a Q-term (I, a) is stored under the word (*I, a)
-        terms = ((list(word[:-1]), word[-1], _ratio_text(num, den)) for word, num in expansion._sorted_numerators())
+        terms = (
+            (_Items(join(map(str, word[:-1]))), word[-1], _ratio_text(num, den))
+            for word, num in expansion._sorted_numerators()
+        )
     return _emit(head, "terms", keys, terms, fmt)
 
 
 def cmd_verify(names: list[str], max_order: int | None, seed: int, jobs: int) -> int:
     reports = suites.run_suites(names, max_order=max_order, seed=seed, jobs=jobs)
-    total_failures = 0
+    total_failures = sum(len(rep.failures) for rep in reports)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
-        print(f"[{status}] {rep.suite} ({rep.order_note}): {rep.instances} instances, {len(rep.failures)} failures")
-        for failure in rep.failures:
-            print(f"  FAIL {failure.instance}: {failure.detail}")
+        _write_out(
+            f"[{status}] {rep.suite} ({rep.order_note}): {rep.instances} instances, {len(rep.failures)} failures\n"
+            + "".join(f"  FAIL {failure.instance}: {failure.detail}\n" for failure in rep.failures)
+        )
         print(f"{rep.suite}: {rep.wall_time:.2f}s", file=sys.stderr)
-        total_failures += len(rep.failures)
-    if total_failures:
-        print(f"verify: {total_failures} failure(s)")
-        return 1
-    print("verify: all suites passed")
-    return 0
+    _write_out(f"verify: {total_failures} failure(s)\n" if total_failures else "verify: all suites passed\n")
+    return 1 if total_failures else 0
+
+
+def _write_out(text: str) -> None:
+    """Write ``text`` to stdout and flush it.  Once the reader has closed
+    stdout (``| head``), the text goes nowhere: every report exists before
+    the first line prints, so the verdict stands."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_to_devnull()
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at os.devnull, after the reader closed
+    it, so that later writes and the flush at exit do not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
@@ -289,7 +340,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         max_order = args.max_order if args.max_order is not None else _env_max_order(parser)
         return cmd_verify(args.suites, max_order, args.seed, args.jobs)
-    # verify stays outside: a line it has not printed yet may report a failure
+    # verify stays outside: its exit code is the suites' verdict, not 0
     try:
         if args.command == "constants":
             return cmd_constants(args.order, args.format)
@@ -302,11 +353,8 @@ def main(argv=None) -> int:
             return cmd_einstein(args.dim, args.c, max_order, args.format)
     except BrokenPipeError:
         # the reader closed stdout before the table ended (``| head``); every
-        # row written had passed its checks.  Point stdout at os.devnull so
-        # that the flush at exit does not raise a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # row written had passed its checks
+        _stdout_to_devnull()
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import operator
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -211,13 +212,14 @@ def test_constants_rows_stream_at_order_forty():
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.setitimer(signal.ITIMER_REAL, 2.0)
     try:
-        rows = list(itertools.islice(cli._constant_rows(40), 1000))
+        rows = list(itertools.islice(cli._constant_rows(40, ","), 1000))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     comps = (tuple(map(operator.sub, bounds[1:], bounds)) for bounds in exact_core.cut_bounds(0, 40))
     for row, comp in zip(rows, comps):
-        want = [list(comp), str(exact_core.n_coeff(comp)), str(exact_core.m_coeff(comp)), str(exact_core.nbar_coeff(comp))]
+        want = [",".join(map(str, comp)), str(exact_core.n_coeff(comp)), str(exact_core.m_coeff(comp)), str(exact_core.nbar_coeff(comp))]
+        assert type(row[0]) is cli._Items
         assert list(row) == want
     assert len(rows) == 1000
 
@@ -233,9 +235,15 @@ def test_constants_order_thirteen_stdout_is_pinned(capsys):
 
 
 def emit(head, key, keys, rows, fmt):
+    """``cli._emit``'s output, each list value of ``rows`` passed as its
+    items joined by the format's separator."""
+
+    def field(value):
+        return cli._Items(cli._ITEM_SEP[fmt].join(map(str, value))) if isinstance(value, list) else value
+
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli._emit(head, key, keys, rows, fmt) == 0
+        assert cli._emit(head, key, keys, (tuple(map(field, row)) for row in rows), fmt) == 0
     return out.getvalue()
 
 
@@ -248,6 +256,7 @@ tables = st.lists(strings, min_size=1, max_size=4, unique=True).flatmap(
 
 
 @given(head=st.dictionaries(strings, st.one_of(strings, st.integers()), max_size=4), key=strings, table=tables)
+@example(head={}, key="rows", table=(("100%", "%s", "%%d"), [("%s", [], [1, 2])]))  # % in the row template
 @settings(max_examples=200, deadline=None)
 def test_emit_json_is_json_dumps(head, key, table):
     keys, rows = table
@@ -261,7 +270,9 @@ def test_emit_json_is_json_dumps(head, key, table):
 @settings(max_examples=100, deadline=None)
 def test_emit_tsv_is_the_header_and_field_lines(table):
     keys, rows = table
-    expected = ["\t".join(keys)] + ["\t".join(map(cli._tsv_field, row)) for row in rows]
+    expected = ["\t".join(keys)] + [
+        "\t".join(",".join(map(str, value)) if isinstance(value, list) else str(value) for value in row) for row in rows
+    ]
     assert emit({"schema": "s"}, "rows", keys, iter(rows), "tsv") == "".join(line + "\n" for line in expected)
 
 
@@ -275,7 +286,7 @@ def test_emit_writes_each_row_before_pulling_the_next(fmt):
             # "tag" is the last field, so its text ends the previous row
             assert not pulled or f"row{pulled[-1]}" in out.getvalue()
             pulled.append(i)
-            yield [i], f"row{i}"
+            yield cli._Items(i), f"row{i}"
 
     with contextlib.redirect_stdout(out):
         cli._emit({"schema": "s"}, "rows", ("word", "tag"), rows(), fmt)
@@ -300,6 +311,64 @@ def test_closed_stdout_ends_the_table_quietly():
     assert proc.wait(timeout=120) == 0
     assert first == b"composition\tn\tm\tnbar\n"
     assert err == b""
+
+
+TIMING_LINE = re.compile(rb"[a-z]+: [0-9]+\.[0-9]{2}s\n")
+RUN_MAIN = "from juhlkit.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _verify_process(args, stdout, code=RUN_MAIN):
+    # unbuffered, so each report line is its own write to the pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("JUHL_MAX_ORDER", None)
+    return subprocess.Popen(
+        [sys.executable, "-u", "-c", f"import sys; {code}", "verify", *args],
+        env=env, stdout=stdout, stderr=subprocess.PIPE,
+    )
+
+
+def test_verify_on_a_closed_stdout_exits_with_its_verdict():
+    # the reader stops after one line, as ``| head -n 1`` does: the reports
+    # exist before the first line, so a passing run still exits 0, and
+    # stderr holds the timing lines only
+    proc = _verify_process(["--max-order", "3"], subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert first == b"[PASS] combinatorial (N<=3): 9 instances, 0 failures\n"
+    assert all(TIMING_LINE.fullmatch(line) for line in err.splitlines(keepends=True))
+
+
+@pytest.mark.parametrize(
+    "code, verdict",
+    [
+        (RUN_MAIN, 0),
+        (
+            # flip one closed-form coefficient, as the in-process fault test does
+            "from juhlkit import cli, exact_core; true = exact_core.nbar_ratio; "
+            "exact_core.nbar_ratio = lambda c: (lambda n, d: (n + d, d) if c == (1, 1) else (n, d))(*true(c)); "
+            "sys.exit(cli.main(sys.argv[1:]))",
+            1,
+        ),
+    ],
+    ids=["passing", "failing"],
+)
+def test_verify_before_its_first_line_meets_a_closed_stdout(code, verdict):
+    # the read end closes before verify writes, so its first write meets the
+    # closed pipe whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _verify_process(["combinatorial", "--max-order", "2"], write_end, code)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == verdict
+    assert TIMING_LINE.fullmatch(err)
 
 
 def test_output_is_byte_deterministic(capsys):
@@ -581,6 +650,35 @@ def test_einstein_rational_inputs_first_row(dim, c):
     assert Fraction(first["W"]) == -dim * c / 4
     assert Fraction(first["Q"]) == dim * c
     assert len(doc["rows"]) == 3
+
+
+huge = st.integers(min_value=-(10**30), max_value=10**30)
+huge_dens = st.integers(min_value=1, max_value=10**30)  # "p/-q" is a usage error
+
+
+@given(p=huge, q=huge_dens, r=huge, s=huge_dens)
+@example(p=10**30, q=10**30 - 1, r=-(10**30), s=7)
+@example(p=-(10**30), q=1, r=0, s=10**30)
+@settings(max_examples=40, deadline=None)
+def test_einstein_huge_rational_inputs(p, q, r, s):
+    # numerators and denominators up to 10^30, either sign of n and c: the
+    # table prints (TSV equal to the JSON rows) or the check's message does,
+    # and nothing raises; the long numbers go through the row template
+    def run(fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["einstein", f"--dim={p}/{q}", f"--c={r}/{s}", "--max-order", "3", "--format", fmt])
+        return code, out.getvalue(), err.getvalue()
+
+    code, out, err = run("json")
+    if code == 1:
+        assert out == "" and err.startswith(f"einstein: n={Fraction(p, q)}, c={Fraction(r, s)}, N=")
+        return
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["n"], doc["c"]) == (str(Fraction(p, q)), str(Fraction(r, s)))
+    assert [row["N"] for row in doc["rows"]] == [1, 2, 3]
+    assert run("tsv") == (0, tsv_of(doc["rows"]), "")
 
 
 @pytest.mark.parametrize("suite", suites.SUITE_NAMES)

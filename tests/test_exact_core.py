@@ -1,6 +1,7 @@
 """Coefficient families and composition enumeration."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,9 @@ from juhlkit.exact_core import (
     factorial,
     m_coeff,
     n_coeff,
+    n_ratio,
     nbar_coeff,
+    nbar_ratio,
     partial_sums,
 )
 
@@ -142,6 +145,51 @@ def test_nbar_strips_factorial_squares_exhaustively():
             for e in comp:
                 strip /= factorial(e - 1) ** 2
             assert n_coeff(comp) == nbar_coeff(comp) * strip
+
+
+def binomial_product(comp):
+    """A_I * B_I = prod_j C(S_j - 1, I_j - 1) * prod_j C(T_j - 1, I_j - 1),
+    over the prefix sums S_j = I_1 + ... + I_j and the suffix sums
+    T_j = I_j + ... + I_r."""
+    total, head, out = sum(comp), 0, 1
+    for e in comp:
+        out *= comb(head + e - 1, e - 1) * comb(total - head - 1, e - 1)
+        head += e
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_n_is_a_product_of_binomials(n):
+    # the product of (S_j - 1)!/S_{j-1}! telescopes to (N - 1)!/prod_{j<r} S_j,
+    # so the factorial form is A_I * B_I, and n_I and nbar_I = n_I *
+    # prod_j (I_j - 1)!^2 are integers: ``constants`` prints them as exact
+    # integer quotients.  m_I has no such proof; every m_I seen so far is an
+    # integer, which nothing here assumes.
+    for comp in compositions_of(n):
+        num, den = n_ratio(comp)
+        assert num == binomial_product(comp) * den
+        num, den = nbar_ratio(comp)
+        strip = 1
+        for e in comp:
+            strip *= factorial(e - 1) ** 2
+        assert num == binomial_product(comp) * strip * den
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_two_part_coefficients(n):
+    for a in range(1, n):
+        comp = (a, n - a)
+        assert n_coeff(comp) == comb(n - 1, a - 1) * comb(n - 1, a)
+        assert m_coeff(comp) == -n_coeff(comp)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_explicit_expansions_have_denominator_one(n):
+    # their coefficients are the integers n_I and sums of them
+    from juhlkit import juhl_core
+
+    assert juhl_core.expand_P_explicit(n)._den == 1
+    assert juhl_core.expand_Q_explicit(n)._den == 1
 
 
 def test_partial_sums():
