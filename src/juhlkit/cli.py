@@ -6,13 +6,13 @@ table for the one-parameter Einstein family, printed only once the backends
 suite's Einstein cross-path check has passed at every order, else that
 check's failure message on stderr).  Each table prints as one indented JSON
 document or, with ``--format tsv``, as that document's rows.  ``_emit``
-takes a table's field names once and its rows as tuples of values in their
-order, a list value (a composition or a word) arriving as ``_Items``, its
-items already joined by the format's separator, and writes each row as it
-is produced, so ``constants`` and ``expand`` never hold the whole
-2^(N-1)-row document.  ``constants`` walks the compositions without listing
-them, visiting each prefix once with its text and running products, from
-which each row's text and coefficients follow: n_I and nbar_I as exact
+takes a table's field names once and its rows as tuples of fields that are
+already text in the table's format, each list, string and integer built
+from the format's pieces in ``_PIECES``, and writes each row with one
+``%`` as it is produced, so ``constants`` and ``expand`` never hold the
+whole 2^(N-1)-row document.  ``constants`` walks the compositions without
+listing them, visiting each prefix once with its text and running products,
+from which each row's text and coefficients follow: n_I and nbar_I as exact
 integer quotients (n_I is a product of binomials), m_I as a reduced ratio.
 
 All rationals are serialized as exact strings "p/q", never floats.  Stdout
@@ -115,42 +115,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Items(str):
-    """A list field of ``_emit``: the text of its items, already joined by
-    the table format's item separator ``_ITEM_SEP[fmt]``.  JSON brackets
-    it, TSV writes it as is."""
-
-    __slots__ = ()
-
-
-# JSON's separator puts each item of a row's list on its own line at the
-# depth json.dumps(indent=2) gives it
-_ITEM_SEP = {"json": ",\n        ", "tsv": ","}
-
-
-def _json_field(value) -> str:
-    """A row value as ``json.dumps(indent=2)`` writes it at the depth of a
-    row's fields: an ``_Items`` as its list, a ``str`` or an ``int``."""
-    if isinstance(value, _Items):
-        return f"[\n        {value}\n      ]" if value else "[]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return str(value)
+# the pieces a row producer builds its fields from, per format: the item
+# separator, a list's open and close (JSON puts each item on its own line at
+# the depth json.dumps(indent=2) gives it), the empty list, the string quote
+_PIECES = {
+    "json": (",\n        ", "[\n        ", "\n      ]", "[]", '"'),
+    "tsv": (",", "", "", "", ""),
+}
 
 
 def _emit(head: dict, rows_key: str, keys: tuple[str, ...], rows, fmt: str) -> int:
     """Write a table to stdout one row at a time, as the iterable ``rows``
     yields them.  The field names ``keys`` (unique) come once per table, and
-    each row is a tuple of values in their order: a ``str``, an ``int``, or
-    a list as ``_Items``, its items pre-joined by ``_ITEM_SEP[fmt]``.
+    each row is a tuple of its fields in their order, each already its
+    value's text in ``fmt``, built from ``_PIECES[fmt]``: a list as its
+    items joined by the separator between the list open and close, or the
+    empty list; a string between two quotes; an integer as its digits (an
+    ``int`` itself will do).  Every string a producer quotes (a rational,
+    an integer, ``standard`` or ``extension``) is text that JSON quotes
+    without escapes, so the two quotes alone make its JSON form.
 
     JSON is the document ``{**head, rows_key: [dict(zip(keys, row)) for row
-    in rows]}`` with each ``_Items`` read as its list of ``int``,
-    byte-identical to ``json.dumps(doc, indent=2)`` and a newline, for head
-    values of ``str`` or ``int``; each row is one ``%`` of a template built
-    from the field names once per table.  TSV is a header of ``keys``, alone
-    when there are no rows, then one line per row, each value through
-    ``str`` (an ``_Items`` is already comma-joined).
+    in rows]}``, byte-identical to ``json.dumps(doc, indent=2)`` and a
+    newline for head values of ``str`` or ``int``; each row is one ``%`` of
+    a template built from the field names once per table.  TSV is a header
+    of ``keys``, alone when there are no rows, then one ``%`` per row.
     """
     write = sys.stdout.write  # at call time: callers swap sys.stdout
     if fmt == "tsv":
@@ -161,28 +150,30 @@ def _emit(head: dict, rows_key: str, keys: tuple[str, ...], rows, fmt: str) -> i
         return 0
     write("{\n")
     for key, value in head.items():
-        write(f"  {encode_basestring_ascii(key)}: {_json_field(value)},\n")
+        value = encode_basestring_ascii(value) if isinstance(value, str) else value
+        write(f"  {encode_basestring_ascii(key)}: {value},\n")
     write(f"  {encode_basestring_ascii(rows_key)}: [")
     fields = ",\n".join(f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
     template = "\n    {\n" + fields + "\n    }"
     after_first = "," + template
     for row in rows:
-        write(template % tuple(map(_json_field, row)))
+        write(template % row)
         template = after_first
     write("\n  ]\n}\n" if template is after_first else "]\n}\n")
     return 0
 
 
-def _ratio_text(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for a positive ``den``, without the Fraction."""
+def _ratio_text(num: int, den: int, quote: str) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, without the
+    Fraction, between two ``quote``s."""
     g = gcd(num, den)
-    return f"{num // g}/{den // g}" if den != g else str(num // g)
+    return f"{quote}{num // g}/{den // g}{quote}" if den != g else f"{quote}{num // g}{quote}"
 
 
-def _constant_rows(order: int, sep: str):
-    """The rows of ``constants``: each composition I of ``order``, in
-    ``exact_core.compositions_of``'s order, as ``_Items`` joined by ``sep``,
-    with n_I, m_I and nbar_I as text.
+def _constant_rows(order: int, fmt: str):
+    """The rows of ``constants`` as ``_emit`` takes them in ``fmt``: each
+    composition I of ``order``, in ``exact_core.compositions_of``'s order,
+    as a list, with n_I, m_I and nbar_I as strings.
 
     exact_core's n_ratio, m_ratio and nbar_ratio in one pass: with
     H = prod_{j<r} h_j (N-h_j) over the heads h_j = I_1+...+I_j,
@@ -198,14 +189,15 @@ def _constant_rows(order: int, sep: str):
     For each length r, the prefixes of the r-2 parts before the last two
     come in lexicographic order from a chain of r-2 generators, each
     extending its parent's prefixes by one part, and each prefix carries
-    its parts' text (each part followed by ``sep``), its last part, its
-    head and its running products of H, F and G.  The last two parts a, b
-    of a row depend on its prefix only through their sum, so their text
-    and their factors of H, F and G are tabulated once per sum; a row
-    multiplies its prefix's products by its tail's factors and appends the
-    tail's text to the prefix's.  Only one prefix per level is live, so
-    the rows stream.
+    its text (the list open, then each part followed by the separator), its
+    last part, its head and its running products of H, F and G.  The last
+    two parts a, b of a row depend on its prefix only through their sum, so
+    their text (ending in the list close) and their factors of H, F and G
+    are tabulated once per sum; a row multiplies its prefix's products by
+    its tail's factors and appends the tail's text to the prefix's.  Only
+    one prefix per level is live, so the rows stream.
     """
+    sep, open_, close, _, q = _PIECES[fmt]
     fact2 = [exact_core.factorial(i) ** 2 for i in range(order)]
     nbar_num = fact2[order - 1]
     m_num = order * nbar_num
@@ -214,7 +206,7 @@ def _constant_rows(order: int, sep: str):
     # factor a + last that links them to a prefix's last part)
     tails = [
         [
-            (f"{a}{sep}{b}", a, (order - b) * b, fact2[a - 1] * fact2[b - 1], a * b * rest)
+            (f"{a}{sep}{b}{close}", a, (order - b) * b, fact2[a - 1] * fact2[b - 1], a * b * rest)
             for a, b in zip(range(1, rest), range(rest - 1, 0, -1))
         ]
         for rest in range(order + 1)
@@ -234,10 +226,10 @@ def _constant_rows(order: int, sep: str):
                     g_prod * e * (last + e) if last else e,
                 )
 
-    yield _Items(order), "1", "1", str(nbar_num)  # I = (N): F = (N-1)!^2, no heads
+    yield f"{open_}{order}{close}", f"{q}1{q}", f"{q}1{q}", f"{q}{nbar_num}{q}"  # I = (N): F = (N-1)!^2, no heads
     for r in range(2, order + 1):
         m_num = -m_num
-        prefixes = [("", 0, 0, 1, 1, 1)]  # the empty prefix has no last part
+        prefixes = [(open_, 0, 0, 1, 1, 1)]  # the empty prefix has no last part
         for k in range(r - 2):
             prefixes = grow(prefixes, r - k - 1)
         for text, last, head, h_prod, f_prod, g_prod in prefixes:
@@ -246,16 +238,16 @@ def _constant_rows(order: int, sep: str):
                 fp = f_prod * f_tail
                 gp = g_prod * g_tail * (last + a) if last else g_tail
                 yield (
-                    _Items(text + tail),
-                    f"{nbar_num // (hp * fp)}",
-                    _ratio_text(m_num, gp * fp),
-                    f"{nbar_num // hp}",
+                    text + tail,
+                    f"{q}{nbar_num // (hp * fp)}{q}",
+                    _ratio_text(m_num, gp * fp, q),
+                    f"{q}{nbar_num // hp}{q}",
                 )
 
 
 def cmd_constants(order: int, fmt: str) -> int:
     keys = ("composition", "n", "m", "nbar")
-    return _emit({"schema": SCHEMA, "N": order}, "rows", keys, _constant_rows(order, _ITEM_SEP[fmt]), fmt)
+    return _emit({"schema": SCHEMA, "N": order}, "rows", keys, _constant_rows(order, fmt), fmt)
 
 
 def cmd_expand(target: str, order: int, form: str, fmt: str) -> int:
@@ -264,18 +256,22 @@ def cmd_expand(target: str, order: int, form: str, fmt: str) -> int:
     head = {"schema": SCHEMA, "target": target, "N": order, "form": form}
     # each coefficient from its stored numerator over the map's one denominator
     den = expansion._den
-    join = _ITEM_SEP[fmt].join
+    sep, open_, close, empty, q = _PIECES[fmt]
+    join = sep.join
     if target == "P":
         head["basis"] = "M"
         keys = ("word", "coeff")
-        terms = ((_Items(join(map(str, word))), _ratio_text(num, den)) for word, num in expansion._sorted_numerators())
+        terms = (
+            (f"{open_}{join(map(str, word))}{close}", _ratio_text(num, den, q))
+            for word, num in expansion._sorted_numerators()
+        )
     else:
         head["basis"] = "MW"
         head["sign_convention"] = "(-1)^N Q"
         keys = ("word", "a", "coeff")
-        # a Q-term (I, a) is stored under the word (*I, a)
+        # a Q-term (I, a) is stored under the word (*I, a); only I = () is empty
         terms = (
-            (_Items(join(map(str, word[:-1]))), word[-1], _ratio_text(num, den))
+            (f"{open_}{join(map(str, word[:-1]))}{close}" if len(word) > 1 else empty, word[-1], _ratio_text(num, den, q))
             for word, num in expansion._sorted_numerators()
         )
     return _emit(head, "terms", keys, terms, fmt)
@@ -323,12 +319,13 @@ def cmd_einstein(dim: Fraction, c: Fraction, max_order: int, fmt: str) -> int:
     model = backends.EinsteinModel(dim, c)
     w_scalars = backends.einstein_invariants(model, max_order)[0]
     critical = dim.numerator // 2 if dim.denominator == 1 and dim.numerator % 2 == 0 else None
+    *_, q = _PIECES[fmt]
 
     def row(order: int) -> tuple:
         # the closed form equals the formula and oracle values: the check has passed
         q_value = backends.einstein_q_closed_form(model, order)
         regime = "extension" if critical is not None and order > critical else "standard"
-        return order, str(w_scalars[order]), str(q_value), regime
+        return order, f"{q}{w_scalars[order]}{q}", f"{q}{q_value}{q}", f"{q}{regime}{q}"
 
     head = {"schema": SCHEMA, "n": str(dim), "c": str(c), "max_order": max_order}
     return _emit(head, "rows", ("N", "W", "Q", "regime"), map(row, range(1, max_order + 1)), fmt)

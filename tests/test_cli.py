@@ -172,6 +172,30 @@ def test_tsv_is_the_json_rows(capsys, argv):
     assert tsv == tsv_of(rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["constants", "--N", str(n)] for n in range(1, 7)]
+    + [
+        ["expand", "--target", target, "--N", str(n), "--form", form]
+        for target in ("P", "Q")
+        for n in range(1, 7)
+        for form in ("explicit", "recursive")
+    ]
+    + [
+        ["einstein", "--dim", "4", "--c", "1/2", "--max-order", "6"],
+        ["einstein", "--dim=7/2", "--c=-1/3", "--max-order", "8"],
+        ["einstein", "--dim", "0", "--c", "0", "--max-order", "3"],
+    ],
+    ids=" ".join,
+)
+def test_json_stdout_is_json_dumps_of_itself(capsys, argv):
+    # the producers' row fields, built from cli._PIECES, are the text
+    # json.dumps(indent=2) writes; expand Q at N = 1 has the one word [] only
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("order", range(1, 15))
 def test_constants_walks_the_compositions_in_order(capsys, order):
     # the prefix-product walk prints each composition of N once, in
@@ -212,16 +236,17 @@ def test_constants_rows_stream_at_order_forty():
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.setitimer(signal.ITIMER_REAL, 2.0)
     try:
-        rows = list(itertools.islice(cli._constant_rows(40, ","), 1000))
+        rows = list(itertools.islice(cli._constant_rows(40, "tsv"), 1000))
+        json_rows = list(itertools.islice(cli._constant_rows(40, "json"), 1000))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     comps = (tuple(map(operator.sub, bounds[1:], bounds)) for bounds in exact_core.cut_bounds(0, 40))
-    for row, comp in zip(rows, comps):
-        want = [",".join(map(str, comp)), str(exact_core.n_coeff(comp)), str(exact_core.m_coeff(comp)), str(exact_core.nbar_coeff(comp))]
-        assert type(row[0]) is cli._Items
-        assert list(row) == want
-    assert len(rows) == 1000
+    for row, json_row, comp in zip(rows, json_rows, comps):
+        want = [list(comp), str(exact_core.n_coeff(comp)), str(exact_core.m_coeff(comp)), str(exact_core.nbar_coeff(comp))]
+        assert list(row) == [",".join(map(str, comp)), *want[1:]]
+        assert list(json_row) == [json.dumps(value, indent=2).replace("\n", "\n      ") for value in want]
+    assert len(rows) == len(json_rows) == 1000
 
 
 def test_constants_order_thirteen_stdout_is_pinned(capsys):
@@ -235,11 +260,14 @@ def test_constants_order_thirteen_stdout_is_pinned(capsys):
 
 
 def emit(head, key, keys, rows, fmt):
-    """``cli._emit``'s output, each list value of ``rows`` passed as its
-    items joined by the format's separator."""
+    """``cli._emit``'s output, each value of ``rows`` passed as its text in
+    the format: JSON's through ``json.dumps`` at the depth of a row field,
+    TSV's through ``str``, a list comma-joined."""
 
     def field(value):
-        return cli._Items(cli._ITEM_SEP[fmt].join(map(str, value))) if isinstance(value, list) else value
+        if fmt == "json":
+            return json.dumps(value, indent=2).replace("\n", "\n      ")
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -280,13 +308,14 @@ def test_emit_tsv_is_the_header_and_field_lines(table):
 def test_emit_writes_each_row_before_pulling_the_next(fmt):
     out = io.StringIO()
     pulled = []
+    _, open_, close, _, quote = cli._PIECES[fmt]
 
     def rows():
         for i in range(4):
             # "tag" is the last field, so its text ends the previous row
             assert not pulled or f"row{pulled[-1]}" in out.getvalue()
             pulled.append(i)
-            yield cli._Items(i), f"row{i}"
+            yield f"{open_}{i}{close}", f"{quote}row{i}{quote}"
 
     with contextlib.redirect_stdout(out):
         cli._emit({"schema": "s"}, "rows", ("word", "tag"), rows(), fmt)
