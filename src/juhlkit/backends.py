@@ -23,11 +23,12 @@ iteration.  A word's image is its first letter applied to the image of its
 suffix, and the backend memoizes these images per start vector (keyed on
 its integer numerators), so every distinct word product is formed once per
 backend, whichever expansion, order or partial form reaches it.
-``formula_P``, ``formula_P_partial`` and ``formula_Q`` use that n_I depends
-only on the parts of I and their prefix sums, and sum over cut points in
-O(N^2) matrix-vector products, with no expansion, no n_I table and no
-R-iteration; the Einstein cross-path check, which the ``einstein`` command
-runs, takes its formula values from them.
+``formula_P``, ``formula_P_partial`` and ``formula_Q`` use that n_I is a
+product of integer binomial weights, one per part, each fixed by the part's
+two cut points, and sum over cut points in O(N^2) matrix-vector products,
+with no expansion, no n_I table and no R-iteration; the Einstein
+cross-path check, which the ``einstein`` command runs, takes its formula
+values from them.
 
 The R-iteration, the prefix sums, the word evaluator and the Einstein
 family's series share one exact arithmetic and nothing else: integer
@@ -452,19 +453,18 @@ def oracle_Q(backend, n: int) -> Vector:
 
 
 def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict) -> tuple[list[int], int]:
-    """(N-1)!^2 V_0 as a canonical pair, where V_s, for s = N down to 0, is
+    """V_0 as a canonical pair, where V_s, for s = N down to 0, is
 
-        V_s = terminal[s] + sum_{t=s+1}^{N} w_t/(t-s-1)!^2 * M_{2(t-s)} V_t,
+        V_s = terminal[s] + sum_{t=s+1}^{N} C(t-1, t-s-1) C(N-s-1, t-s-1) M_{2(t-s)} V_t;
 
-    with w_t = 1/(t(N-t)) for t < N and w_N = 1; a V_s with no terminal
-    term and no V_t to sum is zero and is skipped.
+    a V_s with no terminal term and no V_t to sum is zero and is skipped.
 
-    The explicit coefficient n_I = (N-1)!^2 prod_j 1/(I_j-1)!^2
-    prod_{j<r} w_{S_j} depends only on the parts of I and its prefix sums
-    S_j, so the sum over compositions is grouped by the first cut t = S_1:
-    V_s sums the words whose cuts run from s up to N, each applied
-    rightmost factor first, and V_0 collects every composition of N in
-    O(N^2) matrix-vector products.
+    n_I = prod_j C(S_j-1, I_j-1) C(N-S_{j-1}-1, I_j-1) over the prefix sums
+    S_j is a product of one weight per part, that of the part on the cut
+    points (s, t] above, so the sum over compositions is grouped by the
+    first cut t = S_1: V_s sums the words whose cuts run from s up to N,
+    each applied rightmost factor first, and V_0 collects every composition
+    of N in O(N^2) matrix-vector products.
 
     Each V_s is a (numerators, den) pair and each terminal term a
     (scale, numerators, den) triple, as ``_lincomb`` sums them.
@@ -473,13 +473,11 @@ def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict) -> tuple[lis
     for s in range(n, -1, -1):
         parts = [terminal[s]] if s in terminal else []
         for t, (vec, den) in sums.items():
-            weight_den = (t * (n - t) if t < n else 1) * factorial(t - s - 1) ** 2
-            parts.append((1, *backend._times(t - s, vec, den * weight_den)))
+            weight = math.comb(t - 1, t - s - 1) * math.comb(n - s - 1, t - s - 1)
+            parts.append((weight, *backend._times(t - s, vec, den)))
         if parts:
             sums[s] = _lincomb(backend.dim, parts)
-    vec, den = sums[0]
-    scale = factorial(n - 1) ** 2
-    return _reduced([scale * x for x in vec], den)
+    return sums[0]
 
 
 def _formula_P(backend, n: int, f: tuple[list[int], int]) -> tuple[list[int], int]:
@@ -495,13 +493,15 @@ def formula_P(backend, n: int, f) -> Vector:
 
 
 def _formula_P_partial(backend, n: int, a: int, f: tuple[list[int], int]) -> tuple[list[int], int]:
-    return _prefix_sums(backend, n, {n - a: ((-2) ** (a - 1), *f)})
+    scale = math.comb(n - 1, a - 1) * factorial(a - 1) ** 2 * (-2) ** (a - 1)
+    return _prefix_sums(backend, n, {n - a: (scale, *f)})
 
 
 def formula_P_partial(backend, n: int, a: int, f) -> Vector:
     """The closed form ``oracle_P_partial`` iterates to: the sum over
     |I| = N-a of n_{(I,a)} (a-1)!^2 (-2)^(a-1) M_{2I}(f).  The last part's
-    1/(a-1)!^2 cancels (a-1)!^2, leaving one terminal term at s = N-a."""
+    weight C(N-1, a-1) C(a-1, a-1) = C(N-1, a-1) joins that factor in one
+    terminal term at s = N-a."""
     check_positive_int(n, "N must be a positive integer")
     check_int_range(a, 1, n, "a must lie in 1..N")
     return _fractions(*_formula_P_partial(backend, n, a, _test_vector(f, backend.dim)))
@@ -509,15 +509,18 @@ def formula_P_partial(backend, n: int, a: int, f) -> Vector:
 
 def _formula_Q(backend, n: int) -> tuple[list[int], int]:
     w, fvec, den = _w_and_f(backend, range(1, n + 1))
-    terminal = {n - a: (a * 4**a * w[a], fvec, den) for a in range(1, n + 1)}
+    terminal = {
+        n - a: (math.comb(n - 1, a - 1) * factorial(a) * factorial(a - 1) * 4**a * w[a], fvec, den)
+        for a in range(1, n + 1)
+    }
     return _prefix_sums(backend, n, terminal)
 
 
 def formula_Q(backend, n: int) -> Vector:
     """(-1)^N Q_{2N} by the explicit formula, summed over cut points: equals
     ``evaluate_Q(expand_Q_explicit(N), backend)`` and ``oracle_Q``.  The
-    term (I, a) ends in the terminal term at s = N-a,
-    a!(a-1)! 4^a/(a-1)!^2 * W_{2a} f = a 4^a W_{2a} f."""
+    term (I, a) ends in the terminal term at s = N-a, the last part's
+    weight C(N-1, a-1) times a!(a-1)! 4^a W_{2a} f."""
     check_positive_int(n, "N must be a positive integer")
     return _fractions(*_formula_Q(backend, n))
 

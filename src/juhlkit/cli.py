@@ -175,17 +175,14 @@ def _constant_rows(order: int, fmt: str):
     composition I of ``order``, in ``exact_core.compositions_of``'s order,
     as a list, with n_I, m_I and nbar_I as strings.
 
-    exact_core's n_ratio, m_ratio and nbar_ratio in one pass: with
+    exact_core's n_int, m_ratio and nbar_int in one pass: with
     H = prod_{j<r} h_j (N-h_j) over the heads h_j = I_1+...+I_j,
     F = prod_j (I_j-1)!^2 and G = prod_j I_j * prod_{j<r} (I_j+I_{j+1}),
     nbar_I = (N-1)!^2 / H, n_I = nbar_I / F and
     m_I = (-1)^(r+1) N (N-1)!^2 / (F G).
-    n_I is the integer prod_j C(S_j-1, I_j-1) C(T_j-1, I_j-1) over the
-    prefix sums S_j = I_1+...+I_j and suffix sums T_j = I_j+...+I_r (the
-    product of (S_j-1)!/S_{j-1}! telescopes to (N-1)!/prod_{j<r} S_j, and
-    likewise for T), so n_I and nbar_I = n_I F print as exact integer
-    quotients; m_I, whose integrality is unproven, prints as a reduced
-    ratio.
+    n_I and nbar_I are integers (``exact_core.n_int``), so they print as
+    exact integer quotients; m_I, whose integrality is unproven, prints as
+    a reduced ratio.
     For each length r, the prefixes of the r-2 parts before the last two
     come in lexicographic order from a chain of r-2 generators, each
     extending its parent's prefixes by one part, and each prefix carries

@@ -1,8 +1,9 @@
 """Integer compositions and the coefficient families of Juhl's formulae.
 
-All scalars are exact rationals (``fractions.Fraction``); nothing here ever
-rounds.  Compositions are plain tuples of positive integers, enumerated in a
-fixed order (length ascending, then lexicographic) so that every emitted
+Nothing here ever rounds: n_I and nbar_I are ints, m_I is a ratio of ints,
+and the ``*_coeff`` functions give each as a ``fractions.Fraction``.
+Compositions are plain tuples of positive integers, enumerated in a fixed
+order (length ascending, then lexicographic) so that every emitted
 table and serialization is deterministic.
 """
 
@@ -28,11 +29,11 @@ __all__ = [
     "compositions_of",
     "partial_sums",
     "n_coeff",
-    "n_ratio",
+    "n_int",
     "m_coeff",
     "m_ratio",
     "nbar_coeff",
-    "nbar_ratio",
+    "nbar_int",
 ]
 
 
@@ -100,29 +101,28 @@ def n_coeff(entries) -> Fraction:
     n_I = (|I|-1)!^2 * prod_j 1/(I_j-1)!^2
                      * prod_{j<r} 1/[(I_1+...+I_j)(I_{j+1}+...+I_r)]
     """
-    return Fraction(*n_ratio(check_composition(entries)))
+    return Fraction(n_int(check_composition(entries)))
 
 
-def n_ratio(comp: Composition) -> tuple[int, int]:
-    """n_I as an unreduced (numerator, denominator) pair of integers, for a
-    composition that is already validated."""
-    num, den = nbar_ratio(comp)
-    for e in comp:
-        den *= factorial(e - 1) ** 2
-    return num, den
+def n_int(comp: Composition) -> int:
+    """n_I for a composition that is already validated, as nbar_I over
+    prod_j (I_j-1)!^2: an exact quotient, since n_I is the integer
+    prod_j C(S_j-1, I_j-1) C(T_j-1, I_j-1) over the prefix sums
+    S_j = I_1+...+I_j and the suffix sums T_j = I_j+...+I_r."""
+    return nbar_int(comp) // math.prod(factorial(e - 1) for e in comp) ** 2
 
 
-def nbar_ratio(comp: Composition) -> tuple[int, int]:
-    """nbar_I as an unreduced (numerator, denominator) pair of integers:
-    (N-1)!^2 over the head products prod_{j<r} (I_1+...+I_j)(I_{j+1}+...+I_r),
-    for a composition that is already validated."""
+def nbar_int(comp: Composition) -> int:
+    """nbar_I for a composition that is already validated: (N-1)!^2 over
+    the head products prod_{j<r} (I_1+...+I_j)(I_{j+1}+...+I_r), an exact
+    quotient, since nbar_I = n_I prod_j (I_j-1)!^2."""
     total = sum(comp)
     den = 1
     head = 0
     for e in comp[:-1]:
         head += e
         den *= head * (total - head)
-    return factorial(total - 1) ** 2, den
+    return factorial(total - 1) ** 2 // den
 
 
 def m_coeff(entries) -> Fraction:
@@ -153,4 +153,4 @@ def nbar_coeff(entries) -> Fraction:
     nbar_I = (N-1)!^2 / prod_{k<r} [(I_1+...+I_k)(I_{k+1}+...+I_r)], N = |I|,
     so that n_I = nbar_I * prod_j 1/(I_j-1)!^2.
     """
-    return Fraction(*nbar_ratio(check_composition(entries)))
+    return Fraction(nbar_int(check_composition(entries)))

@@ -95,13 +95,13 @@ class TermMap:
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: dict | None = None):
-        ratios = {}
-        for key, coeff in (terms or {}).items():
-            c = _rational(coeff, "coefficients")
-            if c:
-                ratios[self._check_key(key)] = c.numerator, c.denominator
-        built = self._from_ratios(ratios)
-        self._terms, self._den = built._terms, built._den
+        coeffs = {}
+        for key, value in (terms or {}).items():
+            if c := _rational(value, "coefficients"):
+                coeffs[self._check_key(key)] = c
+        # over the lcm of the reduced denominators, so the map is reduced too
+        self._den = math.lcm(*[c.denominator for c in coeffs.values()])
+        self._terms = {k: c.numerator * (self._den // c.denominator) for k, c in coeffs.items()}
 
     @classmethod
     def _raw(cls, terms: dict, den: int = 1):
@@ -115,12 +115,6 @@ class TermMap:
         obj = cls.__new__(cls)
         obj._terms, obj._den = terms, den
         return obj
-
-    @classmethod
-    def _from_ratios(cls, ratios: dict):
-        """The map key -> num / den from pairs (num != 0, den > 0), over their lcm."""
-        den = math.lcm(*[d for _, d in ratios.values()])
-        return cls._raw({k: num * (den // d) for k, (num, d) in ratios.items()}, den)
 
     @classmethod
     def zero(cls):

@@ -42,7 +42,7 @@ from .exact_core import (
     compositions_of,
     factorial,
     m_ratio,
-    n_ratio,
+    n_int,
 )
 from .free_algebra import NCPoly, TermMap, Word, _check_word, _rational
 
@@ -155,7 +155,7 @@ def _m_recursion(n: int, top, head, last):
 def expand_P_explicit(n: int) -> NCPoly:
     """P_{2N} as the sum of n_I * M_{2I} over all compositions I of N."""
     check_positive_int(n, "N must be a positive integer")
-    return NCPoly._from_ratios({comp: n_ratio(comp) for comp in compositions_of(n)})
+    return NCPoly._raw({comp: n_int(comp) for comp in compositions_of(n)})
 
 
 @cache

@@ -49,11 +49,10 @@ class SuiteReport(namedtuple("SuiteReport", "suite order_note instances failures
 
 
 def _closed_form(n: int) -> NCPoly:
-    """The sum over compositions I of n of nbar_I x_I, from the integer
-    (numerator, denominator) pairs of ``exact_core.nbar_ratio``, read by
-    name at call time."""
-    ratio = exact_core.nbar_ratio
-    return NCPoly._from_ratios({comp: ratio(comp) for comp in exact_core.compositions_of(n)})
+    """The sum over compositions I of n of nbar_I x_I, from the integers of
+    ``exact_core.nbar_int``, read by name at call time."""
+    nbar = exact_core.nbar_int
+    return NCPoly._raw({comp: nbar(comp) for comp in exact_core.compositions_of(n)})
 
 
 def _ck_full_iteration(n: int) -> str | None:
@@ -81,19 +80,22 @@ def _ck_partial_iteration(n: int) -> str | None:
 
 
 def _ck_l_bridge(n: int) -> str | None:
-    # explicit M-expansion vs the s-variable iteration after x_M -> M/(M-1)!^2
+    # explicit M-expansion vs the s-variable iteration after x_M -> M/(M-1)!^2,
+    # exactly: n_I prod_j (I_j-1)!^2 against the iteration's coefficient of I reversed
     explicit = juhl_core.expand_P_explicit(n)
     full = nc_series.iterate_L_full(n)
-    bridged = NCPoly._from_ratios({
-        w[::-1]: (c, full._den * math.prod(exact_core.factorial(e - 1) for e in w) ** 2)
-        for w, c in full._terms.items()
-    })
-    if explicit == bridged:
+
+    def scale(word) -> int:
+        return math.prod(exact_core.factorial(e - 1) for e in word) ** 2
+
+    scaled = NCPoly._raw({w[::-1]: c * scale(w) for w, c in explicit._terms.items()}, explicit._den)
+    if scaled == full:
         return None
     for comp in exact_core.compositions_of(n):
-        lhs, rhs = explicit.coeff(comp), bridged.coeff(comp)
+        lhs, rhs = explicit.coeff(comp), full.coeff(comp[::-1]) / scale(comp)
         if lhs != rhs:
             return f"N={n}, I={comp}: explicit {lhs} != rescaled iteration {rhs}"
+    bridged = NCPoly({w[::-1]: c / scale(w) for w, c in full.items()})
     return f"N={n}: explicit {explicit!r} != rescaled iteration {bridged!r}"
 
 
@@ -244,9 +246,9 @@ def _ck_frob_ctable(n: int) -> str | None:
     tree = frobenius.chain_tree(n)
     for comp in exact_core.compositions_of(n):
         got = tree[tuple(itertools.accumulate(comp))][n]
-        num, den = exact_core.nbar_ratio(comp)
-        if got * den != num:
-            return f"I={comp}: c[N][r] = {got} != nbar = {Fraction(num, den)}"
+        nbar = exact_core.nbar_int(comp)
+        if got != nbar:
+            return f"I={comp}: c[N][r] = {got} != nbar = {nbar}"
     return None
 
 
@@ -431,6 +433,13 @@ def _run_instance(item: Instance) -> tuple[str, str | None]:
         return desc, f"raised {exc!r}"
 
 
+def _timed(item: Instance) -> tuple[str | None, float]:
+    """The instance's detail and the seconds it took."""
+    start = time.perf_counter()
+    detail = _run_instance(item)[1]  # by name at call time: a tracer may have wrapped it
+    return detail, time.perf_counter() - start
+
+
 def build_suite(name: str, max_order: int | None, seed: int) -> tuple[str, list[Instance]]:
     """Instance list plus a short note naming the order bound in effect."""
     if name not in SUITES:
@@ -449,9 +458,7 @@ def _worker(items: list[Instance], share: list[int], read_fd: int, write_fd: int
         os.close(read_fd)  # so that a write fails, not blocks, once the parent is gone
         with open(write_fd, "wb") as out:
             for index in share:
-                start = time.perf_counter()
-                detail = _run_instance(items[index])[1]  # by name at call time: a tracer may have wrapped it
-                marshal.dump((index, detail, time.perf_counter() - start), out)
+                marshal.dump((index, *_timed(items[index])), out)
                 out.flush()
         code = 0
     finally:
@@ -534,11 +541,6 @@ def _run_forked(items: list[Instance], workers: int) -> list[tuple[str | None, f
     return [results[index] for index in range(len(items))]
 
 
-def _report(name: str, note: str, instances: list[Instance], details, wall_time: float) -> SuiteReport:
-    failures = [SuiteFailure(desc, detail) for (desc, _, _), detail in zip(instances, details) if detail is not None]
-    return SuiteReport(name, note, len(instances), failures, wall_time)
-
-
 def run_suites(
     names,
     max_order: int | None = None,
@@ -549,9 +551,11 @@ def run_suites(
 
     Every suite is built before any runs, so a bad name or order, or no
     name at all, raises first.  With ``jobs`` above 1, the instances of
-    every suite run in one round of at most one forked worker per CPU, and
-    a suite's ``wall_time`` is the most seconds one worker spent on its
-    instances.  Without ``os.fork`` the suites run serially."""
+    every suite run in one round of at most one forked worker per CPU;
+    without ``os.fork``, or with one job, they run in this process, as
+    worker 0.  Either way each instance gives (detail, seconds, worker),
+    and a suite's ``wall_time`` is the most seconds one worker spent on its
+    instances: serially, the sum of their seconds."""
     ordered: list[str] = []
     for name in names:
         ordered += SUITE_NAMES if name == "all" else (name,)
@@ -559,18 +563,14 @@ def run_suites(
         raise ValueError(f"no suite named: name any of {', '.join(SUITE_NAMES)}, or all")
     built = [(name, *build_suite(name, max_order, seed)) for name in dict.fromkeys(ordered)]
     workers = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    items = [item for _, _, instances in built for item in instances]
+    outcomes = iter(_run_forked(items, workers) if workers > 1 else [(*_timed(item), 0) for item in items])
     reports = []
-    if workers == 1:
-        for name, note, instances in built:
-            start = time.perf_counter()
-            details = [_run_instance(item)[1] for item in instances]
-            reports.append(_report(name, note, instances, details, time.perf_counter() - start))
-        return reports
-    outcomes = iter(_run_forked([item for _, _, instances in built for item in instances], workers))
     for name, note, instances in built:
-        part = list(itertools.islice(outcomes, len(instances)))
-        busy: dict[int, float] = {}
-        for _, seconds, worker in part:
+        failures, busy = [], {}
+        for (desc, _, _), (detail, seconds, worker) in zip(instances, itertools.islice(outcomes, len(instances))):
+            if detail is not None:
+                failures.append(SuiteFailure(desc, detail))
             busy[worker] = busy.get(worker, 0.0) + seconds
-        reports.append(_report(name, note, instances, [detail for detail, _, _ in part], max(busy.values())))
+        reports.append(SuiteReport(name, note, len(instances), failures, max(busy.values(), default=0.0)))
     return reports

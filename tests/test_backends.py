@@ -559,7 +559,7 @@ FORMULA_BACKENDS = {
 @pytest.mark.parametrize("make", FORMULA_BACKENDS.values(), ids=FORMULA_BACKENDS)
 def test_formula_kernel_matches_the_word_path(make):
     # the prefix sums against every word of the NCPoly expansions, which
-    # carry n_I through exact_core.n_ratio
+    # carry n_I through exact_core.n_int
     backend = make(10)
     f = backend.f
     for n in range(1, 11):
@@ -571,9 +571,20 @@ def test_formula_kernel_matches_the_word_path(make):
             assert formula_P_partial(backend, n, a, f) == words, (n, a)
 
 
-@pytest.mark.parametrize("n", [14, 16, 20])
-def test_formula_kernel_matches_the_oracle_at_high_order(n):
-    backend = MatrixAssignment.random(3, 20, seed=9)
+# the integer binomial weights of the prefix sums against the R-iteration on
+# a random 3x3 backend, and on Einstein backends at rational and negative n
+HIGH_ORDER_BACKENDS = [
+    *[pytest.param(lambda: MatrixAssignment.random(3, 20, seed=9), n, id=str(n)) for n in (14, 16, 20)],
+    pytest.param(lambda: EinsteinBackend(EinsteinModel(Fraction(7, 2), Fraction(-1, 3)), 30), 30,
+                 id="einstein-rational-n-30"),
+    pytest.param(lambda: EinsteinBackend(EinsteinModel(Fraction(-3, 5), Fraction(7, 5)), 30), 30,
+                 id="einstein-negative-n-30"),
+]
+
+
+@pytest.mark.parametrize("make, n", HIGH_ORDER_BACKENDS)
+def test_formula_kernel_matches_the_oracle_at_high_order(make, n):
+    backend = make()
     f = backend.f
     assert formula_P(backend, n, f) == oracle_P(backend, n, f)
     assert formula_Q(backend, n) == oracle_Q(backend, n)
@@ -597,7 +608,7 @@ def test_formula_kernel_uses_no_expansion_and_no_R_iteration(monkeypatch):
         monkeypatch.setattr(juhl_core, name, refuse)
     for name in ("apply_R", "_iterate_R", "_apply_words"):
         monkeypatch.setattr(backends, name, refuse)
-    for name in ("n_coeff", "n_ratio", "nbar_coeff", "nbar_ratio", "m_coeff", "m_ratio"):
+    for name in ("n_coeff", "n_int", "nbar_coeff", "nbar_int", "m_coeff", "m_ratio"):
         monkeypatch.setattr(exact_core, name, refuse)
     monkeypatch.setattr(TermMap, "_raw", classmethod(refuse))
     monkeypatch.setattr(TermMap, "__init__", refuse)

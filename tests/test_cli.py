@@ -377,8 +377,8 @@ def test_verify_on_a_closed_stdout_exits_with_its_verdict():
         (RUN_MAIN, 0),
         (
             # flip one closed-form coefficient, as the in-process fault test does
-            "from juhlkit import cli, exact_core; true = exact_core.nbar_ratio; "
-            "exact_core.nbar_ratio = lambda c: (lambda n, d: (n + d, d) if c == (1, 1) else (n, d))(*true(c)); "
+            "from juhlkit import cli, exact_core; true = exact_core.nbar_int; "
+            "exact_core.nbar_int = lambda c: true(c) + (c == (1, 1)); "
             "sys.exit(cli.main(sys.argv[1:]))",
             1,
         ),
@@ -440,16 +440,13 @@ def test_verify_small_suites_pass(capsys):
 
 def test_verify_reports_counterexample_on_injected_fault(capsys, monkeypatch):
     # flip one closed-form coefficient; the brute-force iteration must disagree
-    true_nbar = exact_core.nbar_ratio
+    true_nbar = exact_core.nbar_int
 
     def corrupted(comp):
-        num, den = true_nbar(comp)
-        if comp == (1, 1):
-            return num + den, den
-        return num, den
+        return true_nbar(comp) + (comp == (1, 1))
 
-    monkeypatch.setattr(exact_core, "nbar_ratio", corrupted)
-    # n_ratio reads nbar_ratio too: keep the corrupted explicit expansion out of the cache
+    monkeypatch.setattr(exact_core, "nbar_int", corrupted)
+    # n_int reads nbar_int too: keep the corrupted explicit expansion out of the cache
     juhl_core.expand_P_explicit.cache_clear()
     try:
         code, out, _ = run_cli(capsys, ["verify", "combinatorial", "--max-order", "2"])

@@ -11,10 +11,11 @@ from juhlkit.exact_core import (
     compositions_of,
     factorial,
     m_coeff,
+    m_ratio,
     n_coeff,
-    n_ratio,
+    n_int,
     nbar_coeff,
-    nbar_ratio,
+    nbar_int,
     partial_sums,
 )
 
@@ -158,21 +159,68 @@ def binomial_product(comp):
     return out
 
 
+def factorial_form(comp):
+    """n_I as the paper writes it, (N-1)!^2 prod_j 1/(I_j-1)!^2
+    prod_{j<r} 1/(h_j (N - h_j)) over the heads h_j = I_1 + ... + I_j, as a
+    Fraction."""
+    total, head = sum(comp), 0
+    out = Fraction(factorial(total - 1) ** 2)
+    for e in comp:
+        out /= factorial(e - 1) ** 2
+    for e in comp[:-1]:
+        head += e
+        out /= head * (total - head)
+    return out
+
+
+def check_integer_families(comp):
+    # n_int and nbar_int are ints equal to both references, and nbar_I
+    # times the head product is (N-1)!^2 exactly
+    total, head, heads, strip = sum(comp), 0, 1, 1
+    for e in comp[:-1]:
+        head += e
+        heads *= head * (total - head)
+    for e in comp:
+        strip *= factorial(e - 1) ** 2
+    n, nbar = n_int(comp), nbar_int(comp)
+    assert type(n) is int and type(nbar) is int
+    assert n == binomial_product(comp) == factorial_form(comp)
+    assert nbar == n * strip
+    assert nbar * heads == factorial(total - 1) ** 2
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_n_is_a_product_of_binomials(n):
     # the product of (S_j - 1)!/S_{j-1}! telescopes to (N - 1)!/prod_{j<r} S_j,
     # so the factorial form is A_I * B_I, and n_I and nbar_I = n_I *
-    # prod_j (I_j - 1)!^2 are integers: ``constants`` prints them as exact
-    # integer quotients.  m_I has no such proof; every m_I seen so far is an
-    # integer, which nothing here assumes.
+    # prod_j (I_j - 1)!^2 are integers: ``exact_core`` returns them as ints
     for comp in compositions_of(n):
-        num, den = n_ratio(comp)
-        assert num == binomial_product(comp) * den
-        num, den = nbar_ratio(comp)
-        strip = 1
-        for e in comp:
-            strip *= factorial(e - 1) ** 2
-        assert num == binomial_product(comp) * strip * den
+        check_integer_families(comp)
+
+
+def cut_at(n, cuts):
+    bounds = [0, *sorted(cuts), n]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+# a composition of N <= 40 as the cut points it has in 1..N-1
+compositions_to_forty = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.sets(st.integers(min_value=1, max_value=n - 1)).map(lambda cuts: cut_at(n, cuts)) if n > 1
+    else st.just((1,)))
+
+
+@given(comp=compositions_to_forty)
+def test_integer_families_on_random_compositions_to_forty(comp):
+    check_integer_families(comp)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_m_is_an_integer_to_twelve(n):
+    # m_I has no integrality proof, so exact_core keeps it as a ratio; every
+    # m_I seen so far is an integer, which nothing else assumes
+    for comp in compositions_of(n):
+        num, den = m_ratio(comp)
+        assert num % den == 0, comp
 
 
 @pytest.mark.parametrize("n", range(2, 31))

@@ -168,7 +168,7 @@ def test_P_recursive_uses_no_n_coefficient(monkeypatch):
     def forbidden(*_):
         raise AssertionError("the recursive P expansion reached an n-coefficient")
 
-    for name in ("n_coeff", "n_ratio"):
+    for name in ("n_coeff", "n_int"):
         monkeypatch.setattr(exact_core, name, forbidden)
         monkeypatch.setattr(juhl_core, name, forbidden, raising=False)
     expand_P_recursive.cache_clear()
@@ -208,13 +208,12 @@ def test_cached_expansions_are_never_mutated():
 
 
 def _q_reference(n):
-    # (-1)^N Q_{2N} term by term from exact_core.n_ratio, not from the explicit P
-    ratios = {}
+    # (-1)^N Q_{2N} term by term from exact_core.n_int, not from the explicit P
+    terms = {}
     for comp in compositions_of(n):
-        num, den = exact_core.n_ratio(comp)
         a = comp[-1]
-        ratios[(comp[:-1], a)] = Fraction(num * factorial(a) * factorial(a - 1) * 4**a, den)
-    return QExpansion(ratios)
+        terms[(comp[:-1], a)] = exact_core.n_int(comp) * factorial(a) * factorial(a - 1) * 4**a
+    return QExpansion(terms)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
