@@ -30,20 +30,38 @@ with no expansion, no n_I table and no R-iteration; the Einstein
 cross-path check, which the ``einstein`` command runs, takes its formula
 values from them.
 
+A backend holds integers only: each matrix as an integer matrix over its
+own denominator, f and the W-scalars as numerators over one denominator
+each, every pair reduced.  ``random`` and ``EinsteinBackend`` build these
+integers directly; ``matrices``, ``f``, ``w_scalars`` and ``m_consts`` are
+Fraction views made on each read.  Each backend also builds, once, the two
+integer tables its kernels read:
+
+* ``apply_R``'s table: row r is [A_0[r] | A_1[r] | ... | A_{m-1}[r]] over
+  the backend's consecutive orders 1..m, with
+  A_e = (-1)^e (T / (e!^2 2^e mden_{e+1})) Mnum_{e+1} and T the lcm of
+  the e!^2 2^e mden_{e+1}, so that (-1)^e/(e!^2 2^e) M_{2(e+1)} = A_e / T;
+* every matrix as an integer matrix K_g over the common denominator mu,
+  the lcm of the matrix denominators, and the rows [K_1 | ... | K_m] of
+  the consecutive ones, for the prefix sums and the word evaluator.
+
 The R-iteration, the prefix sums, the word evaluator and the Einstein
 family's series share one exact arithmetic and nothing else: integer
-numerators over one denominator, summed by ``_lincomb`` and multiplied by
-``MatrixAssignment._times`` (vectors) or ``_ser_mul`` (series).  These
-(numerators, den) pairs are ``apply_R``'s lanes; backend values are
-Fractions only at the public edges.  Each public value function validates
-its arguments, runs a private kernel (``_oracle_P``, ``_formula_Q``,
-``_evaluate_P``, ``_dv_sides``, ...) and makes the kernel's result
-Fractions once.  A kernel returns a canonical pair, reduced by
-``_reduced`` (den > 0, gcd(den, *numerators) = 1), so two kernels' values
-are equal exactly when their pairs are; the backends suite compares these
-pairs.  ``_power`` builds a binomial series on these pairs directly.  The
-tests pin each of these helpers to plain ``Fraction`` arithmetic,
-``_power`` to ``general_binomial``.
+numerators over one denominator.  ``apply_R`` maps a window (flat, den),
+the lanes u_cap..u_0 of a rho-polynomial stored top lane first in one
+integer list over one den, to the next window; the prefix sums take one
+lcm and one gcd per level; the word evaluator sums every word's image
+(integers over mu^length) in one dot per coordinate, each term scaled by
+mu^(longest length - its length).  Backend values are Fractions only at
+the public edges.  Each public value function validates its arguments,
+runs a private kernel (``_oracle_P``, ``_formula_Q``, ``_evaluate_P``,
+``_dv_sides``, ...) and makes the kernel's result Fractions once.  A
+kernel returns a canonical pair, reduced by ``_reduced`` (den > 0,
+gcd(den, *numerators) = 1), so two kernels' values are equal exactly when
+their pairs are; the backends suite compares these pairs.  ``_power``
+builds a binomial series on these pairs directly.  The tests pin each of
+these kernels to plain ``Fraction`` arithmetic, ``_power`` to
+``general_binomial``.
 
 Einstein family.  With g_rho = (1+c*rho)^2 g the volume ratio is
 v(rho) = (1+c*rho)^n and w = sqrt(v) = (1+c*rho)^(n/2); in the r variable
@@ -65,6 +83,7 @@ import math
 import random
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .exact_core import check_int_range, check_positive_int, factorial
 from .free_algebra import Matrix, NCPoly, Vector, _rational, mat_is_symmetric, mat_vec
@@ -153,6 +172,22 @@ class EinsteinModel(namedtuple("EinsteinModel", "n c")):
         return super().__new__(cls, _rational(n, "n"), _rational(c, "c"))
 
 
+def _einstein_kernel(model: EinsteinModel, max_order: int) -> tuple[list[int], int, list[int], int]:
+    """``einstein_invariants`` on integers: the numerators of W_2, W_4, ...,
+    W_{2 max_order} over one denominator, then those of M_2(1), M_4(1), ...,
+    M_{2 max_order}(1) over another, as (w_nums, w_den, m_nums, m_den)."""
+    check_positive_int(max_order, "max_order must be a positive integer")
+    n, c = model.n, model.c
+    # even series in r: index a holds the r^(2a) coefficient
+    w_nums, w_den = _power(n / 2, -c / 2, max_order + 1)
+    # [d2/dr2 - (n-1)/r d/dr] r^(2a) = 2a(2a-n) r^(2a-2); with n = nn/nd, nd joins the denominator
+    nn, nd = n.numerator, n.denominator
+    num = [2 * a * (2 * a * nd - nn) * w_nums[a] for a in range(1, max_order + 1)]
+    u_nums, u_den = _ser_mul((num, nd * w_den), _power(-n / 2, -c / 2, max_order))
+    m_nums = [-x * factorial(e) ** 2 * 4**e for e, x in enumerate(u_nums)]
+    return w_nums[1:], w_den, m_nums, u_den
+
+
 def einstein_invariants(model: EinsteinModel, max_order: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
     """W-scalars and the zeroth-order constants of the building blocks.
 
@@ -165,21 +200,12 @@ def einstein_invariants(model: EinsteinModel, max_order: int) -> tuple[dict[int,
     (the divergence term annihilates the spatially constant W), matched
     against the generating normalization M_{2N}/(N-1)!^2 * (r^2/4)^(N-1).
     The division is the product with the binomial series
-    1/W = (1 - c*r^2/2)^(-n/2).
+    1/W = (1 - c*r^2/2)^(-n/2).  The integers come from ``_einstein_kernel``,
+    which ``EinsteinBackend`` is built from; this is its Fraction edge.
     """
-    check_positive_int(max_order, "max_order must be a positive integer")
-    n, c = model.n, model.c
-    # even series in r: index a holds the r^(2a) coefficient
-    w_nums, w_den = _power(n / 2, -c / 2, max_order + 1)
-    w_scalars = {a: Fraction(w_nums[a], w_den) for a in range(1, max_order + 1)}
-    # [d2/dr2 - (n-1)/r d/dr] r^(2a) = 2a(2a-n) r^(2a-2); with n = nn/nd, nd joins the denominator
-    nn, nd = n.numerator, n.denominator
-    num = [2 * a * (2 * a * nd - nn) * w_nums[a] for a in range(1, max_order + 1)]
-    u_nums, u_den = _ser_mul((num, nd * w_den), _power(-n / 2, -c / 2, max_order))
-    m_consts = {
-        e + 1: Fraction(-u_nums[e] * factorial(e) ** 2 * 4**e, u_den) for e in range(max_order)
-    }
-    return w_scalars, m_consts
+    w_nums, w_den, m_nums, m_den = _einstein_kernel(model, max_order)
+    w_scalars = {a: Fraction(x, w_den) for a, x in enumerate(w_nums, 1)}
+    return w_scalars, {order: Fraction(x, m_den) for order, x in enumerate(m_nums, 1)}
 
 
 def einstein_q_closed_form(model: EinsteinModel, n: int) -> Fraction:
@@ -205,30 +231,10 @@ def einstein_q_closed_form(model: EinsteinModel, n: int) -> Fraction:
 # integer-numerator vectors: (numerators, den) stands for numerators[i] / den
 
 
-def int_matrix(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``a`` as ``(numerators, den)``: an integer matrix over the lcm of the
-    entry denominators, so that ``a[i][j] == numerators[i][j] / den``."""
-    den = math.lcm(*[x.denominator for row in a for x in row])
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a), den
-
-
 def _ints(value) -> tuple[list[int], int]:
     """A backend value as integer numerators over the lcm of its denominators."""
     den = math.lcm(*[x.denominator for x in value])
     return [x.numerator * (den // x.denominator) for x in value], den
-
-
-def _lincomb(dim: int, parts: list) -> tuple[list[int], int]:
-    """The sum of scale * numerators / den over the (scale, numerators, den)
-    triples ``parts``, int scales, over the lcm of their denominators,
-    reduced by the gcd; the zero vector over 1 for no parts."""
-    den = math.lcm(*[d for _, _, d in parts])
-    acc = [0] * dim
-    for scale, vec, d in parts:
-        scale *= den // d
-        acc = [x + scale * y for x, y in zip(acc, vec)]
-    g = math.gcd(den, *acc)
-    return [x // g for x in acc], den // g
 
 
 def _reduced(vec, den: int) -> tuple[list[int], int]:
@@ -243,6 +249,13 @@ def _fractions(vec, den: int) -> Vector:
     return tuple([Fraction(x, den) for x in vec])
 
 
+def _int_matrix(flat: list[int], den: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The dim x dim matrix whose entries, row by row, are ``flat`` over
+    ``den``, as integer rows over one denominator, reduced."""
+    flat, den = _reduced(flat, den)
+    return tuple(tuple(flat[i : i + dim]) for i in range(0, dim * dim, dim)), den
+
+
 def _test_vector(f, dim: int) -> tuple[list[int], int]:
     """``f`` as (numerators, den): a tuple or list of ``dim`` ints or Fractions, or ValueError."""
     if not isinstance(f, (tuple, list)) or len(f) != dim:
@@ -251,10 +264,14 @@ def _test_vector(f, dim: int) -> tuple[list[int], int]:
 
 
 def _w_and_f(backend, orders) -> tuple[dict[int, int], list[int], int]:
-    """W_{2a} f for the a in ``orders``, on integers: [w[a] * x for x in fvec] / den."""
-    w_nums, w_den = _ints([backend.w_scalar(a) for a in orders])
-    fvec, fden = _ints(backend.f)
-    return dict(zip(orders, w_nums)), fvec, w_den * fden
+    """W_{2a} f for the a in ``orders``, on the backend's stored integers:
+    [w[a] * x for x in fvec] / den."""
+    w_nums, w_den = backend._w
+    for a in orders:
+        if a not in w_nums:
+            raise UnboundOrderError(a)
+    fvec, fden = backend._f
+    return w_nums, fvec, w_den * fden
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +282,23 @@ class MatrixAssignment:
     """Matrix backend: symmetric rational matrices stand in for the building
     blocks, scalars for the W-coefficients, and a test vector for the
     function being acted on.  Entries, f and W-scalars must be ``int`` or
-    ``Fraction`` and are stored as Fractions; every result is a tuple of
-    Fractions, one entry per matrix row.
+    ``Fraction``; every result is a tuple of Fractions, one entry per
+    matrix row.
 
-    Each matrix is also kept as an integer numerator matrix over the lcm of
-    its entry denominators, read only by ``_times``.
+    The backend stores integers, each pair reduced: ``_mats`` maps an order
+    to its integer rows over the matrix's denominator, ``_f`` is f's
+    numerators over one denominator and ``_w`` the W-scalars' ({a:
+    numerator}, den).  ``matrices``, ``f`` and ``w_scalars`` are Fraction
+    views of them, built on each read.  ``_r_table`` is ``apply_R``'s
+    (rows, T, m) and ``_mu`` the prefix sums' and the word evaluator's
+    (mu, {order: K}, rows of [K_1 | ... | K_m], m), both built once here;
+    m is the number of consecutive orders 1..m the backend has.
 
     ``_word_images`` is the word evaluator's memo: it maps the integer
-    numerators of a start vector, as a tuple, to ``{word: (numerators,
-    den)}``, the image M_{w_1} ... M_{w_k} of those numerators with den the
-    product of the matrices' denominators.  Only ``_apply_words`` reads and
-    fills it; the R-iteration and the prefix sums call ``_times`` directly.
+    numerators of a start vector, as a tuple, to ``{word: image}``, the
+    integer vector K_{w_1} ... K_{w_k} of those numerators, which is
+    mu^k M_{w_1} ... M_{w_k} of them.  Only ``_apply_words`` reads and
+    fills it.
     """
 
     def __init__(
@@ -288,120 +311,178 @@ class MatrixAssignment:
         if len(dims) > 1:
             raise ValueError("all matrices must share one dimension")
         d = dims.pop() if dims else len(f)
-        self.matrices = {}
+        if d == 0:
+            raise ValueError("the matrix dimension must be positive")
+        ints = {}
         for order, m in matrices.items():
             if any(len(row) != d for row in m):
                 raise ValueError("matrices must be square")
             m = tuple(tuple(_rational(x, "matrix entries") for x in row) for row in m)
             if not mat_is_symmetric(m):
                 raise ValueError("matrices must be symmetric")
-            self.matrices[order] = m
-        self._int_matrices = {order: int_matrix(m) for order, m in self.matrices.items()}
-        self.f = _fractions(*_test_vector(f, d))
-        self.w_scalars = {a: _rational(w, "W-scalars") for a, w in (w_scalars or {}).items()}
-        self._word_images: dict[tuple[int, ...], dict[tuple[int, ...], tuple]] = {}
+            ints[order] = _int_matrix(*_ints([x for row in m for x in row]), d)
+        f = _test_vector(f, d)
+        w_scalars = {a: _rational(w, "W-scalars") for a, w in (w_scalars or {}).items()}
+        w_nums, w_den = _ints(list(w_scalars.values()))
+        self._store(ints, f, (dict(zip(w_scalars, w_nums)), w_den))
+
+    def _store(self, matrices: dict, f: tuple[list[int], int], w: tuple[dict[int, int], int]) -> None:
+        """Keep the reduced integer matrices, f and W-scalars, and build the
+        kernels' tables from them."""
+        self._mats, self._f, self._w = matrices, f, w
+        self._word_images: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+        m = 0
+        while m + 1 in matrices:
+            m += 1
+        d = len(f[0])
+        scales = [factorial(e) ** 2 * 2**e * matrices[e + 1][1] for e in range(m)]
+        t = math.lcm(*scales)
+        signed = [(-1) ** e * (t // scale) for e, scale in enumerate(scales)]
+        r_rows = [[s * x for e, s in enumerate(signed) for x in matrices[e + 1][0][r]] for r in range(d)]
+        self._r_table = r_rows, t, m
+        mu = math.lcm(*[den for _, den in matrices.values()])
+        ks = {
+            order: tuple(tuple(x * (mu // den) for x in row) for row in rows)
+            for order, (rows, den) in matrices.items()
+        }
+        self._mu = mu, ks, [[x for g in range(1, m + 1) for x in ks[g][r]] for r in range(d)], m
 
     @classmethod
     def random(cls, dim: int, max_order: int, seed: int) -> MatrixAssignment:
         """Reproducible random assignment with entries p/q, p in -2..2,
         q in 1..3, symmetrized as (A + A^T)/2.  Each entry is drawn as the
-        integer p * (12/q) over 12, so a symmetrized entry is the one
-        Fraction (x_ij + x_ji)/24, with no Fraction sum or division."""
+        integer p * (12/q) over 12, so a symmetrized entry is the integer
+        x_ij + x_ji over 24, and f and the W-scalars are integers over 12;
+        no Fraction is made."""
+        check_positive_int(dim, "dim must be a positive integer")
         rng = random.Random(seed)
 
         def entry() -> int:
             return rng.choice([-2, -1, 0, 1, 2]) * (12 // rng.choice([1, 2, 3]))
 
-        matrices: dict[int, Matrix] = {}
+        matrices = {}
         for order in range(1, max_order + 1):
             raw = [[entry() for _ in range(dim)] for _ in range(dim)]
-            matrices[order] = tuple(
-                tuple(Fraction(raw[i][j] + raw[j][i], 24) for j in range(dim)) for i in range(dim)
-            )
-        f = tuple(Fraction(entry(), 12) for _ in range(dim))
-        w_scalars = {a: Fraction(entry(), 12) for a in range(1, max_order + 1)}
-        return cls(matrices, f, w_scalars)
+            matrices[order] = _int_matrix([raw[i][j] + raw[j][i] for i in range(dim) for j in range(dim)], 24, dim)
+        f = _reduced([entry() for _ in range(dim)], 12)
+        w_nums, w_den = _reduced([entry() for _ in range(max_order)], 12)
+        backend = cls.__new__(cls)
+        backend._store(matrices, f, (dict(enumerate(w_nums, 1)), w_den))
+        return backend
 
     @property
     def dim(self) -> int:
-        return len(self.f)
+        return len(self._f[0])
 
-    def _times(self, order: int, vec, den: int) -> tuple[tuple[int, ...], int]:
-        """The matrix of ``order`` times ``vec / den`` as (numerators, den), by
-        integer ``mat_vec``; UnboundOrderError if there is no such matrix."""
-        if order not in self._int_matrices:
-            raise UnboundOrderError(order)
-        rows, mden = self._int_matrices[order]
-        return mat_vec(rows, vec), den * mden
+    @property
+    def matrices(self) -> dict[int, Matrix]:
+        return {
+            order: tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+            for order, (rows, den) in self._mats.items()
+        }
+
+    @property
+    def f(self) -> Vector:
+        return _fractions(*self._f)
+
+    @property
+    def w_scalars(self) -> dict[int, Fraction]:
+        w_nums, w_den = self._w
+        return {a: Fraction(x, w_den) for a, x in w_nums.items()}
 
     def m_apply(self, order: int, value: Vector) -> Vector:
         """The matrix of ``order`` times the test vector ``value``, one
-        Fraction per entry; ValueError for a bad vector, as for ``f``."""
-        return _fractions(*self._times(order, *_test_vector(value, self.dim)))
-
-    def w_scalar(self, a: int) -> Fraction:
-        if a not in self.w_scalars:
-            raise UnboundOrderError(a)
-        return self.w_scalars[a]
+        Fraction per entry, by integer ``mat_vec``; ValueError for a bad
+        vector, as for ``f``, and UnboundOrderError if there is no such
+        matrix."""
+        vec, den = _test_vector(value, self.dim)
+        if order not in self._mats:
+            raise UnboundOrderError(order)
+        rows, mden = self._mats[order]
+        return _fractions(mat_vec(rows, vec), den * mden)
 
 
 class EinsteinBackend(MatrixAssignment):
     """The Einstein family as a 1x1 matrix backend: M_{2N} is the matrix
     ((m_N,),) of its constant M_{2N}(1), the test vector is f = (1,), and
-    the W-scalars are the model's, so every value is a 1-tuple."""
+    the W-scalars are the model's, so every value is a 1-tuple.  It is
+    built from ``_einstein_kernel``'s integers."""
 
     def __init__(self, model: EinsteinModel, max_order: int):
-        w_scalars, self.m_consts = einstein_invariants(model, max_order)
-        super().__init__({order: ((m,),) for order, m in self.m_consts.items()}, (1,), w_scalars)
+        w_nums, w_den, m_nums, m_den = _einstein_kernel(model, max_order)
+        matrices = {order: _int_matrix([x], m_den, 1) for order, x in enumerate(m_nums, 1)}
+        w_nums, w_den = _reduced(w_nums, w_den)
+        self._store(matrices, ([1], 1), (dict(enumerate(w_nums, 1)), w_den))
+
+    @property
+    def m_consts(self) -> dict[int, Fraction]:
+        return {order: Fraction(rows[0][0], den) for order, (rows, den) in self._mats.items()}
 
 
 # ---------------------------------------------------------------------------
 # the R-iteration
 
 
-def apply_R(k: int | Fraction, lanes: list, backend) -> list:
+def apply_R(k: int | Fraction, window: tuple[list[int], int], backend) -> tuple[list[int], int]:
     """Apply R_k = -2*rho*d2 + 2k*d + Mtilde(rho) to the rho-polynomial u
-    whose coefficients u_0..u_cap are the (numerators, den) pairs ``lanes``;
-    k is an integer in the oracles and rational in ``verify_dv_identity``.
+    whose coefficients u_0..u_cap are the window ``(flat, den)``: one
+    integer list over one den holding the lanes top first, u_cap, ...,
+    u_0, each of ``backend.dim`` entries; k is an integer in the oracles
+    and rational in ``verify_dv_identity``.
 
-    Returns a list of pairs one shorter: the lanes 0..cap-1, the ones the
-    input determines exactly.  Coefficient i of the result is 2(i+1)(k-i)*u_{i+1}
-    plus the Mtilde part sum_e (1/e!^2)(-1/2)^e M_{2(e+1)} u_{i-e}; the
-    derivative factor and the weight's sign are the parts' ``_lincomb``
-    scales, and k's denominator is folded into the derivative part's.
-    Raises UnboundOrderError if a needed building block is missing; an
-    all-zero lane never asks for its block.
+    Returns the window one lane shorter, lanes cap-1..0, the ones the input
+    determines exactly, reduced by one gcd.  Coefficient i of the result is
+    2(i+1)(k-i) u_{i+1} plus the Mtilde part
+    sum_e (-1)^e/(e!^2 2^e) M_{2(e+1)} u_{i-e} = sum_e A_e u_{i-e} / T, so
+    with k = kn/kd output lane i, row r, is
+
+        kd * (row r of the table) . (u_i | ... | u_lo) + T 2(i+1)(kn - i kd) u_{i+1}[r]
+
+    over den * T * kd, where (u_i | ... | u_lo) is one slice of the window
+    and lo is the lowest nonzero input lane.  Lane lo meets every block up
+    to order cap - lo, so UnboundOrderError(m + 1) is raised exactly when
+    that passes the backend's consecutive orders 1..m: a nonzero lane asks
+    for its block, and a zero lane never does.
     """
+    flat, den = window
+    d = backend.dim
+    rows, t, m = backend._r_table
+    lanes = len(flat) // d
+    last = len(flat) - 1
+    while last >= 0 and not flat[last]:
+        last -= 1
+    lo = lanes - 1 - last // d if last >= 0 else lanes
+    if lanes - 1 - lo > m:
+        raise UnboundOrderError(m + 1)
     kn, kd = k.numerator, k.denominator
+    stop = (lanes - lo) * d
     out = []
-    for i in range(len(lanes) - 1):
-        parts = []
-        vec, den = lanes[i + 1]
-        if any(vec):
-            parts.append((2 * (i + 1) * (kn - i * kd), vec, den * kd))
-        for e in range(i + 1):
-            vec, den = lanes[i - e]
-            if any(vec):
-                image = backend._times(e + 1, vec, den * factorial(e) ** 2 * 2**e)
-                parts.append((-1 if e % 2 else 1, *image))
-        out.append(_lincomb(backend.dim, parts))
-    return out
+    for i in range(lanes - 2, -1, -1):
+        top = (lanes - 2 - i) * d  # u_{i+1}, then u_i from top + d on
+        up = flat[top : top + d]
+        step = t * 2 * (i + 1) * (kn - i * kd)
+        if i < lo:
+            out += [step * x for x in up]
+        else:
+            low = flat[top + d : stop]
+            out += [kd * sum(map(mul, row, low)) + step * x for row, x in zip(rows, up)]
+    return _reduced(out, den * t * kd)
 
 
-def _iterate_R(backend, ks: range, lanes: list) -> tuple[list[int], int]:
-    """rho=0 value of R_{ks[-1]} ... R_{ks[0]} applied to the pair ``lanes``,
-    which is one lane longer than the number of factors, as a canonical
-    pair; with no factors the one input lane is reduced too."""
+def _iterate_R(backend, ks: range, window: tuple[list[int], int]) -> tuple[list[int], int]:
+    """rho=0 value of R_{ks[-1]} ... R_{ks[0]} applied to ``window``, which
+    is one lane longer than the number of factors, as a canonical pair;
+    with no factors the one input lane is reduced too."""
     for k in ks:
-        lanes = apply_R(k, lanes, backend)
-    if len(lanes) != 1:
-        raise RuntimeError(f"expected a one-lane window after the iteration, got {len(lanes)} lanes")
-    return _reduced(*lanes[0])
+        window = apply_R(k, window, backend)
+    if len(window[0]) != backend.dim:
+        raise RuntimeError(f"expected a one-lane window after the iteration, got {len(window[0])} entries")
+    return _reduced(*window)
 
 
 def _oracle_P(backend, n: int, f: tuple[list[int], int]) -> tuple[list[int], int]:
-    lanes = [f] + [([0] * backend.dim, 1)] * n
-    return _iterate_R(backend, range(n - 1, -n, -2), lanes)
+    fvec, fden = f
+    return _iterate_R(backend, range(n - 1, -n, -2), ([0] * (n * backend.dim) + fvec, fden))
 
 
 def oracle_P(backend, n: int, f) -> Vector:
@@ -415,9 +496,10 @@ def oracle_P(backend, n: int, f) -> Vector:
 
 
 def _oracle_P_partial(backend, n: int, a: int, f: tuple[list[int], int]) -> tuple[list[int], int]:
-    lanes = [([0] * backend.dim, 1)] * n
-    lanes[a - 1] = f
-    return _iterate_R(backend, range(n - 3, -n, -2), lanes)
+    # lanes n-1..0 with f in lane a-1
+    fvec, fden = f
+    d = backend.dim
+    return _iterate_R(backend, range(n - 3, -n, -2), ([0] * ((n - a) * d) + fvec + [0] * ((a - 1) * d), fden))
 
 
 def oracle_P_partial(backend, n: int, a: int, f) -> Vector:
@@ -432,9 +514,10 @@ def oracle_P_partial(backend, n: int, a: int, f) -> Vector:
 
 
 def _oracle_Q(backend, n: int) -> tuple[list[int], int]:
+    # lane a-1 holds a(-2)^(a+1) W_{2a} f, top lane (a = n) first
     w, fvec, den = _w_and_f(backend, range(1, n + 1))
-    lanes = [([a * (-2) ** (a + 1) * w[a] * x for x in fvec], den) for a in range(1, n + 1)]
-    return _iterate_R(backend, range(n - 3, -n, -2), lanes)
+    flat = [a * (-2) ** (a + 1) * w[a] * x for a in range(n, 0, -1) for x in fvec]
+    return _iterate_R(backend, range(n - 3, -n, -2), (flat, den))
 
 
 def oracle_Q(backend, n: int) -> Vector:
@@ -466,17 +549,35 @@ def _prefix_sums(backend: MatrixAssignment, n: int, terminal: dict) -> tuple[lis
     each applied rightmost factor first, and V_0 collects every composition
     of N in O(N^2) matrix-vector products.
 
-    Each V_s is a (numerators, den) pair and each terminal term a
-    (scale, numerators, den) triple, as ``_lincomb`` sums them.
+    Each terminal term is a (scale, numerators, den) triple and each V_s a
+    reduced (numerators, den) pair.  The V_t a level reads are those of
+    t = s+1 up to the top terminal: over the one lcm of their denominators
+    (and the level's terminal term's), the weighted V_t are stacked in
+    block order t - s = 1, 2, ... and each row is one dot with the row of
+    [K_1 | ... | K_m], the matrices over the common denominator mu; the
+    level is over lcm * mu and reduced once.  UnboundOrderError(m + 1)
+    when a level reads a block above the consecutive orders 1..m.
     """
-    sums: dict[int, tuple[list[int], int]] = {}  # s -> V_s as (numerators, den)
-    for s in range(n, -1, -1):
-        parts = [terminal[s]] if s in terminal else []
-        for t, (vec, den) in sums.items():
-            weight = math.comb(t - 1, t - s - 1) * math.comb(n - s - 1, t - s - 1)
-            parts.append((weight, *backend._times(t - s, vec, den)))
-        if parts:
-            sums[s] = _lincomb(backend.dim, parts)
+    mu, _, stacked, m = backend._mu
+    top = max(terminal)
+    scale, vec, den = terminal[top]
+    sums = {top: _reduced([scale * x for x in vec], den)}  # s -> V_s
+    for s in range(top - 1, -1, -1):
+        if top - s > m:
+            raise UnboundOrderError(m + 1)
+        term = terminal.get(s)
+        den = math.lcm(*[sums[t][1] for t in range(s + 1, top + 1)], term[2] if term else 1)
+        stack = []
+        for t in range(s + 1, top + 1):
+            vec, d = sums[t]
+            weight = math.comb(t - 1, t - s - 1) * math.comb(n - s - 1, t - s - 1) * (den // d)
+            stack += [weight * x for x in vec]
+        out = [sum(map(mul, row, stack)) for row in stacked]
+        if term:
+            scale, vec, d = term
+            scale *= mu * (den // d)
+            out = [x + scale * y for x, y in zip(out, vec)]
+        sums[s] = _reduced(out, den * mu)
     return sums[0]
 
 
@@ -534,27 +635,37 @@ def _apply_words(backend: MatrixAssignment, terms, den: int, f: tuple[list[int],
     pairs ``terms`` of integer numerators, rightmost factor first, as a
     canonical pair.
 
-    A word's image is its first letter applied by ``_times`` to the image
-    of its suffix, taken from the backend's word memo for the numerators
-    of f (``MatrixAssignment._word_images``) or computed and stored there,
-    so each distinct suffix is multiplied out once per backend and vector.
-    The images are of f's numerators alone; ``_lincomb`` sums them with
-    the terms' numerators as scales, and f's denominator and ``den`` are
-    applied to the sum.  This is the package's one word evaluator: the
-    suites' operator-matrix symmetry check runs it on the standard basis
-    vectors.
+    A word's image is its first letter's integer matrix K over mu applied
+    by ``mat_vec`` to the image of its suffix, taken from the backend's
+    word memo for the numerators of f (``MatrixAssignment._word_images``)
+    or computed and stored there, so each distinct suffix is multiplied out
+    once per backend and vector; the image of a word of length l is
+    integers over mu^l.  With lmax the longest length, each term's
+    numerator is scaled by mu^(lmax - l), and each coordinate of the sum
+    is one dot of these scales with the images, over den * fden * mu^lmax.
+    This is the package's one word evaluator: the suites' operator-matrix
+    symmetry check runs it on the standard basis vectors.
     """
     fvec, fden = f
-    images = backend._word_images.setdefault(tuple(fvec), {(): (fvec, 1)})
+    mu, ks, _, _ = backend._mu
+    images = backend._word_images.setdefault(tuple(fvec), {(): tuple(fvec)})
 
     def image(word):
         got = images.get(word)
         if got is None:
-            got = images[word] = backend._times(word[0], *image(word[1:]))
+            if word[0] not in ks:
+                raise UnboundOrderError(word[0])
+            got = images[word] = mat_vec(ks[word[0]], image(word[1:]))
         return got
 
-    vec, d = _lincomb(len(fvec), [(num, *image(word)) for word, num in terms])
-    return _reduced(vec, d * den * fden)
+    columns = [(len(word), num, image(word)) for word, num in terms]
+    lmax = max([length for length, _, _ in columns], default=0)
+    powers = [1]
+    for _ in range(lmax):
+        powers.append(powers[-1] * mu)
+    scales = [num * powers[lmax - length] for length, num, _ in columns]
+    out = [sum(map(mul, scales, coord)) for coord in zip(*[img for _, _, img in columns])]
+    return _reduced(out or [0] * len(fvec), den * fden * powers[lmax])
 
 
 def _evaluate_P(expansion: NCPoly, backend: MatrixAssignment, f: tuple[list[int], int]) -> tuple[list[int], int]:
@@ -602,13 +713,13 @@ def _dv_sides(model: EinsteinModel, gamma: Fraction, kmax: int, cap: int) -> lis
         phi = [0] * j + w_inv[: length - j]  # over inv_den
         d_phi = [2 * (i + 1) * (kn - i * kd) * phi[i + 1] for i in range(cap + 1)]
         twisted = [(gn - 2 * i * gd) * x for i, x in enumerate(phi[: cap + 1])]
-        twist = _ser_mul((twisted, gd * inv_den), vlog)
-        lhs = _reduced(*_ser_mul(_lincomb(cap + 1, [(1, d_phi, kd * inv_den), (1, *twist)]), w))
-        lanes = apply_R(k, [([int(i == j)], 1) for i in range(length)], backend)
-        # apply_R's lanes are reduced, so over the lcm of their denominators they stay reduced
-        den = math.lcm(*[d for _, d in lanes])
-        rhs = ([num * (den // d) for (num,), d in lanes], den)
-        sides.append((lhs, rhs))
+        twist, t_den = _ser_mul((twisted, gd * inv_den), vlog)
+        den = math.lcm(kd * inv_den, t_den)
+        d_up, t_up = den // (kd * inv_den), den // t_den
+        lhs = _reduced(*_ser_mul(([d_up * x + t_up * y for x, y in zip(d_phi, twist)], den), w))
+        # psi = rho^j in the window of lanes cap+1..0; apply_R's window is reduced, top lane first
+        flat, den = apply_R(k, ([int(i == j) for i in range(length - 1, -1, -1)], 1), backend)
+        sides.append((lhs, (flat[::-1], den)))
     return sides
 
 

@@ -304,7 +304,7 @@ def suite_frobenius(max_order: int | None, seed: int) -> tuple[str, list[Instanc
 
 def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
     backend = backends.MatrixAssignment.random(dim, nmax, seed)
-    f = backends._ints(backend.f)
+    f = backend._f
     basis = [([int(i == j) for j in range(dim)], 1) for i in range(dim)]
     for n in range(1, nmax + 1):
         expansion = juhl_core.expand_P_explicit(n)
@@ -324,11 +324,14 @@ def _ck_backend_matrix(seed: int, nmax: int, dim: int) -> str | None:
             if any(col_i[j] * den_j != col_j[i] * den_i for j, (col_j, den_j) in enumerate(columns[:i])):
                 return f"seed={seed}, N={n}: evaluated operator matrix is not symmetric"
         # oracle_P_partial iterates to the sum over |I| = N-a of
-        # n_{(I,a)} (a-1)!^2 (-2)^(a-1) x_I: the words of the expansion that end in a
+        # n_{(I,a)} (a-1)!^2 (-2)^(a-1) x_I: the words of the expansion that
+        # end in a, with the scale folded into their numerators
         for a in range(1, n + 1):
             direct = backends._oracle_P_partial(backend, n, a, f)
             scale = exact_core.factorial(a - 1) ** 2 * (-2) ** (a - 1)
-            closed = backends._evaluate_P(expansion.right_quotient(a) * scale, backend, f)
+            quotient = expansion.right_quotient(a)
+            terms = [(word, num * scale) for word, num in quotient._terms.items()]
+            closed = backends._apply_words(backend, terms, quotient._den, f)
             if direct != closed:
                 direct, closed = backends._fractions(*direct), backends._fractions(*closed)
                 return f"seed={seed}, N={n}, a={a}: partial iteration {direct} != closed form {closed}"

@@ -83,24 +83,36 @@ def test_einstein_m_constants_match_rho_route():
         assert m_consts[e + 1] == -utilde[e] * factorial(e) ** 2 * (-2) ** e
 
 
+def _window(lanes):
+    # the lanes u_0..u_cap, tuples of Fractions, as apply_R's window: one
+    # integer list, top lane first, over one den
+    return _ints([x for lane in reversed(lanes) for x in lane])
+
+
+def _lanes(window, d):
+    # apply_R's window as its lanes u_0, u_1, ..., tuples of Fractions
+    values = _fractions(*window)
+    return [values[i : i + d] for i in range(len(values) - d, -1, -d)]
+
+
 def _apply_R_on_fractions(k, lanes, backend):
-    # apply_R's lanes are (numerators, den) pairs; these tests state them as Fractions
-    return [_fractions(*lane) for lane in apply_R(k, [_ints(lane) for lane in lanes], backend)]
+    # these tests state the lanes as Fractions
+    return _lanes(apply_R(k, _window(lanes), backend), backend.dim)
 
 
 def test_apply_R_on_constant_flat_model_is_zero():
+    # the window u_2, u_1, u_0 = 0, 0, 1 goes to the reduced zero window u_1, u_0
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 3)
-    out = apply_R(5, [([1], 1), ([0], 1), ([0], 1)], backend)
-    assert [_fractions(*lane) for lane in out] == [(0,), (0,)]
+    assert apply_R(5, ([0, 0, 1], 1), backend) == ([0, 0], 1)
 
 
 def test_apply_R_linear_input_constant_term():
+    # u = rho: the window u_2, u_1, u_0 = 0, 1, 0; lane 0 of the result, last in the window, is 2k
     backend = EinsteinBackend(EinsteinModel(Fraction(4), Fraction(0)), 3)
-    lanes = [([0], 1), ([1], 1), ([0], 1)]
     for k in (-2, 0, 3):
-        out = apply_R(k, lanes, backend)
-        assert len(out) == 2
-        assert _fractions(*out[0]) == (2 * k,)
+        flat, den = apply_R(k, ([0, 1, 0], 1), backend)
+        assert len(flat) == 2
+        assert Fraction(flat[-1], den) == 2 * k
 
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -280,6 +292,12 @@ def test_matrix_assignment_validation():
     eye = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
         MatrixAssignment({1: eye}, (Fraction(1),))
+    # a 0-dimensional backend has no window to iterate and no row to multiply
+    for matrices in ({}, {1: ()}):
+        with pytest.raises(ValueError, match="the matrix dimension must be positive"):
+            MatrixAssignment(matrices, ())
+    with pytest.raises(ValueError, match="dim must be a positive integer, got 0"):
+        MatrixAssignment.random(0, 2, 0)
 
 
 def test_dv_identity_flat_and_sphere():
@@ -390,9 +408,16 @@ def test_m_apply_matches_naive_mat_vec(case, seed):
         assert random_backend.m_apply(order, v) == mat_vec(random_backend.matrices[order], v)
 
 
+def _block(values, order):
+    # a backend's matrix or W-scalar of ``order``, raising as the backend does
+    if order not in values:
+        raise UnboundOrderError(order)
+    return values[order]
+
+
 def _naive_apply(matrices, word, v):
     for order in reversed(word):
-        v = mat_vec(matrices[order], v)
+        v = mat_vec(_block(matrices, order), v)
     return v
 
 
@@ -412,7 +437,8 @@ def _fraction_Q(backend, q):
     # every (I, a) term of q as c * W_{2a} * M_{2I} f on the Fraction matrices and W-scalars
     parts = []
     for (word, a), c in q.items():
-        parts.append(tuple(c * backend.w_scalars[a] * x for x in _naive_apply(backend.matrices, word, backend.f)))
+        w = _block(backend.w_scalars, a)
+        parts.append(tuple(c * w * x for x in _naive_apply(backend.matrices, word, backend.f)))
     return _naive_sum(parts, backend.dim)
 
 
@@ -532,10 +558,10 @@ def test_a_memoized_suffix_still_needs_the_first_letters_block():
 
 
 def test_the_word_evaluator_multiplies_each_distinct_suffix_once(monkeypatch):
+    # a word's image is one integer mat_vec of its first letter's matrix on its suffix's image
     backend = MatrixAssignment.random(4, 6, seed=2)
-    plain = backend._times
     calls = []
-    monkeypatch.setattr(backend, "_times", lambda *args: calls.append(args[0]) or plain(*args))
+    monkeypatch.setattr(backends, "mat_vec", lambda *args: calls.append(args[0]) or mat_vec(*args))
     expansion = expand_P_explicit(6)
     first = evaluate_P(expansion, backend, backend.f)
     # every composition of 1..6 is a suffix of a composition of 6: 2^6 - 1 of them
@@ -744,50 +770,29 @@ def test_ints_is_the_vector_over_the_lcm_of_its_denominators(v):
     assert backends._fractions(vec, den) == tuple(Fraction(x) for x in v)
 
 
-@st.composite
-def scaled_parts(draw):
-    # (vector, integer scale) pairs of one dimension; scales may be negative
-    # or zero, and a vector may be zero
-    d = draw(st.integers(min_value=1, max_value=4))
-    vectors = st.one_of(st.tuples(*[wide_entries] * d), st.just((Fraction(0),) * d))
-    scales = st.integers(min_value=-6, max_value=6)
-    return d, draw(st.lists(st.tuples(vectors, scales), max_size=5))
-
-
-@given(case=scaled_parts())
-@settings(max_examples=80, deadline=None)
-def test_lincomb_is_the_fraction_sum(case):
-    d, pairs = case
-    vec, den = backends._lincomb(d, [(scale, *backends._ints(v)) for v, scale in pairs])
-    want = [sum((scale * v[i] for v, scale in pairs), Fraction(0)) for i in range(d)]
-    assert [Fraction(x, den) for x in vec] == want
-    assert den > 0 and math.gcd(den, *vec) == 1  # reduced
-    if not pairs:
-        assert (vec, den) == ([0] * d, 1)
-
-
 @given(case=matrix_and_vector(), den=st.integers(min_value=1, max_value=50))
 @settings(max_examples=80, deadline=None)
-def test_times_is_mat_vec_on_the_fraction_matrix(case, den):
+def test_m_apply_is_mat_vec_on_the_fraction_matrix(case, den):
     matrix, v = case
     backend = MatrixAssignment({1: matrix}, (0,) * len(v))
-    vec = [Fraction(x).numerator for x in v]  # any integers, over den
-    got, got_den = backend._times(1, vec, den)
-    assert [Fraction(x, got_den) for x in got] == list(mat_vec(matrix, [Fraction(x, den) for x in vec]))
+    value = [Fraction(Fraction(x).numerator, den) for x in v]  # any integers, over den
+    assert backend.m_apply(1, value) == mat_vec(matrix, value)
     with pytest.raises(UnboundOrderError):
-        backend._times(2, vec, den)
+        backend.m_apply(2, value)
 
 
-def _apply_R_by_formula(k, lanes, backend):
-    # 2(i+1)(k-i) u_{i+1} + sum_e (-1)^e/(e!^2 2^e) M_{2(e+1)} u_{i-e},
-    # on the Fraction matrices and with every lane applied, zero or not
+def _apply_R_by_formula(k, lanes, matrices):
+    # 2(i+1)(k-i) u_{i+1} + sum_e (-1)^e/(e!^2 2^e) M_{2(e+1)} u_{i-e}, on
+    # Fraction lanes and matrices, lane by lane; a nonzero lane asks for its
+    # block, a zero lane never does
     out = []
     for i in range(len(lanes) - 1):
         acc = [2 * (i + 1) * (k - i) * Fraction(x) for x in lanes[i + 1]]
         for e in range(i + 1):
-            weight = Fraction((-1) ** e, factorial(e) ** 2 * 2**e)
-            low = mat_vec(backend.matrices[e + 1], lanes[i - e])
-            acc = [x + weight * y for x, y in zip(acc, low)]
+            if any(lanes[i - e]):
+                weight = Fraction((-1) ** e, factorial(e) ** 2 * 2**e)
+                low = mat_vec(_block(matrices, e + 1), lanes[i - e])
+                acc = [x + weight * y for x, y in zip(acc, low)]
         out.append(tuple(acc))
     return out
 
@@ -808,10 +813,10 @@ def backend_and_lanes(draw):
 def test_apply_R_matches_the_fraction_formula(case, k):
     # integer k in the oracles, rational k in the conjugation identity
     backend, lanes = case
-    got = apply_R(k, [_ints(lane) for lane in lanes], backend)
-    assert [_fractions(*lane) for lane in got] == _apply_R_by_formula(k, lanes, backend)
-    assert all(type(x) is int for vec, _ in got for x in vec)
-    assert all(type(den) is int and den > 0 for _, den in got)
+    flat, den = apply_R(k, _window(lanes), backend)
+    assert _lanes((flat, den), backend.dim) == _apply_R_by_formula(k, lanes, backend.matrices)
+    assert all(type(x) is int for x in flat)
+    assert type(den) is int and den > 0 and math.gcd(den, *flat) == 1  # one gcd reduces the window
 
 
 def test_apply_R_asks_no_block_for_a_zero_lane():
@@ -820,7 +825,7 @@ def test_apply_R_asks_no_block_for_a_zero_lane():
     backend = MatrixAssignment.random(2, 2, seed=3)
     zero, v = (Fraction(0),) * 2, (Fraction(1), Fraction(-2, 3))
     lanes = [zero, v, v, zero]
-    want = _apply_R_by_formula(4, lanes, MatrixAssignment.random(2, 3, seed=3))
+    want = _apply_R_by_formula(4, lanes, MatrixAssignment.random(2, 3, seed=3).matrices)
     assert _apply_R_on_fractions(4, lanes, backend) == want
     with pytest.raises(UnboundOrderError):
         _apply_R_on_fractions(4, [v, zero, zero, zero], backend)
@@ -849,27 +854,27 @@ def test_the_R_iteration_uses_no_prefix_sum_and_no_word(monkeypatch):
 
 
 def test_the_R_iteration_makes_fractions_once(monkeypatch):
-    # the lanes stay (numerators, den) pairs from the first R factor to the
-    # last: every _ints comes before the first apply_R, no conversion runs
-    # inside an R step or the prefix sums, and one _fractions ends the call
+    # the window stays integers over one den from the first R factor to the
+    # last: the test vector's one _ints comes before the first apply_R (W and
+    # f are stored integers), no conversion runs and no Fraction is made
+    # inside an R step or the prefix sums, and one _fractions, making one
+    # Fraction per entry, ends the call
     backend = MatrixAssignment.random(3, 6, seed=4)
     f = backend.f
     calls = []
-    for name in ("_ints", "_fractions", "apply_R", "_prefix_sums"):
+    for name in ("_ints", "_fractions", "apply_R", "_prefix_sums", "Fraction"):
         real = getattr(backends, name)
         monkeypatch.setattr(backends, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     entries = {
-        "oracle_P": (lambda: oracle_P(backend, 6, f), ["apply_R"] * 6),
-        "oracle_P_partial": (lambda: oracle_P_partial(backend, 6, 3, f), ["apply_R"] * 5),
+        "oracle_P": (lambda: oracle_P(backend, 6, f), ["_ints"] + ["apply_R"] * 6),
+        "oracle_P_partial": (lambda: oracle_P_partial(backend, 6, 3, f), ["_ints"] + ["apply_R"] * 5),
         "oracle_Q": (lambda: oracle_Q(backend, 6), ["apply_R"] * 5),
         "formula_Q": (lambda: formula_Q(backend, 6), ["_prefix_sums"]),
     }
     for name, (call, steps) in entries.items():
         calls.clear()
         call()
-        edge = calls.count("_ints")
-        assert edge >= 1 and calls[:edge] == ["_ints"] * edge, name
-        assert calls[edge:] == steps + ["_fractions"], name
+        assert calls == steps + ["_fractions"] + ["Fraction"] * 3, name
 
 
 @given(case=backend_and_vector(), n=st.integers(min_value=1, max_value=3))
@@ -1016,3 +1021,121 @@ def _random_reference(dim: int, max_order: int, seed: int):
 def test_random_backend_draws_the_fraction_reference(seed, dim):
     backend = MatrixAssignment.random(dim, 5, seed)
     assert (backend.matrices, backend.f, backend.w_scalars) == _random_reference(dim, 5, seed)
+
+
+def test_random_backend_is_pinned():
+    # MatrixAssignment.random(2, 2, 0) draws these values, as it always has
+    backend = MatrixAssignment.random(2, 2, 0)
+    half = Fraction(1, 2)
+    assert backend.matrices == {1: ((half, 0), (0, half)), 2: ((half, 2), (2, 0))}
+    assert backend.f == (Fraction(-2, 3), 0)
+    assert backend.w_scalars == {1: 2, 2: 0}
+
+
+@given(case=backend_and_vector())
+@settings(max_examples=40, deadline=None)
+def test_the_views_are_the_inputs(case):
+    # matrices, f and w_scalars are Fraction views of the stored integers,
+    # built on each read: equal to the inputs and not assignable
+    backend, _ = case
+    matrices, f, w_scalars = backend.matrices, backend.f, backend.w_scalars
+    rebuilt = MatrixAssignment(matrices, f, w_scalars)
+    assert (rebuilt.matrices, rebuilt.f, rebuilt.w_scalars) == (matrices, f, w_scalars)
+    assert all(type(x) is Fraction for m in matrices.values() for row in m for x in row)
+    assert all(type(x) is Fraction for x in (*f, *w_scalars.values()))
+    matrices[1] = f = w_scalars[1] = None  # changing a view leaves the backend as it was
+    assert (backend.matrices, backend.f, backend.w_scalars) == (rebuilt.matrices, rebuilt.f, rebuilt.w_scalars)
+    for name in ("matrices", "f", "w_scalars"):
+        with pytest.raises(AttributeError):
+            setattr(backend, name, None)
+
+
+@pytest.mark.parametrize(
+    "n, c", [(Fraction(7, 2), Fraction(-1, 3)), (Fraction(4), Fraction(0)), (Fraction(-3, 5), Fraction(7, 5))]
+)
+def test_the_einstein_views_are_einstein_invariants(n, c):
+    backend = EinsteinBackend(EinsteinModel(n, c), 12)
+    w_scalars, m_consts = einstein_invariants(EinsteinModel(n, c), 12)
+    assert backend.m_consts == m_consts and backend.w_scalars == w_scalars
+    assert backend.matrices == {order: ((m,),) for order, m in m_consts.items()}
+    w_nums, w_den, m_nums, m_den = backends._einstein_kernel(EinsteinModel(n, c), 12)
+    assert [Fraction(x, w_den) for x in w_nums] == list(w_scalars.values())
+    assert [Fraction(x, m_den) for x in m_nums] == list(m_consts.values())
+    with pytest.raises(AttributeError):
+        backend.m_consts = m_consts
+
+
+# ---------------------------------------------------------------------------
+# every kernel against plain Fractions, on backends whose orders may have a gap
+
+
+def _fraction_iteration(ks, lanes, matrices):
+    for k in ks:
+        lanes = _apply_R_by_formula(k, lanes, matrices)
+    return lanes[0]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except UnboundOrderError:
+        return "unbound"
+
+
+@st.composite
+def gapped_backends(draw):
+    # dim 1-3; matrix entries, f and W-scalars with mixed denominators; the
+    # orders of the matrices and of the W-scalars may have gaps, as {1, 2, 4}
+    d = draw(st.integers(min_value=1, max_value=3))
+    orders = draw(st.sampled_from([{1, 2, 3, 4}, {1, 2, 4}, {1, 3, 4}, {2, 3}, {1, 2}, set()]))
+    matrices = {order: _symmetric([[draw(wide_entries) for _ in range(d)] for _ in range(d)]) for order in orders}
+    f = draw(st.one_of(st.tuples(*[wide_entries] * d), st.just((Fraction(0),) * d)))
+    w_orders = draw(st.sampled_from([{1, 2, 3, 4}, {1, 3, 4}, {1, 2}]))
+    w_scalars = {a: draw(wide_entries) for a in w_orders}
+    return MatrixAssignment(matrices, f, w_scalars)
+
+
+GAPPED = {1: ((1,),), 2: ((Fraction(1, 3),),), 4: ((Fraction(-5, 7),),)}
+
+
+@given(backend=gapped_backends(), n=st.integers(min_value=1, max_value=4), a=st.integers(min_value=1, max_value=4))
+# M_6 is missing.  At N = 3 the full P paths reach it and raise; the partial
+# forms at a = 1 and the Q paths read M_2 and M_4 only.  At N = 4 every path
+# reaches it.  On f = 0 the R-iterations' lanes are all zero, so they never
+# ask for it, while the prefix sums and the words still do
+@example(backend=MatrixAssignment(GAPPED, (Fraction(2, 5),), {1: 1, 2: 3, 3: -2}), n=3, a=1)
+@example(backend=MatrixAssignment(GAPPED, (0,), {1: 1, 2: 3, 3: -2}), n=3, a=1)
+@example(backend=MatrixAssignment(GAPPED, (Fraction(2, 5),), {1: 1, 2: 3, 3: -2, 4: 5}), n=4, a=1)
+@example(backend=MatrixAssignment(GAPPED, (0,), {1: 1, 2: 3, 3: -2, 4: 5}), n=4, a=1)
+@settings(max_examples=80, deadline=None)
+def test_every_kernel_matches_plain_fractions_on_gapped_backends(backend, n, a):
+    a = min(a, n)
+    matrices, f, w_scalars = backend.matrices, backend.f, backend.w_scalars
+    zero = (Fraction(0),) * backend.dim
+    p_words = expand_P_explicit(n)
+    quotient = p_words.right_quotient(a)
+    scale = factorial(a - 1) ** 2 * (-2) ** (a - 1)
+    q_words = expand_Q_explicit(n)
+
+    def q_lanes():
+        return [tuple(a * (-2) ** (a + 1) * _block(w_scalars, a) * x for x in f) for a in range(1, n + 1)]
+
+    p_value = lambda: _fraction_P(backend, p_words, f)  # noqa: E731
+    partial_value = lambda: _fraction_P(backend, quotient * scale, f)  # noqa: E731
+    q_value = lambda: _fraction_Q(backend, q_words)  # noqa: E731
+    cases = {
+        "oracle_P": (lambda: oracle_P(backend, n, f),
+                     lambda: _fraction_iteration(range(n - 1, -n, -2), [f] + [zero] * n, matrices)),
+        "oracle_P_partial": (lambda: oracle_P_partial(backend, n, a, f),
+                             lambda: _fraction_iteration(range(n - 3, -n, -2),
+                                                         [zero] * (a - 1) + [f] + [zero] * (n - a), matrices)),
+        "oracle_Q": (lambda: oracle_Q(backend, n),
+                     lambda: _fraction_iteration(range(n - 3, -n, -2), q_lanes(), matrices)),
+        "formula_P": (lambda: formula_P(backend, n, f), p_value),
+        "formula_P_partial": (lambda: formula_P_partial(backend, n, a, f), partial_value),
+        "formula_Q": (lambda: formula_Q(backend, n), q_value),
+        "evaluate_P": (lambda: evaluate_P(p_words, backend, f), p_value),
+        "evaluate_Q": (lambda: evaluate_Q(q_words, backend), q_value),
+    }
+    for name, (got, want) in cases.items():
+        assert _outcome(got) == _outcome(want), (name, n, a)

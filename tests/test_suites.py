@@ -278,15 +278,17 @@ def test_mirror_check_reads_the_stored_numerators(monkeypatch, terms, detail):
 def test_conjugation_check_reads_every_m_constant(monkeypatch):
     # psi = 1 reaches M_{2(e+1)} at rho^e, so a fault in any constant up to
     # rho^cap (cap = max(8, suite order - 1)) must fail the instance: M_2..M_18
-    # at the default suite order 8, M_2..M_24 at suite order 12
-    plain = backends.einstein_invariants
+    # at the default suite order 8, M_2..M_24 at suite order 12.  The fault
+    # adds 1 to a constant in the integer kernel the Einstein backend is built from
+    plain = backends._einstein_kernel
     for suite_order, top in ((8, 9), (12, 12)):
         for order in range(1, top + 1):
             def perturbed(model, max_order, order=order):
-                w_scalars, m_consts = plain(model, max_order)
-                return w_scalars, {**m_consts, order: m_consts[order] + 1}
+                w_nums, w_den, m_nums, m_den = plain(model, max_order)
+                m_nums = [x + m_den if i == order else x for i, x in enumerate(m_nums, 1)]
+                return w_nums, w_den, m_nums, m_den
 
-            monkeypatch.setattr(backends, "einstein_invariants", perturbed)
+            monkeypatch.setattr(backends, "_einstein_kernel", perturbed)
             detail = suites._ck_dv_identity(Fraction(3), Fraction(1, 2), Fraction(0), suite_order)
             assert detail is not None and detail.startswith("n=3, c=1/2, gamma=0: k=0: "), (suite_order, order)
 
